@@ -35,15 +35,13 @@ func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 
 // TransportSpec describes how the distributed entry points execute —
 // see the dist package for the full story. Specs are plain values:
-// Mem() is the single-process in-memory simulation (the default; the
-// zero spec executes the same way, but only an explicit Mem() shields
-// against the deprecated Shards knob), Sharded(p) partitions the
-// rounds across p worker goroutines, Loopback(p) / Mesh(p) run the
-// whole multi-process protocol over real loopback TCP sockets inside
-// this process (on the coordinator-relayed star and the full-mesh data
-// plane respectively), and dist.Net / dist.Worker drive real
-// multi-process deployments (see cmd/distworker and dist.Run, which
-// those specs require so that network failures can surface as errors).
+// Mem() is the single-process in-memory simulation (the default and
+// the zero spec), Sharded(p) partitions the rounds across p worker
+// goroutines, Mesh(p) runs the whole multi-process protocol over real
+// loopback TCP sockets inside this process, and dist.Net / dist.Worker
+// drive real multi-process deployments (see cmd/distworker and
+// dist.Run, which those specs require so that network failures can
+// surface as errors).
 //
 // Equivalence guarantee: for equal Options every spec produces
 // bit-identical output and an identical DistStats ledger at any shard
@@ -59,23 +57,17 @@ func Mem() TransportSpec { return dist.Mem() }
 // goroutines.
 func Sharded(p int) TransportSpec { return dist.Sharded(p) }
 
-// Loopback returns the loopback-TCP multi-process transport spec with
-// p shards (a coordinator plus p−1 worker goroutines on real sockets).
-func Loopback(p int) TransportSpec { return dist.Loopback(p) }
-
-// Mesh returns the loopback-TCP multi-process transport spec on the
-// full-mesh data plane: workers dial each other directly and the
-// coordinator carries only control/tally/collective frames, so
-// worker↔worker round batches cross the wire once instead of being
-// relayed twice through shard 0.
+// Mesh returns the loopback-TCP multi-process transport spec with p
+// shards: a coordinator plus p−1 worker goroutines on real sockets,
+// the workers dialing each other directly so every worker↔worker round
+// batch crosses the wire once.
 func Mesh(p int) TransportSpec { return dist.Mesh(p) }
 
 // ParseTransport maps a spec name plus a shard count to a
 // TransportSpec — the one grammar behind every CLI -transport flag:
-// "mem" (shards ignored), "sharded", "loopback", or "mesh" (the
-// socket planes; all three need shards ≥ 1). An empty name defaults
-// to "sharded", matching the historical meaning of a bare -shards
-// flag.
+// "mem" (shards ignored), "sharded", or "mesh" (loopback sockets; both
+// need shards ≥ 1). An empty name defaults to "sharded", matching the
+// historical meaning of a bare -shards flag.
 func ParseTransport(name string, shards int) (TransportSpec, error) {
 	switch name {
 	case "", "sharded":
@@ -85,18 +77,13 @@ func ParseTransport(name string, shards int) (TransportSpec, error) {
 		return Sharded(shards), nil
 	case "mem":
 		return Mem(), nil
-	case "loopback":
-		if shards < 1 {
-			return TransportSpec{}, fmt.Errorf("repro: transport loopback needs shards >= 1")
-		}
-		return Loopback(shards), nil
 	case "mesh":
 		if shards < 1 {
 			return TransportSpec{}, fmt.Errorf("repro: transport mesh needs shards >= 1")
 		}
 		return Mesh(shards), nil
 	default:
-		return TransportSpec{}, fmt.Errorf("repro: unknown transport %q (mem, sharded, loopback, mesh)", name)
+		return TransportSpec{}, fmt.Errorf("repro: unknown transport %q (mem, sharded, mesh)", name)
 	}
 }
 
@@ -113,31 +100,12 @@ type Options struct {
 	// BundleT overrides the bundle thickness formula when positive.
 	BundleT int
 	// Transport selects how DistributedSparsify and DistributedSpanner
-	// execute: Mem() (the zero value, the default), Sharded(p),
-	// Loopback(p), or Mesh(p) — see TransportSpec for the catalogue and
-	// the equivalence guarantee. Ignored by the shared-memory entry
-	// points.
+	// execute: Mem() (the zero value, the default), Sharded(p), or
+	// Mesh(p) — see TransportSpec for the catalogue and the equivalence
+	// guarantee. Ignored by the shared-memory entry points.
 	Transport TransportSpec
-	// Shards is the pre-TransportSpec way to select the sharded
-	// transport; P ≥ 1 behaves exactly like Transport: Sharded(P).
-	//
-	// Deprecated: set Transport to Sharded(P) instead. Consulted only
-	// when Transport is the zero spec.
-	Shards int
 	// Tracker, when non-nil, accumulates modeled CRCW PRAM work/depth.
 	Tracker *pram.Tracker
-}
-
-// transport resolves the Transport/Shards pair to the spec the
-// distributed entry points run on.
-func (o Options) transport() TransportSpec {
-	if !o.Transport.IsZero() {
-		return o.Transport
-	}
-	if o.Shards > 0 {
-		return dist.Sharded(o.Shards)
-	}
-	return dist.Mem()
 }
 
 func (o Options) config() core.Config {
@@ -327,7 +295,7 @@ type DistStats = dist.Stats
 // failure (possible only on the multi-process specs) panics; use
 // dist.Run directly to handle such errors.
 func DistributedSparsify(g *Graph, eps, rho float64, opt Options) (*Graph, DistStats) {
-	res, err := dist.Run(dist.NewEngine(opt.transport(), g), dist.SparsifyJob(eps, rho, opt.config()))
+	res, err := dist.Run(dist.NewEngine(opt.Transport, g), dist.SparsifyJob(eps, rho, opt.config()))
 	if err != nil {
 		panic("repro: DistributedSparsify: " + err.Error())
 	}
@@ -343,7 +311,7 @@ func DistributedSparsify(g *Graph, eps, rho float64, opt Options) (*Graph, DistS
 // failure (possible only on the multi-process specs) panics; use
 // dist.Run directly to handle such errors.
 func DistributedSpanner(g *Graph, opt Options) (*Graph, DistStats) {
-	res, err := dist.Run(dist.NewEngine(opt.transport(), g), dist.SpannerJob(0, opt.Seed))
+	res, err := dist.Run(dist.NewEngine(opt.Transport, g), dist.SpannerJob(0, opt.Seed))
 	if err != nil {
 		panic("repro: DistributedSpanner: " + err.Error())
 	}

@@ -50,10 +50,11 @@ func TestDistributedSparsifyHonorsOptions(t *testing.T) {
 	}
 }
 
-// TestDistributedSparsifyShardsOption: Shards switches the transport
-// without changing the output — the in-memory default and every shard
-// count produce edge-identical graphs, and the sharded ledger records
-// its shard count and cross-shard traffic.
+// TestDistributedSparsifyShardsOption: the shard count of
+// Transport: Sharded(P) switches the partition without changing the
+// output — the in-memory default and every shard count produce
+// edge-identical graphs, and the sharded ledger records its shard
+// count and cross-shard traffic.
 func TestDistributedSparsifyShardsOption(t *testing.T) {
 	g := Gnp(250, 0.2, 44)
 	ref, refStats := DistributedSparsify(g, 0.75, 4, Options{Seed: 9})
@@ -61,7 +62,7 @@ func TestDistributedSparsifyShardsOption(t *testing.T) {
 		t.Fatalf("default transport should be single-shard: %+v", refStats)
 	}
 	for _, p := range []int{1, 3, 8} {
-		h, st := DistributedSparsify(g, 0.75, 4, Options{Seed: 9, Shards: p})
+		h, st := DistributedSparsify(g, 0.75, 4, Options{Seed: 9, Transport: Sharded(p)})
 		if h.M() != ref.M() {
 			t.Fatalf("Shards=%d: m=%d vs default %d", p, h.M(), ref.M())
 		}
@@ -83,17 +84,14 @@ func TestDistributedSparsifyShardsOption(t *testing.T) {
 }
 
 // TestDistributedTransportOption: the Transport field selects the spec
-// directly, the deprecated Shards alias maps to Sharded(P), and every
-// spec — the loopback multi-process one included — produces the same
-// edges as the in-memory default.
+// directly, and every spec — the loopback multi-process one included —
+// produces the same edges as the in-memory default.
 func TestDistributedTransportOption(t *testing.T) {
 	g := Gnp(220, 0.15, 21)
 	ref, refStats := DistributedSparsify(g, 0.75, 4, Options{Seed: 9})
 	for name, opt := range map[string]Options{
-		"sharded-spec":     {Seed: 9, Transport: Sharded(3)},
-		"deprecated-alias": {Seed: 9, Shards: 3},
-		"loopback-spec":    {Seed: 9, Transport: Loopback(2)},
-		"mesh-spec":        {Seed: 9, Transport: Mesh(3)},
+		"sharded-spec": {Seed: 9, Transport: Sharded(3)},
+		"mesh-spec":    {Seed: 9, Transport: Mesh(3)},
 	} {
 		h, st := DistributedSparsify(g, 0.75, 4, opt)
 		if h.M() != ref.M() {
@@ -107,12 +105,6 @@ func TestDistributedTransportOption(t *testing.T) {
 		if st.Rounds != refStats.Rounds || st.Words != refStats.Words {
 			t.Fatalf("%s: ledger totals diverge: %+v vs %+v", name, st, refStats)
 		}
-	}
-	// The alias and the spec must be indistinguishable in the ledger.
-	_, aliasStats := DistributedSparsify(g, 0.75, 4, Options{Seed: 9, Shards: 3})
-	_, specStats := DistributedSparsify(g, 0.75, 4, Options{Seed: 9, Transport: Sharded(3)})
-	if aliasStats.Shards != specStats.Shards || aliasStats.CrossShardWords != specStats.CrossShardWords {
-		t.Fatalf("Shards alias diverges from Sharded spec: %+v vs %+v", aliasStats, specStats)
 	}
 	// The spanner entry point honors the spec too.
 	sref, _ := DistributedSpanner(g, Options{Seed: 9})
@@ -130,24 +122,9 @@ func TestDistributedTransportOption(t *testing.T) {
 	}
 }
 
-// TestExplicitMemBeatsDeprecatedShards: an explicit Transport: Mem()
-// is not the zero spec, so the deprecated Shards knob cannot override
-// it — only a truly unset Transport falls back to Shards.
-func TestExplicitMemBeatsDeprecatedShards(t *testing.T) {
-	g := Gnp(120, 0.2, 3)
-	_, memStats := DistributedSparsify(g, 0.75, 4, Options{Seed: 5, Transport: Mem(), Shards: 4})
-	if memStats.Shards != 1 || memStats.CrossShardMessages != 0 {
-		t.Fatalf("explicit Mem() overridden by deprecated Shards: %+v", memStats)
-	}
-	_, unsetStats := DistributedSparsify(g, 0.75, 4, Options{Seed: 5, Shards: 4})
-	if unsetStats.Shards != 4 {
-		t.Fatalf("unset Transport did not fall back to Shards: %+v", unsetStats)
-	}
-}
-
 // TestParseTransport: the one grammar behind every CLI -transport
-// flag resolves each spec name — including the mesh data plane — and
-// rejects unknown names and missing shard counts.
+// flag resolves each spec name and rejects unknown names (the retired
+// "loopback" among them) and missing shard counts.
 func TestParseTransport(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -158,10 +135,9 @@ func TestParseTransport(t *testing.T) {
 		{"", 3, Sharded(3), false},
 		{"sharded", 2, Sharded(2), false},
 		{"mem", 0, Mem(), false},
-		{"loopback", 4, Loopback(4), false},
 		{"mesh", 4, Mesh(4), false},
 		{"mesh", 0, TransportSpec{}, true},
-		{"loopback", 0, TransportSpec{}, true},
+		{"loopback", 4, TransportSpec{}, true},
 		{"", 0, TransportSpec{}, true},
 		{"bogus", 3, TransportSpec{}, true},
 	}

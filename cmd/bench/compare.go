@@ -215,9 +215,9 @@ func compareReports(oldR, newR jsonReport, threshold, noiseMs float64) (compareO
 		}
 		out.lines = append(out.lines, line)
 		// Per-row deltas, reported but never gated (only the summed total
-		// above can fail the gate): this is where a topology change — the
-		// mesh rows' halved relay bytes against the star rows — stays
-		// visible in CI logs instead of vanishing into the sum.
+		// above can fail the gate): this is where one row's shift — a
+		// transport's bytes moving while the others hold — stays visible
+		// in CI logs instead of vanishing into the sum.
 		oldRows, _ := wireBytesRows(oldE)
 		newRows, newOrder := wireBytesRows(newE)
 		for _, label := range newOrder {

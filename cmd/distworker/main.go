@@ -25,17 +25,16 @@
 //	distworker -shards 4 -in graph.txt -split parts/ -split-only
 //	distworker -join HOST:PORT -shards 4 -shard 2 -parts parts/
 //
-// Full-mesh data plane: with -mesh on EVERY process (the handshake
-// rejects a mixed fleet) the workers dial each other directly and
-// exchange round batches peer-to-peer, so cross-shard data crosses the
-// wire once instead of being relayed twice through the coordinator,
-// and round flushes overlap the next round's compute (double
-// buffering). Workers bind a peer listener (-peer-listen, default
-// 127.0.0.1:0 — set a routable host:0 for multi-machine runs) and
-// announce it to the coordinator at join time:
+// Data plane: with more than two shards the workers dial each other
+// directly and exchange round batches peer-to-peer (a full mesh), so
+// cross-shard data crosses the wire once, and round flushes overlap
+// the next round's compute (double buffering). Every worker binds a
+// peer listener (-peer-listen, default 127.0.0.1:0) and announces it
+// to the coordinator at join time, so on a multi-machine fleet every
+// worker needs a -peer-listen host the other workers can reach:
 //
-//	distworker -listen :9000 -shards 4 -mesh -in graph.txt
-//	distworker -join HOST:9000 -shards 4 -shard 2 -mesh \
+//	distworker -listen :9000 -shards 4 -in graph.txt
+//	distworker -join HOST:9000 -shards 4 -shard 2 \
 //	    -peer-listen 10.0.0.7:0 -in graph.txt
 //
 // Fault tolerance: with -max-respawns N the coordinator survives up to
@@ -120,8 +119,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "coordinator: checkpoint cadence in sampling epochs (0 = every epoch, negative = off)")
 	resume := flag.Bool("resume", false, "worker: keep retrying the join for one -timeout window (for respawned workers racing the coordinator's recovery)")
 	crashAfterFrames := flag.Int("crash-after-frames", 0, "fault injection — SIGKILL this process before its Nth protocol frame (0 = off)")
-	mesh := flag.Bool("mesh", false, "full-mesh data plane: workers exchange round batches directly (must be set on every process)")
-	peerListen := flag.String("peer-listen", "", "worker, with -mesh: peer listener bind address (default 127.0.0.1:0; use a routable host:0 for multi-machine runs)")
+	peerListen := flag.String("peer-listen", "", "worker: peer listener bind address for the direct worker links (default 127.0.0.1:0; use a routable host:0 for multi-machine runs)")
 	failover := flag.Bool("failover", false, "coordinator failover: survive coordinator death by electing a worker to adopt shard 0 (must be set on every process)")
 	failoverListen := flag.String("failover-listen", "", "worker, with -failover: standby hub listener bind address (default 127.0.0.1:0; use a routable host:0 for multi-machine runs)")
 	ckptOut := flag.String("ckpt-out", "", "coordinator: persist each durable checkpoint to this file (atomically) for later -resume-ckpt")
@@ -141,9 +139,6 @@ func main() {
 		validateHostPort("-join", *join, true)
 	}
 	if *peerListen != "" {
-		if !*mesh {
-			log.Fatal("-peer-listen only makes sense with -mesh")
-		}
 		validateHostPort("-peer-listen", *peerListen, true)
 	}
 	if *failoverListen != "" {
@@ -168,11 +163,11 @@ func main() {
 		splitPartitions(g, *shards, *split)
 	case *listen != "":
 		runCoordinator(runner, params, *jobName, *in, *parts, *out, *listen, *addrFile, *split,
-			*shards, *timeout, *maxRespawns, *ckptEvery, *mesh, *failover,
+			*shards, *timeout, *maxRespawns, *ckptEvery, *failover,
 			*crashAfterFrames, *ckptOut, *resumeCkpt)
 	case *join != "":
 		runWorker(runner, params, *jobName, *in, *parts, *out, *join, *shard, *shards, *timeout, *resume,
-			*crashAfterFrames, *mesh, *peerListen, *failover, *failoverListen, *maxRespawns, *ckptEvery)
+			*crashAfterFrames, *peerListen, *failover, *failoverListen, *maxRespawns, *ckptEvery)
 	default:
 		log.Fatal("one of -listen (coordinator), -join (worker), or -split/-split-only is required")
 	}
@@ -308,17 +303,12 @@ func splitPartitions(g *graph.Graph, shards int, dir string) {
 // with -resume so it keeps retrying while recovery tears the old
 // connection down. The child is started asynchronously; the engine's
 // recovery window tracks the rejoin.
-func respawnWorker(jobName, in, parts string, shards int, timeout time.Duration, mesh, failover bool) func(shard int, addr string) {
+func respawnWorker(jobName, in, parts string, shards int, timeout time.Duration, failover bool) func(shard int, addr string) {
 	return func(shard int, addr string) {
 		fmt.Fprintf(os.Stderr, "coordinator: respawning shard %d\n", shard)
 		args := []string{
 			"-join", addr, "-shard", strconv.Itoa(shard), "-shards", strconv.Itoa(shards),
 			"-job", jobName, "-timeout", timeout.String(), "-resume",
-		}
-		if mesh {
-			// The replacement must rejoin on the same data plane; it binds
-			// a fresh peer listener and announces it as it rejoins.
-			args = append(args, "-mesh")
 		}
 		if failover {
 			// The replacement must match the fleet's capability set; it
@@ -342,7 +332,7 @@ func respawnWorker(jobName, in, parts string, shards int, timeout time.Duration,
 
 func runCoordinator(runner jobRunner, params jobParams,
 	jobName, in, parts, out, listen, addrFile, split string, shards int,
-	timeout time.Duration, maxRespawns, ckptEvery int, mesh, failover bool,
+	timeout time.Duration, maxRespawns, ckptEvery int, failover bool,
 	crashAfterFrames int, ckptOut, resumeCkpt string) {
 	var part *graph.Partition
 	if split != "" {
@@ -366,7 +356,6 @@ func runCoordinator(runner jobRunner, params jobParams,
 		},
 		MaxRespawns:     maxRespawns,
 		CheckpointEvery: ckptEvery,
-		Mesh:            mesh,
 		Failover:        failover,
 		FailAfterFrames: crashAfterFrames,
 	}
@@ -392,7 +381,7 @@ func runCoordinator(runner jobRunner, params jobParams,
 		if partsSrc == "" {
 			partsSrc = split
 		}
-		cfg.Respawn = respawnWorker(jobName, in, partsSrc, shards, timeout, mesh, failover)
+		cfg.Respawn = respawnWorker(jobName, in, partsSrc, shards, timeout, failover)
 	}
 	spec := dist.Net(cfg)
 	start := time.Now()
@@ -421,14 +410,14 @@ func runCoordinator(runner jobRunner, params jobParams,
 
 func runWorker(runner jobRunner, params jobParams,
 	jobName, in, parts, out, join string, shard, shards int, timeout time.Duration, resume bool,
-	crashAfterFrames int, mesh bool, peerListen string, failover bool, failoverListen string,
+	crashAfterFrames int, peerListen string, failover bool, failoverListen string,
 	maxRespawns, ckptEvery int) {
 	if shard < 1 || shard >= shards {
 		log.Fatalf("-shard must be in [1,%d)", shards)
 	}
 	part := loadPartition(in, parts, shard, shards)
 	wcfg := dist.WorkerConfig{Join: join, Shard: shard, Shards: shards, Timeout: timeout,
-		FailAfterFrames: crashAfterFrames, Mesh: mesh, PeerListen: peerListen}
+		FailAfterFrames: crashAfterFrames, PeerListen: peerListen}
 	if resume {
 		wcfg.JoinRetry = timeout
 	}
@@ -440,7 +429,7 @@ func runWorker(runner jobRunner, params jobParams,
 		wcfg.LoadPartition = func(s int) (*graph.Partition, error) {
 			return loadPartition(in, parts, s, shards), nil
 		}
-		wcfg.Respawn = respawnWorker(jobName, in, parts, shards, timeout, mesh, failover)
+		wcfg.Respawn = respawnWorker(jobName, in, parts, shards, timeout, failover)
 	}
 	spec := dist.Worker(wcfg)
 	fmt.Fprintf(os.Stderr, "worker: shard %d/%d joining %s (%d incident edges, vertices [%d,%d))\n",

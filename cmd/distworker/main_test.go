@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -48,19 +49,23 @@ func childCapture(t *testing.T, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// TestMultiProcessSparsify: a coordinator and three worker processes,
-// each loading only its partition file, produce output edge-identical
-// to the single-process in-memory run.
-func TestMultiProcessSparsify(t *testing.T) {
+// multiProcessSparsify is the multi-process ground truth: a
+// coordinator and shards−1 worker processes (each started with the
+// extra workerArgs), every one loading only its partition file, bring
+// up the full mesh (each worker binds a peer listener, announces it,
+// and dials its lower-numbered peers) and write output edge-identical
+// to the single-process in-memory run. It returns the coordinator's
+// log.
+func multiProcessSparsify(t *testing.T, shards int, workerArgs ...string) string {
 	if testing.Short() {
 		t.Skip("multi-process test skipped in -short mode")
 	}
 	const (
-		shards = 4
-		seed   = 11
-		eps    = "0.75"
-		rho    = "4"
+		seed = 11
+		eps  = "0.75"
+		rho  = "4"
 	)
+	nShards := strconv.Itoa(shards)
 	dir := t.TempDir()
 	g := gen.Gnp(600, 0.03, 9)
 	graphPath := filepath.Join(dir, "graph.txt")
@@ -76,16 +81,18 @@ func TestMultiProcessSparsify(t *testing.T) {
 	// Pre-split so that the worker processes exercise ReadPartition —
 	// they never see the whole graph.
 	partsDir := filepath.Join(dir, "parts")
-	splitCmd := child(t, "-in", graphPath, "-shards", "4", "-split", partsDir, "-split-only")
+	splitCmd := child(t, "-in", graphPath, "-shards", nShards, "-split", partsDir, "-split-only")
 	if err := splitCmd.Run(); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 
 	outPath := filepath.Join(dir, "sparse.txt")
 	addrPath := filepath.Join(dir, "addr")
-	coord := child(t, "-listen", "127.0.0.1:0", "-shards", "4", "-parts", partsDir,
+	coord := childCapture(t, "-listen", "127.0.0.1:0", "-shards", nShards, "-parts", partsDir,
 		"-eps", eps, "-rho", rho, "-seed", "11", "-out", outPath, "-addr-file", addrPath,
 		"-timeout", "30s")
+	var coordLog strings.Builder
+	coord.Stderr = &coordLog
 	if err := coord.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +101,9 @@ func TestMultiProcessSparsify(t *testing.T) {
 	addr := waitForFile(t, addrPath, 15*time.Second)
 	workers := make([]*exec.Cmd, 0, shards-1)
 	for s := 1; s < shards; s++ {
-		w := child(t, "-join", addr, "-shards", "4", "-shard", strconv.Itoa(s), "-parts", partsDir,
-			"-timeout", "30s")
+		args := append([]string{"-join", addr, "-shards", nShards, "-shard", strconv.Itoa(s),
+			"-parts", partsDir, "-timeout", "30s"}, workerArgs...)
+		w := child(t, args...)
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +111,11 @@ func TestMultiProcessSparsify(t *testing.T) {
 	}
 	for i, w := range workers {
 		if err := w.Wait(); err != nil {
-			t.Fatalf("worker %d: %v", i+1, err)
+			t.Fatalf("worker %d: %v\ncoordinator log:\n%s", i+1, err, coordLog.String())
 		}
 	}
 	if err := coord.Wait(); err != nil {
-		t.Fatalf("coordinator: %v", err)
+		t.Fatalf("coordinator: %v\nlog:\n%s", err, coordLog.String())
 	}
 
 	of, err := os.Open(outPath)
@@ -132,21 +140,47 @@ func TestMultiProcessSparsify(t *testing.T) {
 			t.Fatalf("edge %d differs: %+v vs %+v", i, got.Edges[i], ref.Output.Edges[i])
 		}
 	}
+	return coordLog.String()
 }
 
-// TestMultiProcessKillRecover is the fault-tolerance ground truth at
-// the OS level: a worker process SIGKILLs itself mid-run (the honest
-// stand-in for kill -9, preemption, or OOM), the coordinator respawns
-// it from its partition file via -max-respawns, and the written output
-// is bit-identical to the single-process in-memory run.
-func TestMultiProcessKillRecover(t *testing.T) {
+// TestMultiProcessSparsify: a coordinator and three workers on the
+// default peer listeners, so every worker holds two direct links.
+func TestMultiProcessSparsify(t *testing.T) {
+	multiProcessSparsify(t, 4)
+}
+
+// TestMultiProcessMeshSparsify: every worker binds its peer listener at
+// an explicit -peer-listen address, as a multi-machine fleet must, and
+// the wire total the coordinator sums across the four processes equals
+// the in-process Mesh(4) spec's byte for byte — separate OS processes
+// reading partition files put exactly the in-process frames on their
+// hub connections and direct links.
+func TestMultiProcessMeshSparsify(t *testing.T) {
+	coordLog := multiProcessSparsify(t, 4, "-peer-listen", "127.0.0.1:0")
+	ref, err := dist.Run(dist.NewEngine(dist.Mesh(4), gen.Gnp(600, 0.03, 9)),
+		dist.SparsifyJob(0.75, 4, core.DefaultConfig(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("wire: %d bytes across 4 processes", ref.WireBytes); !strings.Contains(coordLog, want) {
+		t.Fatalf("coordinator log lacks %q:\n%s", want, coordLog)
+	}
+}
+
+// killRecoverDrill is the fault-tolerance ground truth at the OS
+// level: worker process doomed SIGKILLs itself mid-run (the honest
+// stand-in for kill -9, preemption, or OOM) and takes its direct links
+// down with it, the survivors unwind to the coordinator's rollback,
+// the coordinator respawns the dead shard from its partition file via
+// -max-respawns (the replacement announces a fresh peer listener as it
+// rejoins), and the rebuilt mesh replays to output bit-identical to
+// the single-process in-memory run.
+func killRecoverDrill(t *testing.T, shards, doomed int) {
 	if testing.Short() {
 		t.Skip("multi-process test skipped in -short mode")
 	}
-	const (
-		shards = 3
-		seed   = 11
-	)
+	const seed = 11
+	nShards := strconv.Itoa(shards)
 	dir := t.TempDir()
 	g := gen.Gnp(600, 0.03, 9)
 	graphPath := filepath.Join(dir, "graph.txt")
@@ -159,13 +193,13 @@ func TestMultiProcessKillRecover(t *testing.T) {
 	}
 	f.Close()
 	partsDir := filepath.Join(dir, "parts")
-	if err := child(t, "-in", graphPath, "-shards", "3", "-split", partsDir, "-split-only").Run(); err != nil {
+	if err := child(t, "-in", graphPath, "-shards", nShards, "-split", partsDir, "-split-only").Run(); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 
 	outPath := filepath.Join(dir, "sparse.txt")
 	addrPath := filepath.Join(dir, "addr")
-	coord := childCapture(t, "-listen", "127.0.0.1:0", "-shards", "3", "-parts", partsDir,
+	coord := childCapture(t, "-listen", "127.0.0.1:0", "-shards", nShards, "-parts", partsDir,
 		"-eps", "0.75", "-rho", "4", "-seed", "11", "-out", outPath, "-addr-file", addrPath,
 		"-timeout", "30s", "-max-respawns", "2")
 	var coordLog strings.Builder
@@ -176,25 +210,36 @@ func TestMultiProcessKillRecover(t *testing.T) {
 	defer coord.Process.Kill()
 
 	addr := waitForFile(t, addrPath, 15*time.Second)
-	healthy := child(t, "-join", addr, "-shards", "3", "-shard", "1", "-parts", partsDir, "-timeout", "30s")
-	if err := healthy.Start(); err != nil {
-		t.Fatal(err)
+	var healthy []*exec.Cmd
+	var doomedCmd *exec.Cmd
+	for s := 1; s < shards; s++ {
+		args := []string{"-join", addr, "-shards", nShards, "-shard", strconv.Itoa(s),
+			"-parts", partsDir, "-timeout", "30s"}
+		if s == doomed {
+			args = append(args, "-crash-after-frames", "60")
+		}
+		w := child(t, args...)
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if s == doomed {
+			doomedCmd = w
+		} else {
+			healthy = append(healthy, w)
+		}
 	}
-	doomed := child(t, "-join", addr, "-shards", "3", "-shard", "2", "-parts", partsDir,
-		"-timeout", "30s", "-crash-after-frames", "60")
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := doomed.Wait(); err == nil {
+	if err := doomedCmd.Wait(); err == nil {
 		t.Fatal("doomed worker exited cleanly; fault injection never fired")
 	}
-	if err := healthy.Wait(); err != nil {
-		t.Fatalf("surviving worker: %v\ncoordinator log:\n%s", err, coordLog.String())
+	for _, w := range healthy {
+		if err := w.Wait(); err != nil {
+			t.Fatalf("surviving worker: %v\ncoordinator log:\n%s", err, coordLog.String())
+		}
 	}
 	if err := coord.Wait(); err != nil {
 		t.Fatalf("coordinator: %v\nlog:\n%s", err, coordLog.String())
 	}
-	if !strings.Contains(coordLog.String(), "respawning shard 2") {
+	if want := fmt.Sprintf("respawning shard %d", doomed); !strings.Contains(coordLog.String(), want) {
 		t.Fatalf("coordinator never reported the respawn:\n%s", coordLog.String())
 	}
 
@@ -221,173 +266,18 @@ func TestMultiProcessKillRecover(t *testing.T) {
 	}
 }
 
-// TestMultiProcessMeshSparsify: the -mesh flag end to end — real OS
-// processes bring up the full-mesh data plane (each worker binds a
-// peer listener, announces it, and dials its lower-numbered peers) and
-// the written output is still edge-identical to the in-memory run.
-// Four shards, so every worker holds two direct links.
-func TestMultiProcessMeshSparsify(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process test skipped in -short mode")
-	}
-	const (
-		shards = 4
-		seed   = 11
-	)
-	dir := t.TempDir()
-	g := gen.Gnp(600, 0.03, 9)
-	graphPath := filepath.Join(dir, "graph.txt")
-	f, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graphio.Write(f, g); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	partsDir := filepath.Join(dir, "parts")
-	if err := child(t, "-in", graphPath, "-shards", "4", "-split", partsDir, "-split-only").Run(); err != nil {
-		t.Fatalf("split: %v", err)
-	}
-
-	outPath := filepath.Join(dir, "sparse.txt")
-	addrPath := filepath.Join(dir, "addr")
-	coord := child(t, "-listen", "127.0.0.1:0", "-shards", "4", "-parts", partsDir, "-mesh",
-		"-eps", "0.75", "-rho", "4", "-seed", "11", "-out", outPath, "-addr-file", addrPath,
-		"-timeout", "30s")
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Process.Kill()
-
-	addr := waitForFile(t, addrPath, 15*time.Second)
-	workers := make([]*exec.Cmd, 0, shards-1)
-	for s := 1; s < shards; s++ {
-		w := child(t, "-join", addr, "-shards", "4", "-shard", strconv.Itoa(s), "-parts", partsDir,
-			"-mesh", "-timeout", "30s")
-		if err := w.Start(); err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, w)
-	}
-	for i, w := range workers {
-		if err := w.Wait(); err != nil {
-			t.Fatalf("worker %d: %v", i+1, err)
-		}
-	}
-	if err := coord.Wait(); err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-
-	of, err := os.Open(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer of.Close()
-	got, err := graphio.Read(of)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := dist.Run(dist.NewEngine(dist.Mem(), g), dist.SparsifyJob(0.75, 4, core.DefaultConfig(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != ref.Output.N || got.M() != ref.Output.M() {
-		t.Fatalf("mesh multi-process %v vs in-memory %v", got, ref.Output)
-	}
-	for i := range ref.Output.Edges {
-		if got.Edges[i] != ref.Output.Edges[i] {
-			t.Fatalf("edge %d differs: %+v vs %+v", i, got.Edges[i], ref.Output.Edges[i])
-		}
-	}
+// TestMultiProcessKillRecover: at three shards the last worker dies;
+// its replacement redials shard 1's listener.
+func TestMultiProcessKillRecover(t *testing.T) {
+	killRecoverDrill(t, 3, 2)
 }
 
-// TestMultiProcessMeshKillRecover: kill -9 under the mesh topology —
-// the dead worker takes its direct links down with it, the survivors
-// unwind to the coordinator's rollback, the respawned process (re-exec
-// inherits -mesh) announces a FRESH peer listener as it rejoins, and
-// the rebuilt mesh replays to a bit-identical output.
+// TestMultiProcessMeshKillRecover: at four shards shard 1 dies — the
+// worker whose peer listener both others dialed — so two survivors
+// lose a direct link each and must redial the fresh listener its
+// replacement announces.
 func TestMultiProcessMeshKillRecover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process test skipped in -short mode")
-	}
-	const (
-		shards = 3
-		seed   = 11
-	)
-	dir := t.TempDir()
-	g := gen.Gnp(600, 0.03, 9)
-	graphPath := filepath.Join(dir, "graph.txt")
-	f, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graphio.Write(f, g); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	partsDir := filepath.Join(dir, "parts")
-	if err := child(t, "-in", graphPath, "-shards", "3", "-split", partsDir, "-split-only").Run(); err != nil {
-		t.Fatalf("split: %v", err)
-	}
-
-	outPath := filepath.Join(dir, "sparse.txt")
-	addrPath := filepath.Join(dir, "addr")
-	coord := childCapture(t, "-listen", "127.0.0.1:0", "-shards", "3", "-parts", partsDir, "-mesh",
-		"-eps", "0.75", "-rho", "4", "-seed", "11", "-out", outPath, "-addr-file", addrPath,
-		"-timeout", "30s", "-max-respawns", "2")
-	var coordLog strings.Builder
-	coord.Stderr = &coordLog
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Process.Kill()
-
-	addr := waitForFile(t, addrPath, 15*time.Second)
-	healthy := child(t, "-join", addr, "-shards", "3", "-shard", "1", "-parts", partsDir,
-		"-mesh", "-timeout", "30s")
-	if err := healthy.Start(); err != nil {
-		t.Fatal(err)
-	}
-	doomed := child(t, "-join", addr, "-shards", "3", "-shard", "2", "-parts", partsDir,
-		"-mesh", "-timeout", "30s", "-crash-after-frames", "60")
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := doomed.Wait(); err == nil {
-		t.Fatal("doomed worker exited cleanly; fault injection never fired")
-	}
-	if err := healthy.Wait(); err != nil {
-		t.Fatalf("surviving worker: %v\ncoordinator log:\n%s", err, coordLog.String())
-	}
-	if err := coord.Wait(); err != nil {
-		t.Fatalf("coordinator: %v\nlog:\n%s", err, coordLog.String())
-	}
-	if !strings.Contains(coordLog.String(), "respawning shard 2") {
-		t.Fatalf("coordinator never reported the respawn:\n%s", coordLog.String())
-	}
-
-	of, err := os.Open(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer of.Close()
-	got, err := graphio.Read(of)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := dist.Run(dist.NewEngine(dist.Mem(), g), dist.SparsifyJob(0.75, 4, core.DefaultConfig(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != ref.Output.N || got.M() != ref.Output.M() {
-		t.Fatalf("recovered mesh run %v vs in-memory %v", got, ref.Output)
-	}
-	for i := range ref.Output.Edges {
-		if got.Edges[i] != ref.Output.Edges[i] {
-			t.Fatalf("recovered edge %d differs: %+v vs %+v", i, got.Edges[i], ref.Output.Edges[i])
-		}
-	}
+	killRecoverDrill(t, 4, 1)
 }
 
 // TestAddressFlagValidation: a typo'd address flag fails before any
@@ -406,11 +296,8 @@ func TestAddressFlagValidation(t *testing.T) {
 		{"join-no-host", []string{"-join", ":9000", "-shards", "2", "-shard", "1", "-in", "g.txt"},
 			[]string{"-join", "host"}},
 		{"peer-listen-no-host", []string{"-join", "127.0.0.1:9000", "-shards", "3", "-shard", "1",
-			"-mesh", "-peer-listen", ":0", "-in", "g.txt"},
+			"-peer-listen", ":0", "-in", "g.txt"},
 			[]string{"-peer-listen", "host"}},
-		{"peer-listen-without-mesh", []string{"-join", "127.0.0.1:9000", "-shards", "3", "-shard", "1",
-			"-peer-listen", "127.0.0.1:0", "-in", "g.txt"},
-			[]string{"-peer-listen", "-mesh"}},
 		{"addr-file-missing-dir", []string{"-listen", "127.0.0.1:0", "-shards", "2", "-in", "g.txt",
 			"-addr-file", "/no/such/dir/addr"},
 			[]string{"-addr-file", "does not exist"}},
@@ -554,19 +441,18 @@ func TestAddrFileAtomicity(t *testing.T) {
 
 // coordinatorKillDrill is the coordinator-failover ground truth at the
 // OS level: the COORDINATOR process SIGKILLs itself mid-run
-// (-crash-after-frames with -listen), the lowest live shard is elected
-// and adopts shard 0 from the broadcast checkpoint, re-execs this
-// binary to refill its vacated shard, and writes the assembled output
-// to ITS -out — bit-identical to the single-process in-memory run,
-// with an identical ledger.
-func coordinatorKillDrill(t *testing.T, mesh bool) {
+// (-crash-after-frames with -listen), the survivors' direct links die
+// with the hub, the lowest live shard is elected and adopts shard 0
+// from the broadcast checkpoint, re-execs this binary to refill its
+// vacated shard, rebuilds the mesh under the new coordinator, and
+// writes the assembled output to ITS -out — bit-identical to the
+// single-process in-memory run, with an identical ledger.
+func coordinatorKillDrill(t *testing.T, shards int) {
 	if testing.Short() {
 		t.Skip("multi-process test skipped in -short mode")
 	}
-	const (
-		shards = 3
-		seed   = 11
-	)
+	const seed = 11
+	nShards := strconv.Itoa(shards)
 	dir := t.TempDir()
 	g := gen.Gnp(600, 0.03, 9)
 	graphPath := filepath.Join(dir, "graph.txt")
@@ -579,22 +465,16 @@ func coordinatorKillDrill(t *testing.T, mesh bool) {
 	}
 	f.Close()
 	partsDir := filepath.Join(dir, "parts")
-	if err := child(t, "-in", graphPath, "-shards", "3", "-split", partsDir, "-split-only").Run(); err != nil {
+	if err := child(t, "-in", graphPath, "-shards", nShards, "-split", partsDir, "-split-only").Run(); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 
-	meshArgs := func(args []string) []string {
-		if mesh {
-			args = append(args, "-mesh")
-		}
-		return args
-	}
 	addrPath := filepath.Join(dir, "addr")
-	coord := childCapture(t, meshArgs([]string{
-		"-listen", "127.0.0.1:0", "-shards", "3", "-parts", partsDir,
+	coord := childCapture(t,
+		"-listen", "127.0.0.1:0", "-shards", nShards, "-parts", partsDir,
 		"-eps", "0.75", "-rho", "4", "-seed", "11", "-out", filepath.Join(dir, "coord.txt"),
 		"-addr-file", addrPath, "-timeout", "30s", "-failover", "-checkpoint-every", "1",
-		"-crash-after-frames", "60"})...)
+		"-crash-after-frames", "60")
 	var coordLog strings.Builder
 	coord.Stderr = &coordLog
 	if err := coord.Start(); err != nil {
@@ -608,10 +488,10 @@ func coordinatorKillDrill(t *testing.T, mesh bool) {
 	workers := make([]*exec.Cmd, shards)
 	for s := 1; s < shards; s++ {
 		outPaths[s] = filepath.Join(dir, "worker"+strconv.Itoa(s)+".txt")
-		w := childCapture(t, meshArgs([]string{
-			"-join", addr, "-shards", "3", "-shard", strconv.Itoa(s), "-parts", partsDir,
+		w := childCapture(t,
+			"-join", addr, "-shards", nShards, "-shard", strconv.Itoa(s), "-parts", partsDir,
 			"-timeout", "30s", "-failover", "-checkpoint-every", "1", "-max-respawns", "2",
-			"-out", outPaths[s]})...)
+			"-out", outPaths[s])
 		logs[s] = &strings.Builder{}
 		w.Stderr = logs[s]
 		if err := w.Start(); err != nil {
@@ -646,13 +526,9 @@ func coordinatorKillDrill(t *testing.T, mesh bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference on the same plane at the same shard count, so the FULL
-	// ledger (CrossShard split included) is comparable.
-	refSpec := dist.Loopback(shards)
-	if mesh {
-		refSpec = dist.Mesh(shards)
-	}
-	ref, err := dist.Run(dist.NewEngine(refSpec, g), dist.SparsifyJob(0.75, 4, core.DefaultConfig(seed)))
+	// Reference at the same shard count, so the FULL ledger (CrossShard
+	// split included) is comparable.
+	ref, err := dist.Run(dist.NewEngine(dist.Mesh(shards), g), dist.SparsifyJob(0.75, 4, core.DefaultConfig(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,17 +547,17 @@ func coordinatorKillDrill(t *testing.T, mesh bool) {
 	}
 }
 
-// TestMultiProcessCoordinatorKillRecover: kill -9 the coordinator on
-// the star data plane and the fleet finishes with bit-identical output.
+// TestMultiProcessCoordinatorKillRecover: the drill at three shards.
 func TestMultiProcessCoordinatorKillRecover(t *testing.T) {
-	coordinatorKillDrill(t, false)
+	coordinatorKillDrill(t, 3)
 }
 
-// TestMultiProcessMeshCoordinatorKillRecover: the same drill on the
-// full-mesh data plane — the survivors' direct links die with the hub,
-// and the re-formed fleet rebuilds the mesh under the new coordinator.
+// TestMultiProcessMeshCoordinatorKillRecover: the drill at four
+// shards, where shards 2 and 3 both outlive the hub, each unwinds its
+// old 2↔3 link, and the two redial each other under the elected
+// coordinator beside the respawned shard 1.
 func TestMultiProcessMeshCoordinatorKillRecover(t *testing.T) {
-	coordinatorKillDrill(t, true)
+	coordinatorKillDrill(t, 4)
 }
 
 // TestMultiProcessElasticResize: -ckpt-out on a 3-shard fleet, then

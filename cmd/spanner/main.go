@@ -9,8 +9,9 @@
 //
 // With -shards P > 0 (or an explicit -transport spec) the plain
 // spanner (t ≤ 1) runs on the distributed engine — "mem", "sharded"
-// with P worker goroutines, or "loopback" / "mesh" with P partitions
-// over real TCP sockets (star and full-mesh data planes) — and the communication ledger of Theorem 2 is reported;
+// with P worker goroutines, or "mesh" with P partitions over real
+// loopback TCP sockets — and the communication ledger of Theorem 2 is
+// reported;
 // the selected edges are identical to the shared-memory path on every
 // spec for equal seeds.
 package main
@@ -36,8 +37,8 @@ func main() {
 	t := flag.Int("t", 1, "bundle thickness (1 = plain spanner)")
 	verify := flag.Bool("verify", false, "verify the stretch bound (O(n·m) Dijkstras)")
 	seed := flag.Uint64("seed", 1, "random seed")
-	shards := flag.Int("shards", 0, "shard count P for -transport sharded/loopback/mesh (plain spanner only; 0 = shared-memory)")
-	transport := flag.String("transport", "", `distributed transport spec: "mem", "sharded", "loopback", or "mesh" (default sharded when -shards > 0)`)
+	shards := flag.Int("shards", 0, "shard count P for -transport sharded/mesh (plain spanner only; 0 = shared-memory)")
+	transport := flag.String("transport", "", `distributed transport spec: "mem", "sharded", or "mesh" (default sharded when -shards > 0)`)
 	flag.Parse()
 
 	var r io.Reader = os.Stdin

@@ -11,10 +11,9 @@
 // sparsifier is written to stdout. -transport selects the distributed
 // engine's transport spec: "mem" runs the in-memory simulation,
 // "sharded" partitions the rounds across -shards worker goroutines,
-// and "loopback" / "mesh" run the whole multi-process protocol over
-// real loopback TCP sockets with -shards processes' worth of
-// partitions — on the coordinator-relayed star and the full-mesh data
-// plane respectively.
+// and "mesh" runs the whole multi-process protocol over real loopback
+// TCP sockets with -shards processes' worth of partitions, the workers
+// linked directly to each other.
 // The output is edge-identical to the shared-memory path on every
 // spec for equal seeds, and the communication ledger is reported. For
 // real multi-process workers over sockets, see cmd/distworker.
@@ -41,8 +40,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	theory := flag.Bool("theory", false, "use the paper's theoretical constants")
 	measure := flag.Bool("measure", false, "measure the achieved eps (costs extra solves)")
-	shards := flag.Int("shards", 0, "shard count P for -transport sharded/loopback/mesh (0 = shared-memory fast path)")
-	transport := flag.String("transport", "", `distributed transport spec: "mem", "sharded", "loopback", or "mesh" (default sharded when -shards > 0)`)
+	shards := flag.Int("shards", 0, "shard count P for -transport sharded/mesh (0 = shared-memory fast path)")
+	transport := flag.String("transport", "", `distributed transport spec: "mem", "sharded", or "mesh" (default sharded when -shards > 0)`)
 	flag.Parse()
 
 	var r io.Reader = os.Stdin

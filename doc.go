@@ -35,14 +35,23 @@
 // here: Mem() is the single-process in-memory simulation and the
 // default, Sharded(p) partitions the rounds across p worker goroutines
 // exchanging cross-shard messages through per-shard-pair buffers at
-// each round barrier, and Loopback(p) runs the whole multi-process
+// each round barrier, and Mesh(p) runs the whole multi-process
 // protocol — partition views, batched binary frames on real loopback
 // TCP sockets, a per-round tally handshake that keeps the ledger
 // identical on every process — inside one process. Real multi-process
 // deployments use dist.Run directly with the Net/Worker specs; see
 // cmd/distworker for the CLI (coordinator + worker modes, -job
 // resolved against the dist job registry) and examples/distributed for
-// a verified run with real OS processes. A multi-process worker is
+// a verified run with real OS processes. The network transport has one
+// data plane, a full mesh: the coordinator carries control traffic and
+// its own batches, while the workers send each other their round
+// batches directly, so every message crosses the wire once. The price
+// is connectivity — every worker needs a peer listener the others can
+// reach (-peer-listen on multi-machine runs), and a fleet of P
+// processes holds P(P−1)/2 connections, one per process pair; a
+// firewalled fleet that can
+// expose a single port would need a relayed plane, which would be a
+// future spec rather than a mode of this one. A multi-process worker is
 // memory-honest: its partition view (graphio.ReadPartition) stores
 // edges, masks, and scratch densely over local ids with only a sorted
 // global-id map at the wire boundary, so each process allocates

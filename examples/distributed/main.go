@@ -7,15 +7,14 @@
 //
 // The final section re-executes this binary as worker processes (one
 // per shard, each materializing only its partition of the graph),
-// runs the network transport's bulk-synchronous protocol against them,
-// and verifies that the output is edge-identical to the in-memory
-// transport's. Environment knobs, used by the CI smoke job:
+// runs the network transport's bulk-synchronous protocol against them
+// (the workers dial each other directly, a full mesh), and verifies
+// that the output is edge-identical to the in-memory transport's.
+// Environment knobs, used by the CI smoke job:
 //
 //	REPRO_DIST_N=2048      vertex count of the multi-process section
 //	REPRO_DIST_SHARDS=4    process count (coordinator + workers)
 //	REPRO_DIST_ONLY=1      skip the single-process sections
-//	REPRO_DIST_MESH=1      full-mesh data plane (workers dial each other
-//	                       directly; the coordinator relays nothing)
 package main
 
 import (
@@ -121,20 +120,15 @@ func singleProcessSections() {
 func multiProcessSection() {
 	n := envInt("REPRO_DIST_N", 512)
 	shards := envInt("REPRO_DIST_SHARDS", 4)
-	mesh := os.Getenv("REPRO_DIST_MESH") != ""
 	g := mpGraph(n)
-	plane := "star (coordinator relays)"
-	if mesh {
-		plane = "full mesh (workers dial each other)"
-	}
-	fmt.Printf("network transport: coordinator + %d worker processes over loopback TCP, %s\n", shards-1, plane)
+	fmt.Printf("network transport: coordinator + %d worker processes over loopback TCP, full mesh\n", shards-1)
 	fmt.Printf("  graph: n=%d m=%d, eps=%g rho=%g depth=%d seed=%d\n", n, g.M(), mpEps, mpRho, mpDepth, mpSeed)
 
 	// The Net spec's OnListen hook is where the worker processes are
 	// spawned: the address exists, no worker has been awaited yet.
 	var procs []*exec.Cmd
 	spec := dist.Net(dist.NetConfig{
-		Listen: "127.0.0.1:0", Shards: shards, Timeout: dist.DefaultNetTimeout, Mesh: mesh,
+		Listen: "127.0.0.1:0", Shards: shards, Timeout: dist.DefaultNetTimeout,
 		OnListen: func(addr string) {
 			self, err := os.Executable()
 			if err != nil {
@@ -201,7 +195,7 @@ func workerMain() {
 	// shard's partition — the worker never holds the rest.
 	part := graph.PartitionOf(mpGraph(n), shard, shards)
 	spec := dist.Worker(dist.WorkerConfig{Join: addr, Shard: shard, Shards: shards,
-		Timeout: dist.DefaultNetTimeout, Mesh: os.Getenv("REPRO_DIST_MESH") != ""})
+		Timeout: dist.DefaultNetTimeout})
 	if _, err := dist.Run(dist.NewPartitionEngine(spec, part), mpJob()); err != nil {
 		log.Fatalf("worker %d: %v", shard, err)
 	}

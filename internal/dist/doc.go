@@ -30,12 +30,11 @@
 //
 // A TransportSpec is a value describing how the job's rounds execute:
 // Mem() (single-process, the default), Sharded(p) (p worker
-// goroutines), Loopback(p) / Mesh(p) (coordinator + p−1 worker
-// goroutines over real loopback TCP sockets, on the star and full-mesh
-// data planes respectively), and the real multi-process pair
-// Net(NetConfig)/Worker(WorkerConfig), whose Mesh fields select the
-// full-mesh plane. Specs carry no connections; Run materializes,
-// drives, and tears down the transport they describe.
+// goroutines), Mesh(p) (coordinator + p−1 worker goroutines over real
+// loopback TCP sockets), and the real multi-process pair
+// Net(NetConfig)/Worker(WorkerConfig). Specs carry no connections;
+// Run materializes, drives, and tears down the transport they
+// describe.
 //
 // Engine binds a spec to an input — NewEngine for a full graph,
 // NewPartitionEngine for one shard loaded from a partition file
@@ -50,11 +49,11 @@
 //	    dist.SparsifyJob(0.75, 4, core.DefaultConfig(7)))
 //	// res.Output is the sparsifier, res.Stats the Theorem 5 ledger.
 //
-// Loopback — the full multi-process protocol (partition views, binary
-// frames on real sockets, the round-tally handshake, the result
-// gather) inside one process:
+// Mesh — the full multi-process protocol (partition views, binary
+// frames on real sockets, direct worker↔worker links, the round-tally
+// handshake, the result gather) inside one process:
 //
-//	res, err := dist.Run(dist.NewEngine(dist.Loopback(4), g),
+//	res, err := dist.Run(dist.NewEngine(dist.Mesh(4), g),
 //	    dist.SpannerJob(0, 7))
 //	// res.Output.G is the spanner; res.WireBytes the socket traffic.
 //
@@ -105,47 +104,42 @@
 // each barrier: a no-op re-application in one process, the
 // boundary-edge knowledge transfer across processes.
 //
-// # Topology: star and full mesh
+// # Topology: one full-mesh data plane
 //
-// On the network path (net.go, wire.go) each shard is an OS process
-// and the buckets become batched fixed-size binary frames flushed over
-// TCP at every barrier. Two data planes exist:
+// On the network path (net.go, wire.go, mesh.go) each shard is an OS
+// process and the buckets become batched fixed-size binary frames
+// flushed over TCP at every barrier. Shard 0 is the coordinator: every
+// worker joins it over a hub connection that carries the join
+// handshake, tallies, collectives, blobs, and the recovery protocol.
+// Round data travels on a full mesh: each worker binds a peer
+// listener, announces it during the join handshake, and the
+// coordinator broadcasts the address book at the top of every
+// attempt; lower shard dials, higher shard accepts, so bring-up is
+// acyclic and cannot deadlock. Every worker↔worker batch crosses the
+// wire exactly once (Result.DataWireBytes counts them) — each message
+// billed once per link, the direct-neighbour model the paper's
+// distributed bounds assume — and the coordinator exchanges only its
+// own batches. At P ≤ 2 no worker has a direct peer: there are no
+// links and no book, and the same barrier runs over the hub alone.
 //
-//   - Star (Loopback, Net/Worker): every worker holds one connection,
-//     to the shard-0 coordinator, which relays worker↔worker round
-//     batches — each such batch crosses the wire twice (origin →
-//     coordinator, coordinator → destination) and the coordinator's
-//     socket is the fleet's hot spot. Minimal connection count (P−1),
-//     nothing to bring up beyond the joins; the right default for
-//     small fleets and for tests.
-//
-//   - Full mesh (Mesh, NetConfig.Mesh + WorkerConfig.Mesh): workers
-//     additionally dial each other directly (each binds a peer
-//     listener, announces it during the join handshake, and the
-//     coordinator broadcasts the address book at the top of every
-//     attempt; lower shard dials, higher shard accepts, so bring-up is
-//     acyclic and cannot deadlock). Worker↔worker batches travel
-//     exactly once — Result.DataWireBytes is exactly half the star's
-//     for the same run — and the hub carries only control, tally, and
-//     collective frames. O(P²) connections; the right choice when the
-//     relayed volume or the coordinator's socket is the bottleneck.
-//     At P ≤ 2 there is no worker↔worker traffic and the mesh runs the
-//     star protocol verbatim.
-//
-// The planes are byte-compatible where they overlap (the star's frame
-// stream is untouched by mesh support; the mesh flag rides an
-// otherwise-unused header field of the hello/welcome handshake, which
-// rejects a mixed fleet loudly). Output, Stats, and the round schedule
-// are identical on both — only WireBytes, DataWireBytes, and the wall
-// clock differ, which E13's star-vs-mesh sweep and the goldens in
-// wirebytes_golden_test.go pin.
+// The trade-off is connectivity: every worker needs a peer listener
+// the other workers can reach (WorkerConfig.PeerListen, distworker
+// -peer-listen, on a routable host for multi-machine runs), and a
+// fleet of P processes holds P(P−1)/2 connections — one per process
+// pair: (P−1)(P−2)/2 worker links plus P−1 hub connections. That is
+// cheap at the fleet sizes this package runs. A fleet that can expose
+// only one port per machine, or only the coordinator's, would need a
+// relayed plane; that would be a new spec, not a mode of this one.
+// The coordinator-relayed star that used to be the default wrote every
+// worker↔worker batch twice and lost on every measured number, so
+// wire version 5 retired it.
 //
 // The barrier doubles as the round-tally handshake — every process
 // ships the tally of what it staged, the coordinator reduces, every
 // engine bills the global tally — so the ledger is identical on every
 // process. Loop-control values a single process reads off shared
 // memory travel as small unbilled collectives
-// (AllMaxInt32/AllOrBits/AllGatherInt32s) piggybacked on the barrier.
+// (AllMaxInt32/AllOrWord/AllGatherInt32s) piggybacked on the barrier.
 //
 // # Wire batching and buffer reuse
 //
@@ -158,7 +152,7 @@
 // vectored write — a round barrier costs one syscall per peer instead
 // of one per frame.
 //
-// On the mesh plane the per-peer round batches are double-buffered:
+// On the direct links the per-peer round batches are double-buffered:
 // flushAsync hands the sealed batch to the connection's writer
 // goroutine and returns immediately, so round r's bytes are on the
 // wire while round r+1 computes, and pooled payload buffers are
@@ -166,8 +160,8 @@
 // invariant this preserves is strict write-then-read alternation PER
 // PEER — a process never reads from a peer before everything it owes
 // that peer is queued in order on that peer's connection; whether the
-// bytes leave synchronously (star, collectives, the hub tally) or on
-// the writer goroutine (mesh data batches) cannot deadlock the
+// bytes leave synchronously (collectives, the hub tally) or on the
+// writer goroutine (mesh data batches) cannot deadlock the
 // barrier, because each side's reads are against traffic the other
 // side has already queued. A synchronous flush on a connection first
 // drains its writer, so per-connection byte order is exactly the
@@ -179,8 +173,8 @@
 // across the batching change).
 //
 // Payload buffers cycle through a per-transport size-classed freelist
-// (getBuf/putBuf): reads draw from it, relays retire forwarded buffers
-// back to it at the flush that writes them, and blob payloads — which
+// (getBuf/putBuf): reads draw from it, encoded batches return to it
+// at the flush that writes them, and blob payloads — which
 // escape to the application — are never pooled. Above the wire, the
 // round engine keeps scratch freelists for the spanner's per-layer
 // mask and label arrays (rounds.go), and the coordinator's pairwise
@@ -213,8 +207,8 @@
 // without a single network round and resumes live execution
 // bit-identically — kill -9 a worker mid-run and the final output and
 // ledger equal the failure-free run's (the recovery suite and
-// cmd/distworker's kill-recover tests pin this, on both data planes).
-// Recovery survives the mesh topology: a dead worker takes its direct
+// cmd/distworker's kill-recover tests pin this). Recovery survives
+// the mesh topology: a dead worker takes its direct
 // links down with it, survivors report the dead peer on their hubs
 // (frameFault — the coordinator only probes the connection it is
 // currently reading, so without the report a death whose hub frames
@@ -239,8 +233,8 @@
 // vacated shard (WorkerConfig.Respawn), and runs the normal recovery
 // loop while the other survivors rejoin at the book address. Replay is
 // deterministic, so kill -9 the COORDINATOR mid-run and the output and
-// ledger still equal the failure-free run's, on both data planes
-// (failover_test.go and cmd/distworker's coordinator-kill drills).
+// ledger still equal the failure-free run's (failover_test.go and
+// cmd/distworker's coordinator-kill drills).
 //
 // The same broadcast checkpoint powers elastic resize between runs: a
 // checkpoint blob delivered to NetConfig.OnCheckpoint can seed
@@ -259,5 +253,5 @@
 // end-of-round renumbering gathers only the O(bundle-size) sorted list
 // of in-bundle edge ids. The memory regression suite (memory_test.go)
 // pins the bound statically, dynamically (Result.PeakViewWords of real
-// loopback runs), and at the allocator; E13 reports it per worker.
+// Mesh runs), and at the allocator; E13 reports it per worker.
 package dist

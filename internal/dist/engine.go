@@ -23,7 +23,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over a full graph. Every spec accepts
-// it: the in-process specs run the graph directly, Loopback carves one
+// it: the in-process specs run the graph directly, Mesh carves one
 // partition per worker goroutine, and the multi-process specs (Net,
 // Worker) carve this process's own shard — use NewPartitionEngine
 // instead when the shard was loaded from a partition file and the full
@@ -60,15 +60,13 @@ type Result[R any] struct {
 	PeakViewWords int
 	// WireBytes is the total bytes put on real sockets, frame headers
 	// included: zero for the in-process specs, the sum across all
-	// processes at a Loopback, Mesh, or Net coordinator, and this
-	// process's own bytes on a Worker engine.
+	// processes at a Mesh or Net coordinator, and this process's own
+	// bytes on a Worker engine.
 	WireBytes int64
 	// DataWireBytes is the worker↔worker round-batch subset of
-	// WireBytes — the bytes the data-plane topology governs. The star
-	// (Loopback, Net) writes every such batch twice fleet-wide (origin
-	// to coordinator, coordinator to destination); the full mesh
-	// (Mesh, NetConfig.Mesh) writes it once, exactly halving this
-	// counter for the same run.
+	// WireBytes — the bytes on the direct links between workers, each
+	// batch written exactly once. Zero at P ≤ 2, where the only
+	// worker talks to the coordinator alone.
 	DataWireBytes int64
 }
 
@@ -77,7 +75,7 @@ type Result[R any] struct {
 // methods cannot introduce type parameters.)
 //
 // The spec decides the execution shape: Mem and Sharded run the whole
-// graph in this process; Loopback runs the full multi-process protocol
+// graph in this process; Mesh runs the full multi-process protocol
 // over loopback TCP with worker goroutines; Net drives a real
 // coordinator — listen, broadcast the job's name and parameters, run
 // shard 0, assemble — and Worker drives one real worker shard, which
@@ -93,9 +91,9 @@ func Run[R any](e *Engine, job Job[R]) (Result[R], error) {
 		return Result[R]{}, fmt.Errorf("dist: Run needs a job (SpannerJob, SparsifyJob, ...)")
 	}
 	switch e.spec.kind {
-	case specDefault, specMem, specSharded:
+	case specMem, specSharded:
 		return runInProcess(e, job)
-	case specLoopback, specMesh:
+	case specMesh:
 		return runLoopbackJob(e, job)
 	case specNet:
 		return runNetCoordinatorJob(e, job)
@@ -162,7 +160,7 @@ func runNetCoordinatorJob[R any](e *Engine, job Job[R]) (Result[R], error) {
 		return Result[R]{}, err
 	}
 	tr, err := listenNet(e.spec.listen, part.N, e.spec.shards, e.spec.timeoutOrDefault(),
-		netOptions{mesh: e.spec.mesh, failover: e.spec.failover})
+		netOptions{failover: e.spec.failover})
 	if err != nil {
 		return Result[R]{}, err
 	}
@@ -217,7 +215,7 @@ func runNetWorkerJob[R any](e *Engine, job Job[R]) (Result[R], error) {
 	if err != nil {
 		return Result[R]{}, err
 	}
-	opt := netOptions{mesh: e.spec.mesh, peerListen: e.spec.peerListen,
+	opt := netOptions{peerListen: e.spec.peerListen,
 		failover: e.spec.failover, failoverListen: e.spec.failoverListen}
 	tr, err := joinNetRetry(e.spec.join, part.N, e.spec.shard, e.spec.shards,
 		e.spec.timeoutOrDefault(), e.spec.joinRetry, opt)
@@ -334,10 +332,9 @@ func joinNetRetry(addr string, n, shard, shards int, timeout, retry time.Duratio
 }
 
 // runLoopbackJob runs the whole multi-process protocol inside this
-// process: a coordinator plus shards−1 worker goroutines, each on its
-// own NetTransport over real loopback TCP sockets and each
-// materializing only its partition. It serves both the Loopback spec
-// (star relay) and the Mesh spec (direct worker↔worker links).
+// process (the Mesh spec): a coordinator plus shards−1 worker
+// goroutines, each on its own NetTransport over real loopback TCP
+// sockets and each materializing only its partition.
 func runLoopbackJob[R any](e *Engine, job Job[R]) (Result[R], error) {
 	if e.g == nil {
 		return Result[R]{}, fmt.Errorf("dist: the %s spec needs a full graph (use NewEngine)", e.spec)
@@ -345,7 +342,7 @@ func runLoopbackJob[R any](e *Engine, job Job[R]) (Result[R], error) {
 	g := e.g
 	p := graph.ClampShards(g.N, e.spec.shards)
 	var res Result[R]
-	err := runLoopback(g.N, p, e.spec.timeoutOrDefault(), e.spec.mesh,
+	err := runLoopback(g.N, p, e.spec.timeoutOrDefault(),
 		func(coord *NetTransport) error {
 			var err error
 			res, err = runNetJob(coord, graph.PartitionOf(g, 0, p), job, &ckptState{})

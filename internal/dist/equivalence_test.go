@@ -11,21 +11,21 @@ import (
 )
 
 // The cross-transport equivalence matrix: ONE table sweeping every
-// TransportSpec — {Mem, Sharded, Loopback (star net), Mesh (full-mesh
-// net)} × shards {1, 2, 3, 7} — over both built-in jobs and
-// representative graphs, asserting
-// edge-identical outputs and an identical Stats ledger everywhere
-// through the single Engine.Run entry point. This is the single
-// readable pin of the package's central invariant — transports move
-// messages, not decisions — and it is what proves the Engine/Job
-// refactor behavior-preserving: the expected values are the same
-// in-memory references the pre-Engine per-transport entry points were
-// pinned against.
+// TransportSpec — Mem as the reference, then {Sharded, Net + Worker
+// fleet, Mesh} × shards {1, 2, 3, 7} — over both built-in jobs and
+// representative graphs, asserting edge-identical outputs and an
+// identical Stats ledger everywhere through the single Engine.Run
+// entry point. The net column drives the multi-process specs
+// themselves (a Net coordinator plus Worker engines on partition
+// views, as cmd/distworker does) inside the test process; the mesh
+// column drives the in-process Mesh scaffold; both run the one network
+// data plane. This is the single readable pin of the package's central
+// invariant — transports move messages, not decisions — and it is what
+// proves the Engine/Job refactor behavior-preserving: the expected
+// values are the same in-memory references the pre-Engine
+// per-transport entry points were pinned against.
 func TestCrossTransportEquivalenceMatrix(t *testing.T) {
-	const (
-		matrixTimeout = 30 * time.Second
-		eps, rho      = 0.75, 4.0
-	)
+	const eps, rho = 0.75, 4.0
 	seeds := []uint64{11, 42} // seed-derived state must agree at every seed, not one lucky one
 	graphs := []struct {
 		name string
@@ -99,24 +99,64 @@ func TestCrossTransportEquivalenceMatrix(t *testing.T) {
 			refSpanner := runSpanner(t, dist.Mem(), gc.g, 0, seed)
 			refSparsify := runSparsify(t, dist.Mem(), gc.g, eps, rho, 0, seed)
 			for _, p := range shardCounts {
-				specs := []struct {
-					name string
-					spec dist.TransportSpec
-				}{
-					{"sharded", dist.Sharded(p)},
-					{"net", dist.Loopback(p).WithTimeout(matrixTimeout)},
-					{"mesh", dist.Mesh(p).WithTimeout(matrixTimeout)},
-				}
-				for _, sc := range specs {
-					sc := sc
-					t.Run(fmt.Sprintf("%s/seed=%d/%s/P=%d/spanner", gc.name, seed, sc.name, p), func(t *testing.T) {
-						sameSpanner(t, runSpanner(t, sc.spec, gc.g, 0, seed), refSpanner)
+				for _, column := range []string{"sharded", "net", "mesh"} {
+					column := column
+					t.Run(fmt.Sprintf("%s/seed=%d/%s/P=%d/spanner", gc.name, seed, column, p), func(t *testing.T) {
+						sameSpanner(t, runColumn(t, column, gc.g, p, dist.SpannerJob(0, seed)), refSpanner)
 					})
-					t.Run(fmt.Sprintf("%s/seed=%d/%s/P=%d/sparsify", gc.name, seed, sc.name, p), func(t *testing.T) {
-						sameGraph(t, runSparsify(t, sc.spec, gc.g, eps, rho, 0, seed), refSparsify)
+					t.Run(fmt.Sprintf("%s/seed=%d/%s/P=%d/sparsify", gc.name, seed, column, p), func(t *testing.T) {
+						sameGraph(t, runColumn(t, column, gc.g, p, dist.SparsifyJob(eps, rho, sparsifyCfg(0, seed))), refSparsify)
 					})
 				}
 			}
 		}
 	}
+}
+
+// matrixTimeout is the per-frame deadline of the matrix's socket runs.
+const matrixTimeout = 30 * time.Second
+
+// runColumn executes job at p shards on one column of the matrix.
+func runColumn[R any](t *testing.T, column string, g *graph.Graph, p int, job dist.Job[R]) dist.Result[R] {
+	t.Helper()
+	if column == "net" {
+		return runFleet(t, g, p, job)
+	}
+	spec := dist.Sharded(p)
+	if column == "mesh" {
+		spec = dist.Mesh(p).WithTimeout(matrixTimeout)
+	}
+	res, err := dist.Run(dist.NewEngine(spec, g), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runFleet runs job as a multi-process fleet inside the test process:
+// a Net coordinator over the full graph plus p−1 Worker engines on
+// goroutines, each holding only its partition view.
+func runFleet[R any](t *testing.T, g *graph.Graph, p int, job dist.Job[R]) dist.Result[R] {
+	t.Helper()
+	errs := make(chan error, p)
+	spec := dist.Net(dist.NetConfig{Listen: "127.0.0.1:0", Shards: p, Timeout: matrixTimeout,
+		OnListen: func(addr string) {
+			for s := 1; s < p; s++ {
+				go func(s int) {
+					wspec := dist.Worker(dist.WorkerConfig{Join: addr, Shard: s, Shards: p, Timeout: matrixTimeout})
+					_, err := dist.Run(dist.NewPartitionEngine(wspec, graph.PartitionOf(g, s, p)), job)
+					errs <- err
+				}(s)
+			}
+		}})
+	res, err := dist.Run(dist.NewEngine(spec, g), job)
+	for s := 1; s < p; s++ {
+		if werr := <-errs; err == nil {
+			err = werr
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -38,10 +38,11 @@ func ExampleRun_spanner() {
 	// k=6 spanner edges=442 cross-shard traffic=true
 }
 
-// Loopback(p) runs the whole multi-process protocol — partition
-// loading, binary frames over real TCP sockets, the round-tally
-// handshake, the result gather — inside one process, and the output is
-// bit-identical to the in-memory spec's.
+// Mesh(p) runs the whole multi-process protocol over loopback TCP —
+// partition loading, binary frames over real sockets, direct
+// worker↔worker links, the round-tally handshake, the result gather —
+// inside one process, and the output is bit-identical to the in-memory
+// spec's.
 func ExampleRun_loopback() {
 	g := gen.Complete(64)
 	job := dist.SparsifyJob(0.75, 4, core.DefaultConfig(7))
@@ -50,7 +51,7 @@ func ExampleRun_loopback() {
 		fmt.Println("run:", err)
 		return
 	}
-	net, err := dist.Run(dist.NewEngine(dist.Loopback(3), g), job)
+	net, err := dist.Run(dist.NewEngine(dist.Mesh(3), g), job)
 	if err != nil {
 		fmt.Println("run:", err)
 		return

@@ -13,12 +13,10 @@ import (
 // shard — the buckets a process stages for remote shards are exactly
 // the byte batches it flushes onto the wire at the round barrier. The
 // rows are keyed by destination shard, so the staging is already
-// direct-destination: the star plane serializes each bucket into a
-// frame addressed From→To and relays it through the coordinator, while
-// the mesh plane writes the identical frame straight onto the
-// destination peer's connection (and hands the flush to that
-// connection's writer goroutine) — the exchange core cannot tell the
-// planes apart.
+// direct-destination: the network transport serializes each bucket
+// into a frame addressed From→To and writes it straight onto the
+// destination's connection (handing a worker peer's flush to that
+// connection's writer goroutine).
 //
 // Staging discipline. A message is appended to the row of the worker
 // that stages it, so rows need no locks:

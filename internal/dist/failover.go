@@ -94,7 +94,6 @@ func adoptCoordinator(old *NetTransport) (*NetTransport, error) {
 		return nil, err
 	}
 	t.ln, old.standby = old.standby, nil
-	t.mesh = old.mesh
 	t.failover = old.failover
 	t.lastHeader = old.lastHeader
 	t.lastCkpt = old.lastCkpt

@@ -28,15 +28,10 @@ import (
 // severs every socket at a fixed frame count, while the workers run
 // the real public engine path with failover armed. Exactly one worker
 // (the elected lowest shard) must finish holding the assembled output.
-func coordinatorCrashDrill(t *testing.T, mesh bool) {
+func coordinatorCrashDrill(t *testing.T, p int) {
 	g := gen.Gnp(400, 0.05, 7)
-	const p = 3
 	job := recoverySparsifyJob()
-	refSpec := Loopback(p)
-	if mesh {
-		refSpec = Mesh(p)
-	}
-	ref, err := Run(NewEngine(refSpec.WithTimeout(recoveryTimeout), g), job)
+	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +42,7 @@ func coordinatorCrashDrill(t *testing.T, mesh bool) {
 		coordErr <- func() (err error) {
 			defer recoverNetError(&err)
 			tr, err := listenNet("127.0.0.1:0", g.N, p, recoveryTimeout,
-				netOptions{mesh: mesh, failover: true})
+				netOptions{failover: true})
 			if err != nil {
 				return err
 			}
@@ -84,7 +79,7 @@ func coordinatorCrashDrill(t *testing.T, mesh bool) {
 	var respawn func(shard int, addr string)
 	workerCfg := func(shard int, join string) WorkerConfig {
 		return WorkerConfig{Join: join, Shard: shard, Shards: p,
-			Timeout: recoveryTimeout, JoinRetry: recoveryTimeout, Mesh: mesh,
+			Timeout: recoveryTimeout, JoinRetry: recoveryTimeout,
 			Failover: true, CheckpointEvery: 1, MaxRespawns: 2, Respawn: respawn}
 	}
 	respawn = func(shard int, addr string) {
@@ -143,22 +138,24 @@ func coordinatorCrashDrill(t *testing.T, mesh bool) {
 	}
 }
 
-// TestNetRunSurvivesCoordinatorCrash is the tentpole's ground truth on
-// the star data plane: kill the coordinator mid-run, shard 1 is
-// elected and adopts shard 0 from the broadcast checkpoint, shard 2
-// rejoins its standby hub, the vacated shard 1 is respawned — and the
+// TestNetRunSurvivesCoordinatorCrash is the coordinator-failover
+// ground truth: kill the coordinator mid-run, shard 1 is elected and
+// adopts shard 0 from the broadcast checkpoint, shard 2 rejoins its
+// standby hub, the vacated shard 1 is respawned, the survivors' direct
+// links unwind with the dead hub and the re-formed fleet rebuilds the
+// mesh from the new coordinator's re-broadcast address book — and the
 // output and ledger are bit-identical to a failure-free run.
 func TestNetRunSurvivesCoordinatorCrash(t *testing.T) {
-	coordinatorCrashDrill(t, false)
+	coordinatorCrashDrill(t, 3)
 }
 
-// TestMeshRunSurvivesCoordinatorCrash re-runs the coordinator-kill
-// ground truth on the full-mesh data plane: the survivors' direct
-// links unwind with the dead hub, the re-formed fleet rebuilds the
-// mesh from the new coordinator's re-broadcast address book, and the
-// result is still bit-identical.
+// TestMeshRunSurvivesCoordinatorCrash runs the same drill at P = 4,
+// where the re-formed fleet holds a direct link between two survivors:
+// shards 2 and 3 each unwind their old 2↔3 link with the dead hub,
+// rejoin the elected shard 1, and dial each other afresh from its
+// re-broadcast address book beside the respawned shard 1's links.
 func TestMeshRunSurvivesCoordinatorCrash(t *testing.T) {
-	coordinatorCrashDrill(t, true)
+	coordinatorCrashDrill(t, 4)
 }
 
 // TestNetRunElasticResizeBitIdentical pins the elastic-restart
@@ -236,12 +233,17 @@ func TestNetRunElasticResizeBitIdentical(t *testing.T) {
 // fleet fails loudly at bring-up instead of desynchronizing on the
 // appended standby-address frames.
 func TestFailoverHandshakeRejectsMixedFleet(t *testing.T) {
-	coord, err := ListenNet("127.0.0.1:0", 10, 2, 2*time.Second)
+	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	go func() { _ = coord.WaitReady() }() // rejects the mismatched join, keeps accepting until timeout
+	// WaitReady rejects the mismatched join and keeps accepting; closing
+	// its listener ends the window, and waiting for it keeps the join
+	// window and the deferred Close off the transport at the same time.
+	waited := make(chan error, 1)
+	go func() { waited <- coord.WaitReady() }()
+	defer func() { coord.ln.Close(); <-waited }()
 	_, err = joinNet(coord.Addr(), 10, 1, 2, 2*time.Second, netOptions{failover: true})
 	if err == nil {
 		t.Fatal("failover-armed worker joined a failover-less coordinator")

@@ -124,7 +124,7 @@ func TestPartitionRunPeakFootprint(t *testing.T) {
 	}
 	peaks := map[int]int{}
 	for _, p := range []int{2, 8} {
-		res, err := Run(NewEngine(Loopback(p).WithTimeout(memTestTimeout), g), job)
+		res, err := Run(NewEngine(Mesh(p).WithTimeout(memTestTimeout), g), job)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}

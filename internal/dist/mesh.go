@@ -1,12 +1,14 @@
 package dist
 
-// The full-mesh data plane of the network transport (the Mesh spec /
-// NetConfig.Mesh): workers dial each other directly and exchange their
-// round batches peer-to-peer, so a cross-shard batch crosses the wire
-// once instead of being relayed twice through the coordinator, and
-// shard 0 stops being the fleet's bandwidth hot spot. The hub
-// connections keep carrying everything else — the join handshake,
-// tallies, collectives, blobs, and the recovery protocol — unchanged.
+// The full-mesh data plane of the network transport: workers dial each
+// other directly and exchange their round batches peer-to-peer, so a
+// cross-shard batch crosses the wire exactly once and shard 0 carries
+// only its own batches — the direct-neighbour model of the paper's
+// distributed bounds, billed once per link. The hub connections carry
+// everything else — the join handshake, tallies, collectives, blobs,
+// and the recovery protocol. At P ≤ 2 no worker has a direct peer, so
+// there are no links and no address book; the same barrier pair runs
+// over the hub alone.
 //
 // Bring-up happens once per attempt (setupDataPlane): each worker
 // announced its peer listener address during the join handshake, the
@@ -25,22 +27,23 @@ package dist
 // keeps the protocol deadlock-free is preserved per peer: a worker
 // enqueues its batch to peer d before it reads from d, and sync
 // operations (collectives, handshakes) drain the async writer first,
-// so on any single connection the byte order is exactly the star
+// so on any single connection the byte order is exactly the per-frame
 // protocol's.
 //
-// Recovery composes with the mesh through PR 6's machinery plus one
-// frame: a worker that loses a mesh link first reports the dead peer
-// to the coordinator (frameFault on its hub), then parks on the hub
-// waiting for the rollback the coordinator will announce. The report
-// is load-bearing, not an optimization — the coordinator's only
-// failure probe is the connection it is currently reading, and a
-// parked worker's heartbeats keep that connection alive, so a death
-// whose hub frames all arrived (its async mesh batch alone was lost)
-// would otherwise deadlock the fleet until the park expired (see
-// meshFail). Every survivor tears its links down before acking, the
-// respawned shard announces a fresh listener when it rejoins, and the
-// next attempt rebuilds the mesh from the re-broadcast book and
-// replays deterministically.
+// Recovery composes with the mesh through the worker-recovery
+// machinery (rollback, checkpointed replay) plus one frame: a worker
+// that loses a mesh link first reports the dead peer to the
+// coordinator (frameFault on its hub), then parks on the hub waiting
+// for the rollback the coordinator will announce. The report is
+// load-bearing, not an optimization — the coordinator's only failure
+// probe is the connection it is currently reading, and a parked
+// worker's heartbeats keep that connection alive, so a death whose hub
+// frames all arrived (its async mesh batch alone was lost) would
+// otherwise deadlock the fleet until the park expired (see meshFail).
+// Every survivor tears its links down before acking, the respawned
+// shard announces a fresh listener when it rejoins, and the next
+// attempt rebuilds the mesh from the re-broadcast book and replays
+// deterministically.
 
 import (
 	"fmt"
@@ -51,8 +54,7 @@ import (
 
 const (
 	// maxMeshAddrLen bounds an announced peer or standby listener
-	// address (the capability handshake flags themselves live in
-	// wire.go: helloFlagMesh, helloFlagFailover).
+	// address.
 	maxMeshAddrLen = 512
 	// asyncWriterDepth is the writer goroutine's queue depth: how many
 	// flushed batches may be in flight on one connection before
@@ -62,10 +64,10 @@ const (
 	asyncWriterDepth = 4
 )
 
-// meshActive reports whether the full-mesh data plane is in effect.
-// With p ≤ 2 there is no worker↔worker traffic to carry, so a mesh
-// run executes the star protocol exactly (no links, no book).
-func (t *NetTransport) meshActive() bool { return t.mesh && t.part.p > 2 }
+// meshActive reports whether there are direct worker↔worker links to
+// carry. With p ≤ 2 no worker has a direct peer, so a run has no
+// links, no peer listeners, and no address book.
+func (t *NetTransport) meshActive() bool { return t.part.p > 2 }
 
 // pendingBatch is one flushed-but-not-yet-written batch owned by a
 // connection's writer goroutine: the vectored buffers, the pooled
@@ -212,7 +214,8 @@ func (p *peerConn) stopWriter() {
 // abort tears a connection down without waiting for in-flight writes:
 // the socket closes first, so a writer goroutine blocked on a dead or
 // stalled peer fails immediately instead of waiting out its deadline.
-// Used by teardownMesh during a recovery rollback.
+// Only teardownMesh uses it, during a recovery rollback — a clean
+// Close drains every writer first (peerConn.close).
 func (p *peerConn) abort() {
 	_ = p.c.Close()
 	p.stopHeartbeats()
@@ -222,8 +225,8 @@ func (p *peerConn) abort() {
 	p.stopWriter()
 }
 
-// teardownMesh drops every direct worker↔worker link (on a rollback,
-// and at final Close). The peer listener stays open: its address —
+// teardownMesh aborts every direct worker↔worker link on a recovery
+// rollback. The peer listener stays open: its address —
 // announced once at the join handshake — remains valid in the
 // coordinator's book across attempts, and only a respawned shard
 // announces a new one.
@@ -282,7 +285,7 @@ func decodeAddrBook(blob []byte, p int) ([]string, error) {
 }
 
 // setupDataPlane establishes the attempt's worker↔worker links when
-// the full-mesh data plane is active: the coordinator broadcasts the
+// the mesh is active (P > 2): the coordinator broadcasts the
 // address book it collected at the join handshakes, and every worker
 // dials its lower-numbered peers then accepts its higher-numbered
 // ones. Lower-dials-higher-accepts is acyclic, and a dial needs only
@@ -471,17 +474,17 @@ func (t *NetTransport) meshFail(suspect int, err error) error {
 	return fmt.Errorf("mesh data plane: %w", err)
 }
 
-// endRoundMeshWorker is the worker barrier on the full-mesh data
-// plane. Writes: one frameRound + frameCheck per direct peer, each
-// handed to that connection's writer goroutine (flushAsync) so the
-// next peer's batch is encoded while the previous one drains; then
-// the shard-0 batch, the local tally, and the stream check on the
-// hub. Reads: each direct peer's batch + check, then the
-// coordinator's batch, the global tally, and its check. The batch to
-// peer d is always enqueued before d is read — the per-peer
-// write-then-read alternation — and delivery stays in global origin
-// order (0..p−1), so mailbox order and every downstream decision are
-// bit-identical to the star and in-process transports.
+// endRoundMeshWorker is the worker barrier. Writes: one frameRound +
+// frameCheck per direct peer, each handed to that connection's writer
+// goroutine (flushAsync) so the next peer's batch is encoded while the
+// previous one drains; then the shard-0 batch, the local tally, and
+// the stream check on the hub. Reads: each direct peer's batch +
+// check, then the coordinator's batch, the global tally, and its
+// check. The batch to peer d is always enqueued before d is read — the
+// per-peer write-then-read alternation — and delivery stays in global
+// origin order (0..p−1), so mailbox order and every downstream
+// decision are bit-identical to the in-process transports. At P = 2
+// there are no direct peers and only the hub exchange runs.
 func (t *NetTransport) endRoundMeshWorker(round int, local RoundTally) (RoundTally, error) {
 	self, p := t.self, t.part.p
 	for d := 1; d < p; d++ {
@@ -523,7 +526,8 @@ func (t *NetTransport) endRoundMeshWorker(round int, local RoundTally) (RoundTal
 	}
 
 	// Read the inbound barrier raw and decode only after each stream's
-	// checksum verifies, exactly like the star worker.
+	// checksum verifies: corrupted traffic is rejected, never
+	// interpreted as messages.
 	payloads := make([][]byte, p)
 	for d := 1; d < p; d++ {
 		if d == self {
@@ -576,11 +580,10 @@ func (t *NetTransport) endRoundMeshWorker(round int, local RoundTally) (RoundTal
 	return global, nil
 }
 
-// endRoundMeshCoordinator is the coordinator barrier on the full-mesh
-// data plane: no relay. Each worker's hub stream carries only its
-// shard-0 batch, its local tally, and its stream check; the
-// coordinator merges the tallies and writes back its own batch, the
-// global tally, and its check per worker.
+// endRoundMeshCoordinator is the coordinator barrier. Each worker's
+// hub stream carries only its shard-0 batch, its local tally, and its
+// stream check; the coordinator merges the tallies and writes back its
+// own batch, the global tally, and its check per worker.
 func (t *NetTransport) endRoundMeshCoordinator(round int, local RoundTally) (RoundTally, error) {
 	p := t.part.p
 	global := local

@@ -25,39 +25,38 @@ import (
 //
 // Topology: shard 0 is the coordinator; it listens, the workers join,
 // and control traffic (tallies, collectives, blobs) always flows
-// through it. Round data takes one of two planes: the default star
-// relays every worker↔worker batch through the coordinator (a frame
-// is routed by its header without decoding the payload — each such
-// batch crosses the wire twice), while the full-mesh plane (the Mesh
-// spec / NetConfig.Mesh, see mesh.go) has the workers dial each other
-// directly so each batch crosses once and shard 0 stops being the
-// bandwidth hot spot. The barrier doubles as the round-tally
-// handshake on both planes: every process ships the tally of the
-// traffic it staged, the coordinator reduces and re-broadcasts the
-// global tally, and every engine bills that — so Stats.Rounds, Words,
-// and the CrossShard split are identical on every process and to the
-// single-process transports, which the loopback regression tests pin.
+// through it. Round data travels on a full mesh (see mesh.go): the
+// workers dial each other directly, so each worker↔worker batch
+// crosses the wire once and shard 0 exchanges only its own batches.
+// The barrier doubles as the round-tally handshake: every process
+// ships the tally of the traffic it staged, the coordinator reduces
+// and re-broadcasts the global tally, and every engine bills that —
+// so Stats.Rounds, Words, and the CrossShard split are identical on
+// every process and to the single-process transports, which the
+// equivalence matrix pins.
 //
 // The barrier protocol per EndRound, from a worker's perspective:
-// write one frameRound batch per remote shard (empty batches
-// included), one frameTally, and one frameCheck, flush, then read the
-// P−2 batches routed from the other shards (origin order) plus the
-// global frameTally and the coordinator's frameCheck — the inbound
-// payloads are held raw and decoded only after the stream checksum
-// verifies. The coordinator reads every worker fully (join), routes,
-// then writes every worker fully (broadcast) — strict alternation, so
-// the protocol cannot deadlock. Collectives (AllMaxInt32, AllOrBits,
-// the blob gather/broadcast) follow the same alternation and carry a
-// per-transport collective sequence number in their Round field, so a
-// desynchronized peer can never satisfy the wrong collective silently.
+// write one frameRound batch plus a frameCheck to every other worker,
+// then the shard-0 batch, one frameTally, and one frameCheck to the
+// coordinator; then read each worker's batch and check, the
+// coordinator's batch, the global frameTally, and the coordinator's
+// frameCheck — the inbound payloads are held raw and decoded only
+// after the stream checksum verifies. The coordinator reads every
+// worker fully (join), then writes every worker fully (broadcast).
+// Every connection alternates strictly between writing everything
+// owed to its peer and reading, so the protocol cannot deadlock.
+// Collectives (AllMaxInt32, AllOrWord, the blob gather/broadcast)
+// follow the same alternation and carry a per-transport collective
+// sequence number in their Round field, so a desynchronized peer can
+// never satisfy the wrong collective silently.
 //
 // Failure model: liveness is heartbeat-based and failure is recovered
 // by deterministic replay. Each connection direction carries a
 // frameHeartbeat every timeout/4 while the peer computes, and every
 // read refreshes its deadline per frame — so a slow round survives any
 // timeout, while a dead or partitioned peer is detected within one
-// timeout (a killed process is detected immediately via EOF/RST). On
-// the mesh plane a worker that loses a direct link also reports the
+// timeout (a killed process is detected immediately via EOF/RST). A
+// worker that loses a direct link also reports the
 // dead peer on its hub (frameFault), so the coordinator learns of a
 // death it cannot see on the connection it is currently reading and
 // attributes the recovery to the right shard (see meshFail).
@@ -92,13 +91,12 @@ type NetTransport struct {
 	hub   *peerConn    // worker only
 	ready bool
 
-	// Full-mesh data plane (the Mesh spec / NetConfig.Mesh; see
-	// mesh.go). meshLn is a worker's peer listener, announced to the
+	// The full-mesh data plane (see mesh.go), in effect when P > 2.
+	// meshLn is a worker's peer listener, announced to the
 	// coordinator at the join handshake; meshAddrs is the coordinator's
 	// address book, broadcast at the top of every attempt; meshPeers
 	// are a worker's direct links to the other workers, indexed by
 	// shard (nil at 0 and self).
-	mesh      bool
 	meshLn    net.Listener
 	meshAddrs []string
 	meshPeers []*peerConn
@@ -120,13 +118,11 @@ type NetTransport struct {
 
 	wireBytes int64
 	// dataBytes is the worker↔worker round-batch subset of wireBytes
-	// (headers included): the bytes the topology choice governs. Star
-	// writes every such batch twice fleet-wide (origin → coordinator,
-	// coordinator → destination); the mesh writes it once, so the
-	// fleet-total dataBytes is exactly halved.
+	// (headers included): the batches the direct links carry, each
+	// written exactly once fleet-wide.
 	dataBytes int64
 
-	// seq numbers the collective operations (AllMaxInt32, AllOrBits,
+	// seq numbers the collective operations (AllMaxInt32, AllOrWord,
 	// AllGatherInt32s, BroadcastBlob, GatherBlobs) within an attempt;
 	// it rides in the frames' Round field and both sides validate it.
 	seq uint32
@@ -157,17 +153,12 @@ type NetTransport struct {
 // bufFreeDepth bounds how many buffers one size class retains.
 const bufFreeDepth = 8
 
-// emptyBuf is the shared zero-length (but non-nil) payload.
-var emptyBuf = make([]byte, 0)
-
 // getBuf returns a length-n byte buffer, reusing a pooled one when the
 // freelist has a large enough size class. Contents are arbitrary —
 // every user overwrites (io.ReadFull, putEnvelope, ...).
 func (t *NetTransport) getBuf(n int) []byte {
 	if n == 0 {
-		// Non-nil so an empty payload still reads as "batch present"
-		// (the coordinator detects duplicate batches by non-nil cells).
-		return emptyBuf
+		return nil
 	}
 	c := bits.Len(uint(n - 1)) // smallest c with 1<<c >= n
 	if s := t.bufFree[c]; len(s) > 0 {
@@ -641,13 +632,11 @@ func (p *peerConn) drainToAck(gen uint32) error {
 	}
 }
 
-// netOptions bundles the optional capabilities of a transport: the
-// full-mesh data plane (and its peer listener address) and coordinator
-// failover (and its standby listener address). Every process of a
-// fleet must enable the same capability set — the hello/welcome flags
-// reject a mix.
+// netOptions bundles the optional settings of a transport: a
+// worker's peer listener address, and coordinator failover (with its
+// standby listener address). Every process of a fleet must agree on
+// failover — the hello/welcome flags reject a mix.
 type netOptions struct {
-	mesh           bool
 	peerListen     string
 	failover       bool
 	failoverListen string
@@ -655,43 +644,26 @@ type netOptions struct {
 
 // flags returns the hello/welcome capability bits of these options.
 func (o netOptions) flags() uint32 {
-	var f uint32
-	if o.mesh {
-		f |= helloFlagMesh
-	}
 	if o.failover {
-		f |= helloFlagFailover
+		return helloFlagFailover
 	}
-	return f
+	return 0
 }
 
 // options reconstructs the capability set of a live transport.
 func (t *NetTransport) options() netOptions {
-	return netOptions{mesh: t.mesh, failover: t.failover}
+	return netOptions{failover: t.failover}
 }
 
-// ListenNet binds the coordinator (shard 0) transport for a shards-way
+// listenNet binds the coordinator (shard 0) transport for a shards-way
 // run over n vertices. It returns after binding; Addr reports the
 // bound address to hand to workers, and WaitReady blocks until all
 // shards-1 workers have joined.
-func ListenNet(addr string, n, shards int, timeout time.Duration) (*NetTransport, error) {
-	return listenNet(addr, n, shards, timeout, netOptions{})
-}
-
-// ListenMesh is ListenNet with the full-mesh data plane enabled: the
-// workers (which must join with JoinMesh) exchange round batches
-// directly and this coordinator carries only control, tally, and
-// collective frames.
-func ListenMesh(addr string, n, shards int, timeout time.Duration) (*NetTransport, error) {
-	return listenNet(addr, n, shards, timeout, netOptions{mesh: true})
-}
-
 func listenNet(addr string, n, shards int, timeout time.Duration, opt netOptions) (*NetTransport, error) {
 	t, err := newNetTransport(n, 0, shards, timeout)
 	if err != nil {
 		return nil, err
 	}
-	t.mesh = opt.mesh
 	t.failover = opt.failover
 	if t.part.p > 1 {
 		ln, err := net.Listen("tcp", addr)
@@ -703,32 +675,19 @@ func listenNet(addr string, n, shards int, timeout time.Duration, opt netOptions
 	return t, nil
 }
 
-// JoinNet dials the coordinator at addr and joins as the given shard.
-// It blocks until the coordinator accepts the handshake.
-func JoinNet(addr string, n, shard, shards int, timeout time.Duration) (*NetTransport, error) {
-	return joinNet(addr, n, shard, shards, timeout, netOptions{})
-}
-
-// JoinMesh is JoinNet with the full-mesh data plane enabled: the
-// worker binds a peer listener on peerListen ("127.0.0.1:0" if empty;
-// set a routable host for multi-machine runs), announces its address
-// to the coordinator during the handshake, and exchanges round
-// batches directly with the other workers. The coordinator must have
-// been started with ListenMesh — the handshake rejects a mixed
-// star/mesh fleet.
-func JoinMesh(addr, peerListen string, n, shard, shards int, timeout time.Duration) (*NetTransport, error) {
-	return joinNet(addr, n, shard, shards, timeout, netOptions{mesh: true, peerListen: peerListen})
-}
-
+// joinNet dials the coordinator at addr and joins as the given shard.
+// It blocks until the coordinator accepts the handshake. When the mesh
+// is active (P > 2) the worker first binds its peer listener on
+// opt.peerListen ("127.0.0.1:0" if empty; set a routable host for
+// multi-machine runs) and announces the address during the handshake.
 func joinNet(addr string, n, shard, shards int, timeout time.Duration, opt netOptions) (*NetTransport, error) {
 	t, err := newNetTransport(n, shard, shards, timeout)
 	if err != nil {
 		return nil, err
 	}
 	if shard == 0 {
-		return nil, fmt.Errorf("dist: shard 0 is the coordinator; use ListenNet")
+		return nil, fmt.Errorf("dist: shard 0 is the coordinator, not a joining worker")
 	}
-	t.mesh = opt.mesh
 	t.failover = opt.failover
 	if t.meshActive() {
 		peerListen := opt.peerListen
@@ -773,8 +732,7 @@ func joinNet(addr string, n, shard, shards int, timeout time.Duration, opt netOp
 	t.hub = newPeerConn(t, c)
 	t.hub.rollbackOK = true
 	// The capability flags ride the otherwise-unused Round field of the
-	// hello/welcome headers, leaving the hello payload encoding (and
-	// with it every star byte) untouched.
+	// hello/welcome headers, leaving the hello payload encoding untouched.
 	hh := frameHeader{Type: frameHello, From: uint16(shard), Round: opt.flags()}
 	var hb [helloSize]byte
 	putHello(hb[:], hello{Version: wireVersion, N: uint64(n), Shard: uint32(shard), Shards: uint32(shards)})
@@ -805,12 +763,12 @@ func joinNet(addr string, n, shard, shards int, timeout time.Duration, opt netOp
 	wh, payload, err := t.hub.readFrame(frameWelcome)
 	if err != nil {
 		c.Close()
-		return fail(fmt.Errorf("dist: join handshake: %w (a capability mismatch closes the connection — check that every process agrees on -mesh and -failover)", err))
+		return fail(fmt.Errorf("dist: join handshake: %w (a version or capability mismatch closes the connection — check that every process runs the same build and agrees on -failover)", err))
 	}
 	if wh.Round != opt.flags() {
 		c.Close()
-		return fail(fmt.Errorf("dist: capability mismatch: coordinator mesh=%v failover=%v, this worker mesh=%v failover=%v",
-			wh.Round&helloFlagMesh != 0, wh.Round&helloFlagFailover != 0, opt.mesh, opt.failover))
+		return fail(fmt.Errorf("dist: capability mismatch: coordinator failover=%v, this worker failover=%v",
+			wh.Round&helloFlagFailover != 0, opt.failover))
 	}
 	if got := parseHello(payload); got.Version != wireVersion || got.N != uint64(n) || got.Shards != uint32(shards) {
 		c.Close()
@@ -914,15 +872,15 @@ func (t *NetTransport) acceptWorkers(missing map[int]bool) error {
 }
 
 // acceptHandshake validates one join: protocol version, global sizes,
-// a capability set (star/mesh data plane, failover arming) that
-// matches this coordinator's, and a shard id that is in range,
-// missing, and not already joined — so a duplicate rejoin after a
-// crash is accepted exactly once. In mesh mode the worker's announced
-// peer address follows its hello and is recorded in the address book
-// (validated here, before any dial, so a bad address is an actionable
-// handshake error rather than a mysterious mid-bring-up dial failure
-// on some other worker); with failover armed the worker's standby hub
-// address follows in turn and is recorded in the failover book.
+// a failover setting that matches this coordinator's, and a shard id
+// that is in range, missing, and not already joined — so a duplicate
+// rejoin after a crash is accepted exactly once. When the mesh is
+// active (P > 2) the worker's announced peer address follows its hello
+// and is recorded in the address book (validated here, before any
+// dial, so a bad address is an actionable handshake error rather than
+// a mysterious mid-bring-up dial failure on some other worker); with
+// failover armed the worker's standby hub address follows in turn and
+// is recorded in the failover book.
 func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int, error) {
 	fh, payload, err := pc.readFrame(frameHello)
 	if err != nil {
@@ -936,9 +894,9 @@ func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int,
 	if s < 1 || s >= t.part.p || t.peers[s] != nil || !missing[s] {
 		return 0, fmt.Errorf("dist: bad or duplicate worker shard %d", s)
 	}
-	if want := t.options().flags(); fh.Round != want {
-		return 0, fmt.Errorf("dist: capability mismatch: coordinator mesh=%v failover=%v, worker shard %d mesh=%v failover=%v",
-			t.mesh, t.failover, s, fh.Round&helloFlagMesh != 0, fh.Round&helloFlagFailover != 0)
+	if fh.Round != t.options().flags() {
+		return 0, fmt.Errorf("dist: capability mismatch: coordinator failover=%v, worker shard %d failover=%v",
+			t.failover, s, fh.Round&helloFlagFailover != 0)
 	}
 	if t.meshActive() {
 		ah, apayload, err := pc.readFrame(frameMeshAddr)
@@ -1079,33 +1037,28 @@ func (t *NetTransport) ackRollback(gen uint32) error {
 	return t.hub.flush()
 }
 
-// Close tears the connections down.
+// Close tears the transport down. Every link — the direct mesh links,
+// the coordinator's worker connections, a worker's hub — stops its
+// heartbeats and drains its writer before the socket closes, so the
+// last round's batches reach the peers still reading them (abort, the
+// no-drain teardown, is reserved for recovery rollbacks).
 func (t *NetTransport) Close() error {
 	var first error
-	if t.hub != nil {
-		first = t.hub.close()
+	keep := func(err error) {
+		if err != nil && first == nil {
+			first = err
+		}
 	}
-	for _, p := range t.peers {
-		if p != nil {
-			if err := p.close(); err != nil && first == nil {
-				first = err
+	for _, conns := range [][]*peerConn{t.meshPeers, t.peers, {t.hub}} {
+		for _, p := range conns {
+			if p != nil {
+				keep(p.close())
 			}
 		}
 	}
-	t.teardownMesh()
-	if t.meshLn != nil {
-		if err := t.meshLn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if t.standby != nil {
-		if err := t.standby.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if t.ln != nil {
-		if err := t.ln.Close(); err != nil && first == nil {
-			first = err
+	for _, ln := range []net.Listener{t.meshLn, t.standby, t.ln} {
+		if ln != nil {
+			keep(ln.Close())
 		}
 	}
 	return first
@@ -1118,9 +1071,8 @@ func (t *NetTransport) Close() error {
 func (t *NetTransport) WireBytes() int64 { return t.wireBytes }
 
 // DataWireBytes returns the worker↔worker round-batch subset of
-// WireBytes this process wrote — the bytes the star/mesh topology
-// choice governs (the star's fleet total is exactly twice the mesh's
-// for the same run, which the wire-bytes golden test pins).
+// WireBytes this process wrote — the bytes on the direct mesh links
+// (zero at P ≤ 2, where there are none).
 func (t *NetTransport) DataWireBytes() int64 { return t.dataBytes }
 
 // Shard returns this process's shard id.
@@ -1242,15 +1194,10 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 	}
 	var global RoundTally
 	var err error
-	switch {
-	case t.self == 0 && t.meshActive():
+	if t.self == 0 {
 		global, err = t.endRoundMeshCoordinator(round, local)
-	case t.self == 0:
-		global, err = t.endRoundCoordinator(round, local)
-	case t.meshActive():
+	} else {
 		global, err = t.endRoundMeshWorker(round, local)
-	default:
-		global, err = t.endRoundWorker(round, local)
 	}
 	if err != nil {
 		t.fatal(fmt.Errorf("round %d: %w", round, err))
@@ -1258,203 +1205,79 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 	return global
 }
 
-func (t *NetTransport) endRoundWorker(round int, local RoundTally) (RoundTally, error) {
-	self := t.self
-	for r := 0; r < t.part.p; r++ {
-		if r == self {
-			continue
-		}
-		batch := t.x.takeRow(self, r)
-		h := frameHeader{Type: frameRound, From: uint16(self), To: uint16(r), Round: uint32(round), Count: uint32(len(batch))}
-		payload := t.encodeEnvelopes(batch)
-		if err := t.hub.writeFrame(h, payload); err != nil {
-			return RoundTally{}, err
-		}
-		t.hub.retireBuf(payload)
-	}
-	var tb [tallySize]byte
-	putTally(tb[:], local)
-	if err := t.hub.writeFrame(frameHeader{Type: frameTally, From: uint16(self), Round: uint32(round)}, tb[:]); err != nil {
-		return RoundTally{}, err
-	}
-	if err := t.hub.writeCheck(uint32(round)); err != nil {
-		return RoundTally{}, err
-	}
-	if err := t.hub.flush(); err != nil {
-		return RoundTally{}, err
-	}
-
-	// Read the whole inbound barrier raw first — the batches, the global
-	// tally, and the coordinator's checksum — and decode only after the
-	// stream checksum verifies: corrupted traffic is rejected, never
-	// interpreted as messages.
-	payloads := make([][]byte, t.part.p)
-	for d := 0; d < t.part.p; d++ {
-		if d == self {
-			continue
-		}
-		h, payload, err := t.hub.readFrame(frameRound)
-		if err != nil {
-			return RoundTally{}, err
-		}
-		if int(h.From) != d || int(h.To) != self || int(h.Round) != round {
-			return RoundTally{}, fmt.Errorf("misrouted batch %+v (want from %d to %d round %d)", h, d, self, round)
-		}
-		payloads[d] = payload
-	}
-	th, tallyPayload, err := t.hub.readFrame(frameTally)
-	if err != nil {
-		return RoundTally{}, err
-	}
-	if int(th.Round) != round {
-		return RoundTally{}, fmt.Errorf("global tally for round %d, want round %d", th.Round, round)
-	}
-	global := parseTally(tallyPayload)
-	t.putBuf(tallyPayload)
-	if err := t.hub.readCheck(uint32(round)); err != nil {
-		return RoundTally{}, err
-	}
-
-	t.x.clearMailboxes(self)
-	var discard RoundTally
-	for d := 0; d < t.part.p; d++ {
-		if d == self {
-			t.x.deliverInto(&discard, t.x.takeRow(self, self))
-			continue
-		}
-		t.x.deliverInto(&discard, t.decodeEnvelopes(payloads[d]))
-		t.putBuf(payloads[d])
-	}
-	return global, nil
-}
-
-func (t *NetTransport) endRoundCoordinator(round int, local RoundTally) (RoundTally, error) {
-	p := t.part.p
-	global := local
-	// batches[origin][dest] holds the raw (already encoded) payloads of
-	// the workers' outgoing frames; routing forwards them verbatim. Each
-	// worker's stream checksum is verified as soon as its barrier frames
-	// are in — before anything of this round is decoded.
-	batches := make([][][]byte, p)
-	for w := 1; w < p; w++ {
-		batches[w] = make([][]byte, p)
-		seen := 0
-		for seen < p-1 {
-			h, payload, err := t.peers[w].readFrame(frameRound)
-			if err != nil {
-				return RoundTally{}, t.peerFail(w, fmt.Errorf("reading shard %d: %w", w, err))
-			}
-			if int(h.From) != w || int(h.To) == w || int(h.To) >= p || int(h.Round) != round || batches[w][h.To] != nil {
-				return RoundTally{}, t.peerFail(w, fmt.Errorf("bad batch header %+v from shard %d round %d", h, w, round))
-			}
-			batches[w][h.To] = payload
-			seen++
-		}
-		th, tb, err := t.peers[w].readFrame(frameTally)
-		if err != nil {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("reading shard %d tally: %w", w, err))
-		}
-		if int(th.From) != w || int(th.Round) != round {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("bad tally header %+v from shard %d round %d", th, w, round))
-		}
-		wt := parseTally(tb)
-		t.putBuf(tb)
-		if err := t.peers[w].readCheck(uint32(round)); err != nil {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("shard %d: %w", w, err))
-		}
-		global = mergeTallies([]RoundTally{global, wt})
-	}
-	var gtb [tallySize]byte
-	putTally(gtb[:], global)
-	for r := 1; r < p; r++ {
-		for d := 0; d < p; d++ {
-			if d == r {
-				continue
-			}
-			var payload []byte
-			if d == 0 {
-				payload = t.encodeEnvelopes(t.x.takeRow(0, r))
-			} else {
-				// Relay the worker's batch verbatim; its pooled buffer
-				// is owned by peer r's batch until the flush below.
-				payload = batches[d][r]
-			}
-			h := frameHeader{Type: frameRound, From: uint16(d), To: uint16(r), Round: uint32(round), Count: uint32(len(payload) / envelopeSize)}
-			if err := t.peers[r].writeFrame(h, payload); err != nil {
-				return RoundTally{}, t.peerFail(r, err)
-			}
-			t.peers[r].retireBuf(payload)
-		}
-		if err := t.peers[r].writeFrame(frameHeader{Type: frameTally, Round: uint32(round)}, gtb[:]); err != nil {
-			return RoundTally{}, t.peerFail(r, err)
-		}
-		if err := t.peers[r].writeCheck(uint32(round)); err != nil {
-			return RoundTally{}, t.peerFail(r, err)
-		}
-		if err := t.peers[r].flush(); err != nil {
-			return RoundTally{}, t.peerFail(r, err)
-		}
-	}
-	t.x.clearMailboxes(0)
-	var discard RoundTally
-	for d := 0; d < p; d++ {
-		if d == 0 {
-			t.x.deliverInto(&discard, t.x.takeRow(0, 0))
-			continue
-		}
-		t.x.deliverInto(&discard, t.decodeEnvelopes(batches[d][0]))
-		t.putBuf(batches[d][0])
-	}
-	return global, nil
-}
-
 // AllMaxInt32 reduces x to its maximum across all shards (the
-// control-plane convergecast of collectiveTransport). Like every
+// control-plane convergecast of collectiveTransport).
+func (t *NetTransport) AllMaxInt32(x int32) int32 {
+	return int32(t.allReduce("AllMaxInt32", frameMax, uint64(uint32(x)), func(a, b uint64) uint64 {
+		if int32(b) > int32(a) {
+			return b
+		}
+		return a
+	}))
+}
+
+// AllOrWord reduces w by bitwise OR across all shards.
+func (t *NetTransport) AllOrWord(w uint64) uint64 {
+	return t.allReduce("AllOrWord", frameOr, w, func(a, b uint64) uint64 { return a | b })
+}
+
+// allReduce is the one-value collective behind AllMaxInt32 and
+// AllOrWord: every worker contributes x to the coordinator, which
+// folds the contributions into its own in shard order with combine
+// and broadcasts the result. frameMax carries 4 bytes; frameOr keeps
+// its vector encoding (Count=1, one 8-byte word). Like every
 // collective, the frames carry the attempt's collective sequence
 // number, validated on both sides.
-func (t *NetTransport) AllMaxInt32(x int32) int32 {
+func (t *NetTransport) allReduce(name string, typ uint8, x uint64, combine func(a, b uint64) uint64) uint64 {
 	t.mustReady()
 	t.seq++
 	if t.part.p == 1 {
 		return x
 	}
-	var vb [4]byte
+	h := frameHeader{Type: typ, From: uint16(t.self), Round: t.seq}
+	size := 4
+	if typ == frameOr {
+		h.Count, size = 1, 8
+	}
+	var vb [8]byte
+	encode := func(v uint64) []byte {
+		binary.LittleEndian.PutUint64(vb[:], v)
+		return vb[:size]
+	}
+	decode := func(payload []byte) uint64 {
+		var b [8]byte
+		copy(b[:], payload) // little-endian: a 4-byte value zero-extends
+		t.putBuf(payload)
+		return binary.LittleEndian.Uint64(b[:])
+	}
 	if t.self != 0 {
-		putU32(vb[:], uint32(x))
-		if err := t.hub.writeFrame(frameHeader{Type: frameMax, From: uint16(t.self), Round: t.seq}, vb[:]); err != nil {
+		if err := t.hub.writeFrame(h, encode(x)); err != nil {
 			t.fatal(err)
 		}
 		if err := t.hub.flush(); err != nil {
 			t.fatal(err)
 		}
-		h, payload, err := t.hub.readFrame(frameMax)
+		rh, payload, err := t.hub.readFrame(typ)
 		if err != nil {
 			t.fatal(err)
 		}
-		if h.Round != t.seq {
-			t.fatal(fmt.Errorf("AllMaxInt32 result for collective %d, want %d", h.Round, t.seq))
+		if rh.Round != t.seq || len(payload) != size {
+			t.fatal(fmt.Errorf("%s result %+v, want collective %d with %d bytes", name, rh, t.seq, size))
 		}
-		v := int32(getU32(payload))
-		t.putBuf(payload)
-		return v
+		return decode(payload)
 	}
 	for w := 1; w < t.part.p; w++ {
-		h, payload, err := t.peers[w].readFrame(frameMax)
+		rh, payload, err := t.peers[w].readFrame(typ)
 		if err != nil {
 			t.fatal(t.peerFail(w, err))
 		}
-		if int(h.From) != w || h.Round != t.seq {
-			t.fatal(t.peerFail(w, fmt.Errorf("AllMaxInt32 contribution %+v from shard %d, want collective %d", h, w, t.seq)))
+		if int(rh.From) != w || rh.Round != t.seq || len(payload) != size {
+			t.fatal(t.peerFail(w, fmt.Errorf("%s contribution %+v from shard %d, want collective %d with %d bytes", name, rh, w, t.seq, size)))
 		}
-		v := int32(getU32(payload))
-		t.putBuf(payload)
-		if v > x {
-			x = v
-		}
+		x = combine(x, decode(payload))
 	}
-	putU32(vb[:], uint32(x))
 	for w := 1; w < t.part.p; w++ {
-		if err := t.peers[w].writeFrame(frameHeader{Type: frameMax, Round: t.seq}, vb[:]); err != nil {
+		if err := t.peers[w].writeFrame(h, encode(x)); err != nil {
 			t.fatal(t.peerFail(w, err))
 		}
 		if err := t.peers[w].flush(); err != nil {
@@ -1462,66 +1285,6 @@ func (t *NetTransport) AllMaxInt32(x int32) int32 {
 		}
 	}
 	return x
-}
-
-// AllOrBits ORs the bit vector across all shards, in place.
-func (t *NetTransport) AllOrBits(bits []uint64) []uint64 {
-	t.mustReady()
-	t.seq++
-	if t.part.p == 1 {
-		return bits
-	}
-	buf := t.getBuf(len(bits) * 8)
-	packWords(buf, bits)
-	h := frameHeader{Type: frameOr, From: uint16(t.self), Round: t.seq, Count: uint32(len(bits))}
-	if t.self != 0 {
-		if err := t.hub.writeFrame(h, buf); err != nil {
-			t.fatal(err)
-		}
-		if err := t.hub.flush(); err != nil {
-			t.fatal(err)
-		}
-		rh, payload, err := t.hub.readFrame(frameOr)
-		if err != nil {
-			t.fatal(err)
-		}
-		if rh.Round != t.seq {
-			t.fatal(fmt.Errorf("AllOrBits result for collective %d, want %d", rh.Round, t.seq))
-		}
-		if len(payload) != len(buf) {
-			t.fatal(fmt.Errorf("AllOrBits length mismatch: %d vs %d", len(payload), len(buf)))
-		}
-		orWordsInto(bits, payload, true)
-		t.putBuf(payload)
-		t.putBuf(buf)
-		return bits
-	}
-	for w := 1; w < t.part.p; w++ {
-		rh, payload, err := t.peers[w].readFrame(frameOr)
-		if err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
-		if int(rh.From) != w || rh.Round != t.seq {
-			t.fatal(t.peerFail(w, fmt.Errorf("AllOrBits contribution %+v from shard %d, want collective %d", rh, w, t.seq)))
-		}
-		if len(payload) != len(buf) {
-			t.fatal(t.peerFail(w, fmt.Errorf("AllOrBits length mismatch from shard %d: %d vs %d", w, len(payload), len(buf))))
-		}
-		orWordsInto(bits, payload, false)
-		t.putBuf(payload)
-	}
-	packWords(buf, bits)
-	for w := 1; w < t.part.p; w++ {
-		if err := t.peers[w].writeFrame(frameHeader{Type: frameOr, Round: t.seq, Count: uint32(len(bits))}, buf); err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
-		if err := t.peers[w].flush(); err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
-	}
-	// Every peer's batch is flushed, so nothing references buf anymore.
-	t.putBuf(buf)
-	return bits
 }
 
 // AllGatherInt32s merges the shards' sorted, disjoint id lists into
@@ -1724,22 +1487,3 @@ func (t *NetTransport) GatherBlobs(b []byte) ([][]byte, error) {
 func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
 
 func getU32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-
-func packWords(buf []byte, words []uint64) {
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
-	}
-}
-
-// orWordsInto folds the packed payload into words; replace overwrites
-// instead of ORing (used when the payload is already the global OR).
-func orWordsInto(words []uint64, payload []byte, replace bool) {
-	for i := range words {
-		w := binary.LittleEndian.Uint64(payload[i*8:])
-		if replace {
-			words[i] = w
-		} else {
-			words[i] |= w
-		}
-	}
-}

@@ -10,7 +10,7 @@ import (
 )
 
 // The multi-process run scaffold shared by the Net, Worker, and
-// Loopback specs: one SPMD schedule every process executes in lockstep
+// Mesh specs: one SPMD schedule every process executes in lockstep
 // over its own NetTransport. The coordinator broadcasts the job header
 // (name + parameters, see job.go) so the workers adopt — and
 // cross-check — the same job; every process runs the job's partition
@@ -51,8 +51,8 @@ func runNetJob[R any](tr *NetTransport, part *graph.Partition, job Job[R], ck *c
 	}
 	tr.beginAttempt()
 	// Establish the attempt's worker↔worker links before any job state
-	// flows: in mesh mode the coordinator broadcasts the address book
-	// and the workers wire themselves up (a no-op on the star plane).
+	// flows: the coordinator broadcasts the address book and the
+	// workers wire themselves up (a no-op at P ≤ 2).
 	if err := tr.setupDataPlane(); err != nil {
 		return Result[R]{}, err
 	}
@@ -169,19 +169,17 @@ func gatherRunCounters(tr *NetTransport, peakViewWords int) (wireBytes, dataByte
 	return wireBytes, dataBytes, maxPeakWords, nil
 }
 
-// runLoopback is the scaffold of the Loopback and Mesh specs: it
-// binds a coordinator on loopback TCP, runs the worker body as shards
-// 1..p−1 goroutines (each on its own joined NetTransport) and the
-// coordinator body as shard 0, converts *NetError panics to errors,
-// unblocks workers still waiting on the hub if the coordinator fails,
-// and collects the first error. Bodies return results through their
-// closures. mesh selects the full-mesh data plane: each worker
-// goroutine additionally binds a loopback peer listener and the round
-// batches travel worker→worker directly.
-func runLoopback(n, p int, timeout time.Duration, mesh bool,
+// runLoopback is the scaffold of the Mesh spec: it binds a coordinator
+// on loopback TCP, runs the worker body as shards 1..p−1 goroutines
+// (each on its own joined NetTransport, with a loopback peer listener
+// for the direct links) and the coordinator body as shard 0, converts
+// *NetError panics to errors, unblocks workers still waiting on the
+// hub if the coordinator fails, and collects the first error. Bodies
+// return results through their closures.
+func runLoopback(n, p int, timeout time.Duration,
 	coordinator func(coord *NetTransport) error,
 	worker func(tr *NetTransport, shard int) error) error {
-	coord, err := listenNet("127.0.0.1:0", n, p, timeout, netOptions{mesh: mesh})
+	coord, err := listenNet("127.0.0.1:0", n, p, timeout, netOptions{})
 	if err != nil {
 		return err
 	}
@@ -194,7 +192,7 @@ func runLoopback(n, p int, timeout time.Duration, mesh bool,
 			defer wg.Done()
 			err := func() (err error) {
 				defer recoverNetError(&err)
-				tr, err := joinNet(coord.Addr(), n, s, p, timeout, netOptions{mesh: mesh})
+				tr, err := joinNet(coord.Addr(), n, s, p, timeout, netOptions{})
 				if err != nil {
 					return err
 				}

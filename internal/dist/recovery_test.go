@@ -35,7 +35,7 @@ func recoverySparsifyJob() Job[*graph.Graph] {
 // worker dies mid-run).
 func doomWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames int) error {
 	t.Helper()
-	tr, err := JoinNet(addr, g.N, shard, p, recoveryTimeout)
+	tr, err := joinNet(addr, g.N, shard, p, recoveryTimeout, netOptions{})
 	if err != nil {
 		return err
 	}
@@ -46,14 +46,17 @@ func doomWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames 
 	return err
 }
 
-// TestNetRunSurvivesWorkerCrash is the tentpole's ground truth: a
-// worker dies mid-run, the coordinator rolls the survivor back,
-// respawns the dead shard, replays from the last checkpoint — and the
+// workerCrashDrill is the worker-recovery ground truth: shard doomed
+// dies after failFrames written frames, once the mesh is up; the
+// coordinator rolls the survivors back (which unwinds their direct
+// links: EOF on a mesh read, park on the hub, pick up the rollback),
+// respawns the dead shard — which announces a fresh peer listener as
+// it rejoins — and the next attempt rebuilds the mesh from the
+// re-broadcast address book and replays from the last checkpoint. The
 // final output and ledger are bit-identical to a failure-free run.
-func TestNetRunSurvivesWorkerCrash(t *testing.T) {
+func workerCrashDrill(t *testing.T, p, doomed, failFrames int) {
 	g := gen.Gnp(400, 0.05, 7)
-	const p = 3
-	ref, err := Run(NewEngine(Loopback(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
+	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,110 +83,23 @@ func TestNetRunSurvivesWorkerCrash(t *testing.T) {
 	})
 	go func() {
 		addr := <-addrCh
-		wg.Add(1)
-		go func() { // the healthy survivor, on the public path
-			defer wg.Done()
-			wspec := Worker(WorkerConfig{Join: addr, Shard: 2, Shards: p, Timeout: recoveryTimeout})
-			if _, err := Run(NewEngine(wspec, g), recoverySparsifyJob()); err != nil {
-				t.Errorf("surviving shard 2: %v", err)
+		for s := 1; s < p; s++ {
+			if s == doomed {
+				continue
 			}
-		}()
-		wg.Add(1)
-		go func() { // the doomed worker: dies at frame 900 of ~1500
-			defer wg.Done()
-			if err := doomWorker(t, addr, g, 1, p, 900); err == nil {
-				t.Error("doomed worker finished cleanly; fault injection never fired")
-			}
-		}()
-	}()
-
-	res, err := Run(NewEngine(spec, g), recoverySparsifyJob())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if n := respawns.Load(); n != 1 {
-		t.Fatalf("respawns=%d, want 1", n)
-	}
-	if !reflect.DeepEqual(res.Stats, ref.Stats) {
-		t.Fatalf("recovered ledger diverges:\n%+v\nvs failure-free\n%+v", res.Stats, ref.Stats)
-	}
-	if res.Output.M() != ref.Output.M() {
-		t.Fatalf("recovered m=%d vs failure-free %d", res.Output.M(), ref.Output.M())
-	}
-	for i := range ref.Output.Edges {
-		if res.Output.Edges[i] != ref.Output.Edges[i] {
-			t.Fatalf("recovered edge %d differs from the failure-free run", i)
-		}
-	}
-}
-
-// doomMeshWorker is doomWorker on the full-mesh data plane: the worker
-// joins with a peer listener, wires up its direct links, and dies after
-// failFrames written frames (hub and mesh frames both count).
-func doomMeshWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames int) error {
-	t.Helper()
-	tr, err := JoinMesh(addr, "", g.N, shard, p, recoveryTimeout)
-	if err != nil {
-		return err
-	}
-	tr.failAfterFrames = failFrames
-	tr.failAct = func() { tr.hub.c.Close() }
-	defer tr.Close()
-	_, err = runNetJob(tr, graph.PartitionOf(g, shard, p), recoverySparsifyJob(), nil)
-	return err
-}
-
-// TestMeshRunSurvivesWorkerCrash re-runs the recovery ground truth on
-// the full-mesh data plane: the doomed worker's death must also unwind
-// the survivors' direct links (they see EOF on a mesh read, park on
-// the hub, and pick up the coordinator's rollback), the respawned
-// shard announces a fresh peer listener as it rejoins, and the next
-// attempt rebuilds the mesh from the re-broadcast address book — with
-// output and ledger still bit-identical to a failure-free run.
-func TestMeshRunSurvivesWorkerCrash(t *testing.T) {
-	g := gen.Gnp(400, 0.05, 7)
-	const p = 3
-	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var respawns atomic.Int32
-	var wg sync.WaitGroup
-	addrCh := make(chan string, 1)
-	spec := Net(NetConfig{
-		Listen: "127.0.0.1:0", Shards: p, Timeout: recoveryTimeout, Mesh: true,
-		OnListen: func(addr string) { addrCh <- addr },
-		Respawn: func(shard int, addr string) {
-			respawns.Add(1)
 			wg.Add(1)
-			go func() {
+			go func(s int) { // a healthy survivor, on the public path
 				defer wg.Done()
-				wspec := Worker(WorkerConfig{Join: addr, Shard: shard, Shards: p,
-					Timeout: recoveryTimeout, JoinRetry: recoveryTimeout, Mesh: true})
+				wspec := Worker(WorkerConfig{Join: addr, Shard: s, Shards: p, Timeout: recoveryTimeout})
 				if _, err := Run(NewEngine(wspec, g), recoverySparsifyJob()); err != nil {
-					t.Errorf("respawned shard %d: %v", shard, err)
+					t.Errorf("surviving shard %d: %v", s, err)
 				}
-			}()
-		},
-		MaxRespawns: 2, CheckpointEvery: 1,
-	})
-	go func() {
-		addr := <-addrCh
+			}(s)
+		}
 		wg.Add(1)
-		go func() { // the healthy survivor, on the public path
+		go func() { // the doomed worker: dies mid-run
 			defer wg.Done()
-			wspec := Worker(WorkerConfig{Join: addr, Shard: 2, Shards: p,
-				Timeout: recoveryTimeout, Mesh: true})
-			if _, err := Run(NewEngine(wspec, g), recoverySparsifyJob()); err != nil {
-				t.Errorf("surviving shard 2: %v", err)
-			}
-		}()
-		wg.Add(1)
-		go func() { // the doomed worker: dies mid-run, after the mesh is up
-			defer wg.Done()
-			if err := doomMeshWorker(t, addr, g, 1, p, 900); err == nil {
+			if err := doomWorker(t, addr, g, doomed, p, failFrames); err == nil {
 				t.Error("doomed worker finished cleanly; fault injection never fired")
 			}
 		}()
@@ -208,6 +124,21 @@ func TestMeshRunSurvivesWorkerCrash(t *testing.T) {
 			t.Fatalf("recovered edge %d differs from the failure-free run", i)
 		}
 	}
+}
+
+// TestNetRunSurvivesWorkerCrash: at P = 3 shard 1 dies at frame 900 of
+// ~1500, taking its one direct link (to shard 2) down with it.
+func TestNetRunSurvivesWorkerCrash(t *testing.T) {
+	workerCrashDrill(t, 3, 1, 900)
+}
+
+// TestMeshRunSurvivesWorkerCrash: at P = 4 the doomed shard 2 sits in
+// the middle of the dial order — it dialed shard 1 and was dialed by
+// shard 3 — so survivors on both ends of its links unwind, and its
+// replacement redials shard 1 while shard 3 redials the replacement's
+// fresh listener.
+func TestMeshRunSurvivesWorkerCrash(t *testing.T) {
+	workerCrashDrill(t, 4, 2, 900)
 }
 
 // TestWorkerDisconnectFailsFast: without a respawn hook a worker death
@@ -244,7 +175,7 @@ func TestDuplicateRejoinAcceptedOnce(t *testing.T) {
 	g := gen.Gnp(300, 0.05, 3)
 	const p = 2
 	timeout := 3 * time.Second
-	ref, err := Run(NewEngine(Loopback(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
+	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,12 +293,43 @@ func TestChecksumAgreesEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNetHandshakeValidation: joins with a mismatched configuration
+// are rejected before any round runs. The worker side fails
+// immediately (its connection is closed on it); the coordinator treats
+// the bad join as a stray — it keeps accepting and fails only when the
+// join window's deadline expires with the shard still missing.
+func TestNetHandshakeValidation(t *testing.T) {
+	if _, err := listenNet("127.0.0.1:0", 10, 100, 2*time.Second, netOptions{}); err == nil {
+		t.Fatal("accepted more shards than vertices")
+	}
+	if _, err := joinNet("127.0.0.1:1", 10, 0, 2, time.Second, netOptions{}); err == nil {
+		t.Fatal("shard 0 joined as a worker")
+	}
+	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	done := make(chan error, 1)
+	go func() {
+		// Wrong n: the coordinator must refuse, and WaitReady fail.
+		_, err := joinNet(coord.Addr(), 11, 1, 2, 2*time.Second, netOptions{})
+		done <- err
+	}()
+	if err := coord.WaitReady(); err == nil {
+		t.Fatal("coordinator accepted a mismatched worker")
+	}
+	if err := <-done; err == nil {
+		t.Fatal("mismatched worker joined successfully")
+	}
+}
+
 // TestWaitReadyToleratesStrays: non-protocol connections — a port
 // scanner's garbage, a health check that connects and hangs up — are
 // closed and the join window keeps accepting; the real worker still
 // gets in. This was a bring-up bug: one stray used to abort the fleet.
 func TestWaitReadyToleratesStrays(t *testing.T) {
-	coord, err := ListenNet("127.0.0.1:0", 10, 2, 2*time.Second)
+	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +345,7 @@ func TestWaitReadyToleratesStrays(t *testing.T) {
 		if c, err := net.Dial("tcp", coord.Addr()); err == nil {
 			c.Close()
 		}
-		tr, err := JoinNet(coord.Addr(), 10, 1, 2, 2*time.Second)
+		tr, err := joinNet(coord.Addr(), 10, 1, 2, 2*time.Second, netOptions{})
 		if err == nil {
 			defer tr.Close()
 		}
@@ -404,7 +366,7 @@ func TestWaitReadyToleratesStrays(t *testing.T) {
 // bring-up bug: the deadline was set once for the whole window.
 func TestWaitReadyDeadlineSlides(t *testing.T) {
 	timeout := 2 * time.Second
-	coord, err := ListenNet("127.0.0.1:0", 10, 3, timeout)
+	coord, err := listenNet("127.0.0.1:0", 10, 3, timeout, netOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +377,7 @@ func TestWaitReadyDeadlineSlides(t *testing.T) {
 		go func(shard int, d time.Duration) {
 			defer wg.Done()
 			time.Sleep(d)
-			tr, err := JoinNet(coord.Addr(), 10, shard, 3, timeout)
+			tr, err := joinNet(coord.Addr(), 10, shard, 3, timeout, netOptions{})
 			if err != nil {
 				t.Errorf("shard %d: %v", shard, err)
 				return
@@ -435,7 +397,7 @@ func TestWaitReadyDeadlineSlides(t *testing.T) {
 // out of step can no longer satisfy the wrong collective silently —
 // the Round tag on collective frames is validated on both sides.
 func TestCollectiveRoundTagValidated(t *testing.T) {
-	coord, err := ListenNet("127.0.0.1:0", 10, 2, 2*time.Second)
+	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +406,7 @@ func TestCollectiveRoundTagValidated(t *testing.T) {
 	go func() {
 		workerErr <- func() (err error) {
 			defer recoverNetError(&err)
-			tr, err := JoinNet(coord.Addr(), 10, 1, 2, 2*time.Second)
+			tr, err := joinNet(coord.Addr(), 10, 1, 2, 2*time.Second, netOptions{})
 			if err != nil {
 				return err
 			}
@@ -479,7 +441,7 @@ func TestCollectiveRoundTagValidated(t *testing.T) {
 // only real death — not slow rounds — trips the timeout.
 func TestHeartbeatsKeepSlowComputeAlive(t *testing.T) {
 	timeout := 300 * time.Millisecond
-	coord, err := ListenNet("127.0.0.1:0", 10, 2, timeout)
+	coord, err := listenNet("127.0.0.1:0", 10, 2, timeout, netOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +450,7 @@ func TestHeartbeatsKeepSlowComputeAlive(t *testing.T) {
 	go func() {
 		_ = func() (err error) {
 			defer recoverNetError(&err)
-			tr, err := JoinNet(coord.Addr(), 10, 1, 2, timeout)
+			tr, err := joinNet(coord.Addr(), 10, 1, 2, timeout, netOptions{})
 			if err != nil {
 				t.Error(err)
 				got <- -1
@@ -519,8 +481,8 @@ func TestHeartbeatsKeepSlowComputeAlive(t *testing.T) {
 	}
 }
 
-// runMeshLinkLossWorker joins the fleet as `shard` on the mesh plane
-// with fault injection that severs the worker's DIRECT links after
+// runMeshLinkLossWorker joins the fleet as `shard` with fault
+// injection that severs the worker's DIRECT links after
 // failFrames written frames — the hub stays alive. To the fleet this
 // is what losing an async round batch looks like without losing the
 // process: both endpoints of the dead link park on their hubs and
@@ -530,7 +492,7 @@ func TestHeartbeatsKeepSlowComputeAlive(t *testing.T) {
 // until the attempt completes or fails for real.
 func runMeshLinkLossWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames int) error {
 	t.Helper()
-	tr, err := JoinMesh(addr, "", g.N, shard, p, recoveryTimeout)
+	tr, err := joinNet(addr, g.N, shard, p, recoveryTimeout, netOptions{})
 	if err != nil {
 		return err
 	}
@@ -580,7 +542,7 @@ func TestMeshRunSurvivesLinkLoss(t *testing.T) {
 	var wg sync.WaitGroup
 	addrCh := make(chan string, 1)
 	spec := Net(NetConfig{
-		Listen: "127.0.0.1:0", Shards: p, Timeout: recoveryTimeout, Mesh: true,
+		Listen: "127.0.0.1:0", Shards: p, Timeout: recoveryTimeout,
 		OnListen: func(addr string) { addrCh <- addr },
 		Respawn: func(shard int, addr string) {
 			respawns.Add(1)
@@ -588,7 +550,7 @@ func TestMeshRunSurvivesLinkLoss(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				wspec := Worker(WorkerConfig{Join: addr, Shard: shard, Shards: p,
-					Timeout: recoveryTimeout, JoinRetry: recoveryTimeout, Mesh: true})
+					Timeout: recoveryTimeout, JoinRetry: recoveryTimeout})
 				if _, err := Run(NewEngine(wspec, g), recoverySparsifyJob()); err != nil {
 					t.Errorf("respawned shard %d: %v", shard, err)
 				}
@@ -608,7 +570,7 @@ func TestMeshRunSurvivesLinkLoss(t *testing.T) {
 		go func() { // the healthy survivor, on the public engine path
 			defer wg.Done()
 			wspec := Worker(WorkerConfig{Join: addr, Shard: 2, Shards: p,
-				Timeout: recoveryTimeout, Mesh: true})
+				Timeout: recoveryTimeout})
 			_, err := Run(NewEngine(wspec, g), recoverySparsifyJob())
 			workerErrs[2] = err
 		}()

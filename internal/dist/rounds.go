@@ -11,10 +11,9 @@ package dist
 // (see transport.go): in-memory staging by default, a vertex-sharded
 // exchange across worker goroutines, or — the seam's purpose — a real
 // network between OS processes (see transport.go and net.go; there
-// the EndRound barrier is where batches hit sockets, relayed through
-// the coordinator on the star plane or written directly to the
-// destination peer — asynchronously, overlapping the next round's
-// compute — on the mesh plane, see mesh.go).
+// the EndRound barrier is where batches hit sockets, written directly
+// to the destination peer — asynchronously, overlapping the next
+// round's compute, on the worker↔worker links, see mesh.go).
 //
 // Staging follows the exchange core's kind-based discipline (see
 // exchange.go): payloads carrying real remote state are staged by the
@@ -259,7 +258,7 @@ func (e *roundEngine) allMaxInt32(x int32) int32 {
 // allOrWord reduces one word of flags by bitwise OR across all shards.
 func (e *roundEngine) allOrWord(w uint64) uint64 {
 	if c, ok := e.tr.(collectiveTransport); ok {
-		return c.AllOrBits([]uint64{w})[0]
+		return c.AllOrWord(w)
 	}
 	return w
 }

@@ -11,24 +11,21 @@ import (
 // first of the two orthogonal axes of the package (the second is the
 // Job, the algorithm itself). A spec carries no connections and does no
 // I/O; Engine.Run materializes the transport it describes, runs the
-// job, and tears it down. Six specs exist:
+// job, and tears it down. Five specs exist:
 //
 //   - Mem(): the single-process in-memory simulation (the default —
-//     the zero TransportSpec executes the same way).
+//     the zero TransportSpec is Mem()).
 //   - Sharded(p): p worker goroutines exchanging messages through
 //     per-shard-pair buffers at each round barrier.
-//   - Loopback(p): a coordinator plus p−1 worker goroutines, each on
-//     its own NetTransport over real loopback TCP sockets, each
+//   - Mesh(p): a coordinator plus p−1 worker goroutines, each on its
+//     own NetTransport over real loopback TCP sockets, each
 //     materializing only its partition — the full network path without
-//     process isolation. Round traffic is relayed through the
-//     coordinator in a star.
-//   - Mesh(p): Loopback's full-mesh sibling — the worker goroutines
-//     additionally dial each other directly, so cross-shard round
-//     traffic travels exactly once and the coordinator carries only
-//     control/tally/collective frames.
+//     process isolation. The workers dial each other directly, so
+//     cross-shard round traffic travels exactly once and the
+//     coordinator carries only its own batches plus control, tally,
+//     and collective frames.
 //   - Net(cfg): the coordinator (shard 0) of a real multi-process run;
-//     other processes join with Worker specs. NetConfig.Mesh selects
-//     the full-mesh data plane.
+//     other processes join with Worker specs.
 //   - Worker(cfg): one worker shard of a real multi-process run.
 //
 // Equivalence guarantee: for equal (job, seed) every spec produces
@@ -52,9 +49,7 @@ type TransportSpec struct {
 	ckptEvery   int
 	joinRetry   time.Duration
 	failFrames  int
-	// Full-mesh data plane (the Mesh spec, NetConfig.Mesh, and
-	// WorkerConfig.Mesh/PeerListen).
-	mesh       bool
+	// A worker's peer listener address (WorkerConfig.PeerListen).
 	peerListen string
 	// Coordinator failover and elastic restart (NetConfig.Failover/
 	// Resume/OnCheckpoint, WorkerConfig.Failover/FailoverListen/
@@ -69,23 +64,16 @@ type TransportSpec struct {
 type specKind uint8
 
 const (
-	// specDefault is the zero value: it executes as Mem, but callers
-	// that layer a deprecated knob on top (repro.Options.Shards) can
-	// tell "unset" apart from an explicit Mem() via IsZero.
-	specDefault specKind = iota
-	specMem
+	specMem specKind = iota // the zero value: an unset spec is Mem()
 	specSharded
-	specLoopback
 	specMesh
 	specNet
 	specWorker
 )
 
 // Mem returns the in-memory spec: one process, one staging area, the
-// original synchronous simulation. The zero TransportSpec executes
-// identically, but reports IsZero — an explicit Mem() does not, so it
-// can never be overridden by a legacy default.
-func Mem() TransportSpec { return TransportSpec{kind: specMem} }
+// original synchronous simulation. It is the zero TransportSpec.
+func Mem() TransportSpec { return TransportSpec{} }
 
 // Sharded returns the sharded in-process spec: the vertex set is
 // partitioned across p worker goroutines and cross-shard messages are
@@ -93,22 +81,17 @@ func Mem() TransportSpec { return TransportSpec{kind: specMem} }
 // (clamped to [1, n] at run time).
 func Sharded(p int) TransportSpec { return TransportSpec{kind: specSharded, shards: p} }
 
-// Loopback returns the loopback-TCP spec: Engine.Run binds a
-// coordinator on 127.0.0.1, spawns p−1 worker goroutines each joined
-// over a real socket and each holding only its partition, and runs the
-// whole multi-process protocol (framing, routing, tally handshake,
-// collectives, result gather) inside one process.
-func Loopback(p int) TransportSpec { return TransportSpec{kind: specLoopback, shards: p} }
-
-// Mesh returns the full-mesh loopback-TCP spec: like Loopback(p), but
-// the worker goroutines also dial each other directly, so a
-// cross-shard round batch crosses the wire once instead of being
-// relayed twice through the coordinator, and round flushes run on
-// per-peer writer goroutines (double buffering: round r's batch is on
-// the wire while round r+1 computes). Output, Stats, and the round
-// schedule are bit-identical to every other spec; only WireBytes,
-// DataWireBytes, and wall-clock change.
-func Mesh(p int) TransportSpec { return TransportSpec{kind: specMesh, shards: p, mesh: true} }
+// Mesh returns the loopback-TCP spec: Engine.Run binds a coordinator
+// on 127.0.0.1, spawns p−1 worker goroutines each joined over a real
+// socket and each holding only its partition, and runs the whole
+// multi-process protocol (framing, direct worker↔worker links, tally
+// handshake, collectives, result gather) inside one process. Round
+// flushes to the direct peers run on per-peer writer goroutines
+// (double buffering: round r's batch is on the wire while round r+1
+// computes). Output, Stats, and the round schedule are bit-identical
+// to every other spec; only WireBytes, DataWireBytes, and wall-clock
+// change.
+func Mesh(p int) TransportSpec { return TransportSpec{kind: specMesh, shards: p} }
 
 // NetConfig configures the coordinator side of a real multi-process
 // run (the Net spec).
@@ -142,12 +125,6 @@ type NetConfig struct {
 	// every epoch; < 0 disables checkpointing (recovery replays from
 	// the top).
 	CheckpointEvery int
-	// Mesh selects the full-mesh data plane: workers dial each other
-	// directly and exchange round batches peer-to-peer, while this
-	// coordinator carries only control/tally/collective frames. Every
-	// Worker spec in the fleet must set Mesh too (the hello handshake
-	// rejects a mix).
-	Mesh bool
 	// Failover arms coordinator failover: every worker announces a
 	// pre-bound standby hub listener at its join handshake, the
 	// coordinator broadcasts the assembled standby address book at the
@@ -192,7 +169,6 @@ func Net(cfg NetConfig) TransportSpec {
 		respawn:     cfg.Respawn,
 		maxRespawns: cfg.MaxRespawns,
 		ckptEvery:   cfg.CheckpointEvery,
-		mesh:        cfg.Mesh,
 		failover:    cfg.Failover,
 		failFrames:  cfg.FailAfterFrames,
 		resume:      cfg.Resume,
@@ -221,14 +197,12 @@ type WorkerConfig struct {
 	// the deterministic fault-injection hook the kill-and-recover tests
 	// use. 0 disables injection.
 	FailAfterFrames int
-	// Mesh joins the full-mesh data plane: this worker opens a peer
-	// listener, announces its address to the coordinator, and exchanges
-	// round batches directly with the other workers. Must match the
-	// coordinator's NetConfig.Mesh.
-	Mesh bool
-	// PeerListen is the address the peer listener binds when Mesh is
-	// set ("127.0.0.1:0" if empty — set a routable host for
-	// multi-machine runs).
+	// PeerListen is the address this worker's peer listener binds
+	// ("127.0.0.1:0" if empty — set a routable host for multi-machine
+	// runs). At P > 2 every worker announces its peer listener to the
+	// coordinator and exchanges round batches directly with the other
+	// workers, so the address must be reachable from every other
+	// worker.
 	PeerListen string
 	// Failover arms coordinator failover on this worker: it binds a
 	// standby hub listener before joining and announces the address at
@@ -283,7 +257,6 @@ func Worker(cfg WorkerConfig) TransportSpec {
 		shard:          cfg.Shard,
 		joinRetry:      cfg.JoinRetry,
 		failFrames:     cfg.FailAfterFrames,
-		mesh:           cfg.Mesh,
 		peerListen:     cfg.PeerListen,
 		failover:       cfg.Failover,
 		failoverListen: cfg.FailoverListen,
@@ -295,23 +268,10 @@ func Worker(cfg WorkerConfig) TransportSpec {
 }
 
 // WithTimeout returns a copy of the spec with the per-frame I/O
-// deadline set (meaningful for Loopback, Net, and Worker specs).
+// deadline set (meaningful for Mesh, Net, and Worker specs).
 func (s TransportSpec) WithTimeout(d time.Duration) TransportSpec {
 	s.timeout = d
 	return s
-}
-
-// IsZero reports whether the spec is the zero value — unset, executed
-// as Mem(). An explicit Mem() is not zero, so layered defaults (the
-// deprecated repro.Options.Shards) cannot override it.
-func (s TransportSpec) IsZero() bool {
-	return s.kind == specDefault && s.shards == 0 && s.timeout == 0 &&
-		s.listen == "" && s.onListen == nil && s.join == "" && s.shard == 0 &&
-		s.respawn == nil && s.maxRespawns == 0 && s.ckptEvery == 0 &&
-		s.joinRetry == 0 && s.failFrames == 0 &&
-		!s.mesh && s.peerListen == "" &&
-		!s.failover && s.failoverListen == "" && s.loadPart == nil &&
-		s.resume == nil && s.onCkpt == nil
 }
 
 // String renders the spec for logs and experiment tables.
@@ -319,8 +279,6 @@ func (s TransportSpec) String() string {
 	switch s.kind {
 	case specSharded:
 		return fmt.Sprintf("sharded(%d)", s.shards)
-	case specLoopback:
-		return fmt.Sprintf("loopback(%d)", s.shards)
 	case specMesh:
 		return fmt.Sprintf("mesh(%d)", s.shards)
 	case specNet:
@@ -332,17 +290,13 @@ func (s TransportSpec) String() string {
 	}
 }
 
-// flagSuffix renders the optional plane/failover markers of the Net
-// and Worker spec strings.
+// flagSuffix renders the optional failover marker of the Net and
+// Worker spec strings.
 func (s TransportSpec) flagSuffix() string {
-	suffix := ""
-	if s.mesh {
-		suffix += ", mesh"
-	}
 	if s.failover {
-		suffix += ", failover"
+		return ", failover"
 	}
-	return suffix
+	return ""
 }
 
 // timeoutOrDefault returns the spec's deadline, defaulted.

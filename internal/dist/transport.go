@@ -95,10 +95,8 @@ type RoundTally struct {
 type collectiveTransport interface {
 	// AllMaxInt32 returns the maximum of x across all shards.
 	AllMaxInt32(x int32) int32
-	// AllOrBits returns the bitwise OR of bits across all shards. The
-	// slice is reduced in place and returned; all callers must pass
-	// equal lengths.
-	AllOrBits(bits []uint64) []uint64
+	// AllOrWord returns the bitwise OR of w across all shards.
+	AllOrWord(w uint64) uint64
 	// AllGatherInt32s returns the sorted union of the shards' id
 	// lists. Each shard must pass a sorted list, and the lists must be
 	// pairwise disjoint (each id contributed by exactly one owner), so

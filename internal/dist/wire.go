@@ -10,7 +10,7 @@ import (
 // plus small control frames for the round-tally handshake and the
 // loop-control reductions. Every frame is a 20-byte header followed by
 // `count` fixed-size records (or `count` raw bytes for blob frames), so
-// a relay can forward a frame without decoding its payload and a
+// a reader knows every payload's length from the header alone and a
 // fuzzer can exercise the codec record by record.
 
 const (
@@ -20,12 +20,15 @@ const (
 	// appends the full-mesh data-plane frames (mesh address
 	// announcement, peer hello/welcome); version 4 appends the
 	// coordinator-failover standby-address frame, the mesh fault-report
-	// frame, and the failover bit of the hello/welcome flags. Existing
-	// frame encodings are never mutated — new types are appended and
-	// the version is bumped, so a
-	// mixed-version fleet fails loudly at the hello handshake instead of
-	// desynchronizing mid-run.
-	wireVersion = uint32(4)
+	// frame, and the failover bit of the hello/welcome flags; version 5
+	// retires the coordinator-relayed star plane — the full mesh is the
+	// only data plane, so the mesh bit of the hello flags is gone and a
+	// v4 process, which might expect a relay, is refused at hello.
+	// Existing frame encodings are never mutated — new types are
+	// appended and the version is bumped, so a mixed-version fleet
+	// fails loudly at the hello handshake instead of desynchronizing
+	// mid-run.
+	wireVersion = uint32(5)
 
 	headerSize   = 20
 	envelopeSize = 28
@@ -42,7 +45,7 @@ const (
 	frameRound                    // one origin→destination message batch
 	frameTally                    // local (worker→coord) or global (coord→worker) round tally
 	frameMax                      // AllMaxInt32 contribution / result
-	frameOr                       // AllOrBits contribution / result
+	frameOr                       // AllOrWord contribution / result (Count=1, one 8-byte word)
 	frameBlob                     // opaque application payload (gather/broadcast)
 	frameGather                   // AllGatherInt32s contribution / merged result
 	// v2 liveness/recovery frames:
@@ -61,14 +64,12 @@ const (
 
 // Capability flags of the hello/welcome handshake. They ride the
 // otherwise-unused Round field of the hello/welcome frame headers, so
-// the hello payload encoding stays byte-identical across planes, and
-// both sides require an exact match — a fleet that mixes star with
-// mesh, or failover-armed with failover-less processes, fails loudly
-// at the handshake instead of desynchronizing on the appended frames.
-const (
-	helloFlagMesh     = 1 // v3: full-mesh data plane (frameMeshAddr follows the hello)
-	helloFlagFailover = 2 // v4: coordinator failover armed (frameFailoverAddr follows)
-)
+// the hello payload encoding stays fixed, and both sides require an
+// exact match — a fleet that mixes failover-armed with failover-less
+// processes fails loudly at the handshake instead of desynchronizing
+// on the appended frames. Bit 1 was the v3–v4 mesh-plane bit; v5
+// retired it with the star plane.
+const helloFlagFailover = 2 // v4: coordinator failover armed (frameFailoverAddr follows)
 
 // frameHeader describes one frame on the wire.
 type frameHeader struct {
@@ -76,7 +77,7 @@ type frameHeader struct {
 	From  uint16 // origin shard
 	To    uint16 // destination shard (frameRound; otherwise 0)
 	Round uint32
-	Count uint32 // record count (frameRound, frameOr) or byte length (frameBlob)
+	Count uint32 // record count (frameRound, frameOr, frameGather) or byte length (frameBlob, address frames)
 }
 
 // putHeader encodes h into b (len ≥ headerSize).

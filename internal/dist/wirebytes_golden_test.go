@@ -1,12 +1,12 @@
 package dist_test
 
-// Golden WireBytes pins for the loopback transport. WireBytes is
+// Golden WireBytes pins for the network transport. WireBytes is
 // computed at writeFrame append time, before any batching, so the
-// vectored-write path must reproduce the per-frame protocol's byte
-// count exactly — these values were captured before the batching
-// change landed and must never drift without a deliberate wire-format
-// bump (TestJobWireSchemas pins the frame encodings themselves; this
-// pins the end-to-end byte totals, framing and relays included).
+// vectored-write and async double-buffered paths must reproduce the
+// per-frame protocol's byte count exactly — these values must never
+// drift without a deliberate wire-format bump (TestJobWireSchemas pins
+// the frame encodings themselves; this pins the end-to-end byte
+// totals, framing and bring-up included).
 
 import (
 	"testing"
@@ -14,82 +14,66 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
-func TestLoopbackWireBytesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loopback socket runs skipped in -short")
-	}
-	g := gen.Gnp(240, 0.1, 7)
-	want := map[int][2]int64{
-		// P -> {sparsify, spanner} WireBytes on this graph, pre-batching.
+// goldenWire pins the {sparsify, spanner} WireBytes totals of the
+// golden runs (gen.Gnp(240, 0.1, 7), seed 11) by P, and goldenData
+// their worker↔worker data subset. At P = 2 the only worker talks to
+// the coordinator alone (no direct links, DataWireBytes 0); at P = 3
+// the two workers exchange their batches over one direct link, each
+// batch written exactly once. The absolute totals are pinned so the
+// handshake and mesh bring-up overhead cannot silently grow.
+var (
+	goldenWire = map[int][2]int64{
 		2: {2360192, 637284},
-		3: {4817840, 1211360},
+		3: {3311326, 875018},
 	}
-	for _, p := range []int{2, 3} {
-		spec := dist.Loopback(p).WithTimeout(30 * time.Second)
-		sp := runSparsify(t, spec, g, 0.75, 4, 0, 11)
-		sn := runSpanner(t, spec, g, 0, 11)
-		if sp.WireBytes != want[p][0] {
-			t.Errorf("P=%d sparsify WireBytes = %d, want %d (wire protocol changed?)", p, sp.WireBytes, want[p][0])
-		}
-		if sn.WireBytes != want[p][1] {
-			t.Errorf("P=%d spanner WireBytes = %d, want %d (wire protocol changed?)", p, sn.WireBytes, want[p][1])
-		}
+	goldenData = map[int][2]int64{
+		2: {0, 0}, // no worker↔worker traffic at P=2
+		3: {1522060, 338592},
+	}
+)
+
+// checkWireGolden compares one P's {sparsify, spanner} runs with the
+// pins.
+func checkWireGolden(t *testing.T, p int, sp dist.Result[*graph.Graph], sn dist.Result[*dist.SpannerOutput]) {
+	t.Helper()
+	if sp.WireBytes != goldenWire[p][0] || sn.WireBytes != goldenWire[p][1] {
+		t.Errorf("P=%d WireBytes = {%d, %d}, want {%d, %d} (wire protocol changed?)",
+			p, sp.WireBytes, sn.WireBytes, goldenWire[p][0], goldenWire[p][1])
+	}
+	if sp.DataWireBytes != goldenData[p][0] || sn.DataWireBytes != goldenData[p][1] {
+		t.Errorf("P=%d DataWireBytes = {%d, %d}, want {%d, %d}",
+			p, sp.DataWireBytes, sn.DataWireBytes, goldenData[p][0], goldenData[p][1])
 	}
 }
 
-// TestMeshWireBytesGolden pins the full-mesh data plane's byte totals
-// against the star's on the same (graph, seed, P) runs, proving the
-// topology claim in numbers: every worker↔worker round batch the star
-// relays twice (origin → coordinator, coordinator → destination)
-// crosses a mesh wire exactly once, so the mesh's DataWireBytes is
-// exactly HALF the star's whenever the mesh is active (P > 2; at
-// P = 2 there is no worker↔worker traffic and the planes are
-// byte-identical). The absolute mesh totals are pinned too, like the
-// star's above, so the handshake/bring-up overhead cannot silently
-// grow.
+// TestMeshWireBytesGolden pins the in-process Mesh spec's byte totals.
 func TestMeshWireBytesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback socket runs skipped in -short")
 	}
 	g := gen.Gnp(240, 0.1, 7)
-	// P -> {sparsify, spanner} totals on the mesh plane.
-	wantWire := map[int][2]int64{
-		2: {2360192, 637284}, // mesh inactive at P=2: identical to the star pins
-		3: {3311326, 875018}, // vs the star's {4817840, 1211360}: ~31% / ~28% fewer total bytes
-	}
-	wantData := map[int][2]int64{
-		2: {0, 0},            // no worker↔worker traffic at P=2
-		3: {1522060, 338592}, // the star writes exactly 2× these: {3044120, 677184}
-	}
 	for _, p := range []int{2, 3} {
-		star := dist.Loopback(p).WithTimeout(30 * time.Second)
-		mesh := dist.Mesh(p).WithTimeout(30 * time.Second)
-		starSp := runSparsify(t, star, g, 0.75, 4, 0, 11)
-		starSn := runSpanner(t, star, g, 0, 11)
-		meshSp := runSparsify(t, mesh, g, 0.75, 4, 0, 11)
-		meshSn := runSpanner(t, mesh, g, 0, 11)
-		if meshSp.WireBytes != wantWire[p][0] || meshSn.WireBytes != wantWire[p][1] {
-			t.Errorf("P=%d mesh WireBytes = {%d, %d}, want {%d, %d} (wire protocol changed?)",
-				p, meshSp.WireBytes, meshSn.WireBytes, wantWire[p][0], wantWire[p][1])
-		}
-		if meshSp.DataWireBytes != wantData[p][0] || meshSn.DataWireBytes != wantData[p][1] {
-			t.Errorf("P=%d mesh DataWireBytes = {%d, %d}, want {%d, %d}",
-				p, meshSp.DataWireBytes, meshSn.DataWireBytes, wantData[p][0], wantData[p][1])
-		}
-		// The topology invariant itself: star relays every data byte twice.
-		wantFactor := int64(2)
-		if p <= 2 {
-			wantFactor = 1 // no worker↔worker traffic; both planes report 0
-		}
-		if starSp.DataWireBytes != wantFactor*meshSp.DataWireBytes {
-			t.Errorf("P=%d sparsify: star DataWireBytes %d != %d× mesh %d",
-				p, starSp.DataWireBytes, wantFactor, meshSp.DataWireBytes)
-		}
-		if starSn.DataWireBytes != wantFactor*meshSn.DataWireBytes {
-			t.Errorf("P=%d spanner: star DataWireBytes %d != %d× mesh %d",
-				p, starSn.DataWireBytes, wantFactor, meshSn.DataWireBytes)
-		}
+		spec := dist.Mesh(p).WithTimeout(30 * time.Second)
+		checkWireGolden(t, p, runSparsify(t, spec, g, 0.75, 4, 0, 11), runSpanner(t, spec, g, 0, 11))
+	}
+}
+
+// TestLoopbackWireBytesGolden pins the same totals on a fleet built
+// from the public Net and Worker specs over loopback sockets — the
+// entry points cmd/distworker runs, each worker engine holding only
+// its partition view — so a multi-process fleet puts exactly the
+// bytes of the in-process Mesh spec on the wire.
+func TestLoopbackWireBytesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback socket runs skipped in -short")
+	}
+	g := gen.Gnp(240, 0.1, 7)
+	for _, p := range []int{2, 3} {
+		sp := runFleet(t, g, p, dist.SparsifyJob(0.75, 4, sparsifyCfg(0, 11)))
+		sn := runFleet(t, g, p, dist.SpannerJob(0, 11))
+		checkWireGolden(t, p, sp, sn)
 	}
 }

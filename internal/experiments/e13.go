@@ -11,26 +11,25 @@ import (
 // E13NetTransport compares the transport specs of the distributed
 // engine on one sparsification job, all through the single Engine.Run
 // entry point: the in-memory staging area (Mem), the sharded
-// in-process exchange (Sharded), and the network path running
-// coordinator + P−1 workers over real loopback TCP sockets — both the
-// star relay (Loopback) and the full-mesh data plane (Mesh), each
-// worker materializing only its partition. The m_out column must
-// be constant — the transports move messages, not decisions — while
-// the wire columns split the cost of distribution: crossWords is the
-// model-level bill (identical for sharded, net, and mesh at equal P),
-// wireBytes is what the network transport actually wrote to sockets,
-// framing included, and dataBytes is its worker↔worker round-batch
-// subset — the part the data-plane topology governs, which the mesh
-// halves by dropping the coordinator relay. wkrPeakWords is the
-// per-worker memory story: the largest edge-table footprint (words)
-// any single process's working view reached — Θ(m) on the
-// single-process specs, O(m_incident) ≈ m/P + boundary on the
-// partitioned network run, shrinking as P grows.
+// in-process exchange (Sharded), and the network path (Mesh) running
+// coordinator + P−1 workers over real loopback TCP sockets, the
+// workers linked directly to each other and each materializing only
+// its partition. The m_out column must be constant — the transports
+// move messages, not decisions — while the wire columns split the
+// cost of distribution: crossWords is the model-level bill (identical
+// for sharded and mesh at equal P), wireBytes is what the network
+// transport actually wrote to sockets, framing included, and
+// dataBytes is its worker↔worker round-batch subset, each batch
+// written once on a direct link. wkrPeakWords is the per-worker
+// memory story: the largest edge-table footprint (words) any single
+// process's working view reached — Θ(m) on the single-process specs,
+// O(m_incident) ≈ m/P + boundary on the partitioned network run,
+// shrinking as P grows.
 func E13NetTransport(s Scale) *Table {
 	t := &Table{
 		ID:     "E13",
-		Title:  "transport comparison: in-memory vs sharded vs network (star vs full mesh)",
-		Claim:  "Thm 5 substrate: one Engine.Run executes the same rounds over goroutines or sockets with identical outputs; only the wire bill and per-worker footprint change — and the mesh plane halves the relayed data bytes",
+		Title:  "transport comparison: in-memory vs sharded vs network (full mesh)",
+		Claim:  "Thm 5 substrate: one Engine.Run executes the same rounds over goroutines or sockets with identical outputs; only the wire bill and per-worker footprint change",
 		Header: []string{"transport", "P", "millis", "m_out", "rounds", "crossWords", "wireBytes", "dataBytes", "wkrPeakWords"},
 	}
 	n, deg := 1<<12, 8.0
@@ -59,9 +58,6 @@ func E13NetTransport(s Scale) *Table {
 		t.AddRow(name, inum(p), fnum(ms), inum(mOut), inum(rounds),
 			fmt.Sprintf("%d", crossWords), wb, db, inum(peakWords))
 	}
-	// starData/meshData record the P=4 data bytes of each plane so the
-	// notes can state the measured reduction.
-	var starData, meshData int64
 	sweep := func(name string, order []int, spec func(p int) dist.TransportSpec, wired bool) {
 		for _, p := range order {
 			start := time.Now()
@@ -73,13 +69,6 @@ func E13NetTransport(s Scale) *Table {
 			wireBytes, dataBytes := int64(-1), int64(-1)
 			if wired {
 				wireBytes, dataBytes = res.WireBytes, res.DataWireBytes
-				if p == 4 {
-					if name == "net" {
-						starData = dataBytes
-					} else if name == "mesh" {
-						meshData = dataBytes
-					}
-				}
 			}
 			row(name, p, millisSince(start), res.Output.M(), res.Stats.Rounds,
 				res.Stats.CrossShardWords, wireBytes, dataBytes, res.PeakViewWords)
@@ -88,20 +77,13 @@ func E13NetTransport(s Scale) *Table {
 
 	sweep("mem", []int{1}, func(int) dist.TransportSpec { return dist.Mem() }, false)
 	sweep("sharded", ps[1:], dist.Sharded, false)
-	sweep("net", ps, dist.Loopback, true)
-	sweep("mesh", ps[1:], dist.Mesh, true)
+	sweep("mesh", ps, dist.Mesh, true)
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("n=%d m=%d: identical m_out and rounds on every transport spec at every P", n, g.M()),
-		"net P=1 is a single process with no sockets: the partition-view overhead alone",
-		"net relays worker<->worker batches through the coordinator (star), writing each twice; mesh sends them directly, exactly once")
-	if starData > 0 && meshData >= 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"measured at P=4: dataBytes %d (star) -> %d (mesh), a %.0f%% reduction",
-			starData, meshData, 100*(1-float64(meshData)/float64(starData))))
-	}
-	t.Notes = append(t.Notes,
-		"wkrPeakWords = max per-process edge-table footprint across rounds: Θ(m) single-process, O(m/P + boundary) on net/mesh")
+		"mesh P=1 is a single process with no sockets: the partition-view overhead alone",
+		"mesh workers send worker<->worker batches over direct links, each exactly once; dataBytes is 0 at P=2, where the only worker talks to the coordinator alone",
+		"wkrPeakWords = max per-process edge-table footprint across rounds: Θ(m) single-process, O(m/P + boundary) on mesh")
 	return t
 }
 

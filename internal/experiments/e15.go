@@ -22,17 +22,16 @@ import (
 // took half an hour, which is why the genMillis note exists: it proves
 // the input pipeline is not the bottleneck being measured.
 //
-// The final two rows put the wired data planes on the clock at P=4 on
-// a smaller graph (real loopback sockets are orders of magnitude
-// slower per byte than the in-process exchange, so the socket rows get
-// their own size): star (Loopback) against full mesh (Mesh), same job,
-// same output — only wireBytes and the wall clock may differ. This is
-// where the mesh's halved relay traffic and double-buffered flushes
-// must show up as real milliseconds, not just counter deltas.
+// The final row puts the network transport on the clock at P=4 on a
+// smaller graph (real loopback sockets are orders of magnitude slower
+// per byte than the in-process exchange, so the socket row gets its
+// own size): Mesh, same job, same output — direct worker links and
+// double-buffered flushes measured as real milliseconds, not just
+// counter deltas.
 func E15ScaleSpanner(s Scale) *Table {
 	t := &Table{
 		ID:     "E15",
-		Title:  "round-loop raw speed: spanner at >=10^7 edges, star vs mesh sockets",
+		Title:  "round-loop raw speed: spanner at >=10^7 edges, plus mesh sockets",
 		Claim:  "Thm 5 at scale: the O(k) round schedule is wall-clock-bounded by the exchange, not the allocator — the perf gate CI diffs against BENCH_baseline.json",
 		Header: []string{"transport", "P", "millis", "m_out", "rounds", "words", "wireBytes", "speedup"},
 	}
@@ -71,38 +70,20 @@ func E15ScaleSpanner(s Scale) *Table {
 			inum(res.Stats.Words), "-", fnum(baseMs/ms))
 	}
 
-	// The socket rows: same job on the wired planes, smaller graph.
+	// The socket row: same job on the network transport, smaller graph.
 	ng := gen.Gnp(netN, deg/float64(netN), 163)
-	netBaseM, starMs := -1, 0.0
-	for _, tc := range []struct {
-		name string
-		spec dist.TransportSpec
-	}{
-		{"net", dist.Loopback(4)},
-		{"mesh", dist.Mesh(4)},
-	} {
-		start := time.Now()
-		res, err := dist.Run(dist.NewEngine(tc.spec, ng), job)
-		if err != nil {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s FAILURE at P=4: %v", tc.name, err))
-			continue
-		}
-		ms := millisSince(start)
-		mOut := res.Output.G.M()
-		if netBaseM < 0 {
-			netBaseM, starMs = mOut, ms
-		} else if mOut != netBaseM {
-			t.Notes = append(t.Notes,
-				fmt.Sprintf("DETERMINISM VIOLATION: %s P=4 produced m=%d, expected %d", tc.name, mOut, netBaseM))
-		}
-		t.AddRow(tc.name, inum(4), fnum(ms), inum(mOut), inum(res.Stats.Rounds),
-			inum(res.Stats.Words), fmt.Sprintf("%d", res.WireBytes), fnum(starMs/ms))
+	start := time.Now()
+	if res, err := dist.Run(dist.NewEngine(dist.Mesh(4), ng), job); err != nil {
+		t.Notes = append(t.Notes, fmt.Sprintf("mesh FAILURE at P=4: %v", err))
+	} else {
+		t.AddRow("mesh", inum(4), fnum(millisSince(start)), inum(res.Output.G.M()), inum(res.Stats.Rounds),
+			inum(res.Stats.Words), fmt.Sprintf("%d", res.WireBytes), "-")
 	}
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("n=%d m=%d k=%d (genMillis=%s): identical m_out at every P", n, g.M(), k, fnum(genMs)),
 		fmt.Sprintf("P swept to min(NumCPU, %d) with a {1,2,4} floor; NumCPU=%d here", maxP, runtime.NumCPU()),
-		fmt.Sprintf("socket rows (net=star relay, mesh=direct links) run n=%d m=%d at P=4; speedup there is relative to the star row", netN, ng.M()),
+		fmt.Sprintf("the mesh socket row runs n=%d m=%d at P=4 (a different graph, so no speedup)", netN, ng.M()),
 		"at this density the (2k-1)-spanner bound n^{1+1/k} exceeds m, so the spanner may retain the whole graph — the experiment measures the round loop, not compression")
 	return t
 }

@@ -241,11 +241,11 @@ func TestE13TransportComparisonStructure(t *testing.T) {
 	tab := E13NetTransport(Quick)
 	renderOf(t, tab)
 	if len(tab.Rows) < 5 {
-		t.Fatalf("expected mem + sharded + net rows, got %d", len(tab.Rows))
+		t.Fatalf("expected mem + sharded + mesh rows, got %d", len(tab.Rows))
 	}
 	baseM := cell(t, tab.Rows[0][3])
 	baseRounds := cell(t, tab.Rows[0][4])
-	sawNet := false
+	sawMesh := false
 	for i, row := range tab.Rows {
 		// The transports move messages, not decisions: output size and
 		// round count must be identical on every row.
@@ -255,17 +255,17 @@ func TestE13TransportComparisonStructure(t *testing.T) {
 		if r := cell(t, row[4]); r != baseRounds {
 			t.Fatalf("row %d: rounds %v != %v", i, r, baseRounds)
 		}
-		if row[0] == "net" {
-			sawNet = true
+		if row[0] == "mesh" {
+			sawMesh = true
 			if p := cell(t, row[1]); p > 1 {
 				if wb := cell(t, row[6]); wb <= 0 {
-					t.Fatalf("net P=%v wrote no bytes: %v", p, row)
+					t.Fatalf("mesh P=%v wrote no bytes: %v", p, row)
 				}
 			}
 		}
 	}
-	if !sawNet {
-		t.Fatal("no net transport rows")
+	if !sawMesh {
+		t.Fatal("no mesh transport rows")
 	}
 	for _, n := range tab.Notes {
 		if strings.Contains(n, "VIOLATION") || strings.Contains(n, "FAILURE") {
