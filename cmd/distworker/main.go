@@ -30,8 +30,10 @@
 // cross-shard data crosses the wire once, and round flushes overlap
 // the next round's compute (double buffering). Every worker binds a
 // peer listener (-peer-listen, default 127.0.0.1:0) and announces it
-// to the coordinator at join time, so on a multi-machine fleet every
-// worker needs a -peer-listen host the other workers can reach:
+// to the coordinator at join time — with more than two shards, or at
+// any shard count with -failover, where the same listener is the
+// worker's standby hub — so on a multi-machine fleet every worker
+// needs a -peer-listen host the other workers can reach:
 //
 //	distworker -listen :9000 -shards 4 -in graph.txt
 //	distworker -join HOST:9000 -shards 4 -shard 2 \
@@ -50,16 +52,16 @@
 //
 // Coordinator failover: with -failover on EVERY process (the handshake
 // rejects a mixed fleet) the COORDINATOR is no longer a single point
-// of failure. Each worker pre-binds a standby hub listener
-// (-failover-listen, default 127.0.0.1:0) and announces it at join
-// time; the coordinator broadcasts the standby address book alongside
-// each checkpoint. Kill -9 the coordinator mid-run and the
-// lowest-numbered live shard adopts shard 0: it loads partition 0,
-// turns its standby listener into the hub, re-execs this binary to
-// refill its vacated shard, replays from the broadcast checkpoint, and
-// writes the assembled output to ITS -out — still bit-identical to a
-// failure-free run. Failover workers therefore take -out,
-// -max-respawns, and -checkpoint-every too:
+// of failure. Each worker's peer listener (-peer-listen) doubles as
+// its standby hub, so it is bound and announced even at 2 shards and
+// must be routable; the coordinator broadcasts the peer address book
+// after each job header and checkpoint. Kill -9 the coordinator
+// mid-run and the lowest-numbered shard in the book adopts shard 0: it
+// loads partition 0, turns its peer listener into the hub, re-execs
+// this binary to refill its vacated shard, replays from the broadcast
+// checkpoint, and writes the assembled output to ITS -out — still
+// bit-identical to a failure-free run. Failover workers therefore take
+// -out, -max-respawns, and -checkpoint-every too:
 //
 //	distworker -join HOST:9000 -shards 4 -shard 2 -parts parts/ \
 //	    -failover -max-respawns 2 -checkpoint-every 1 -out sparse.txt
@@ -119,9 +121,8 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "coordinator: checkpoint cadence in sampling epochs (0 = every epoch, negative = off)")
 	resume := flag.Bool("resume", false, "worker: keep retrying the join for one -timeout window (for respawned workers racing the coordinator's recovery)")
 	crashAfterFrames := flag.Int("crash-after-frames", 0, "fault injection — SIGKILL this process before its Nth protocol frame (0 = off)")
-	peerListen := flag.String("peer-listen", "", "worker: peer listener bind address for the direct worker links (default 127.0.0.1:0; use a routable host:0 for multi-machine runs)")
+	peerListen := flag.String("peer-listen", "", "worker: peer listener bind address for the direct worker links and, with -failover, the standby hub (default 127.0.0.1:0; use a routable host:0 for multi-machine runs)")
 	failover := flag.Bool("failover", false, "coordinator failover: survive coordinator death by electing a worker to adopt shard 0 (must be set on every process)")
-	failoverListen := flag.String("failover-listen", "", "worker, with -failover: standby hub listener bind address (default 127.0.0.1:0; use a routable host:0 for multi-machine runs)")
 	ckptOut := flag.String("ckpt-out", "", "coordinator: persist each durable checkpoint to this file (atomically) for later -resume-ckpt")
 	resumeCkpt := flag.String("resume-ckpt", "", "coordinator: restart the run from this checkpoint file (any -shards works; output is bit-identical)")
 	flag.Parse()
@@ -140,12 +141,6 @@ func main() {
 	}
 	if *peerListen != "" {
 		validateHostPort("-peer-listen", *peerListen, true)
-	}
-	if *failoverListen != "" {
-		if !*failover {
-			log.Fatal("-failover-listen only makes sense with -failover")
-		}
-		validateHostPort("-failover-listen", *failoverListen, true)
 	}
 	if *addrFile != "" {
 		if err := netutil.ValidateParentDir("-addr-file", *addrFile); err != nil {
@@ -167,7 +162,7 @@ func main() {
 			*crashAfterFrames, *ckptOut, *resumeCkpt)
 	case *join != "":
 		runWorker(runner, params, *jobName, *in, *parts, *out, *join, *shard, *shards, *timeout, *resume,
-			*crashAfterFrames, *peerListen, *failover, *failoverListen, *maxRespawns, *ckptEvery)
+			*crashAfterFrames, *peerListen, *failover, *maxRespawns, *ckptEvery)
 	default:
 		log.Fatal("one of -listen (coordinator), -join (worker), or -split/-split-only is required")
 	}
@@ -312,7 +307,7 @@ func respawnWorker(jobName, in, parts string, shards int, timeout time.Duration,
 		}
 		if failover {
 			// The replacement must match the fleet's capability set; it
-			// binds a fresh standby listener and announces it as it rejoins.
+			// binds a fresh peer listener and announces it as it rejoins.
 			args = append(args, "-failover")
 		}
 		if parts != "" {
@@ -394,24 +389,32 @@ func runCoordinator(runner jobRunner, params jobParams,
 	fmt.Fprintf(os.Stderr, "ledger: %s\n", stats)
 	fmt.Fprintf(os.Stderr, "wire: %d bytes across %d processes (model cross-shard: %d words)\n",
 		wireBytes, shards, stats.CrossShardWords)
-	w := os.Stdout
+	writeOutput(out, g)
+}
+
+// writeOutput writes the assembled graph to the -out file, or to
+// stdout when -out is empty.
+func writeOutput(out string, g *graph.Graph) {
+	f := os.Stdout
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
+		var err error
+		if f, err = os.Create(out); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		w = f
 	}
-	if err := graphio.Write(w, g); err != nil {
+	if err := graphio.Write(f, g); err != nil {
 		log.Fatal(err)
+	}
+	if out != "" {
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
 }
 
 func runWorker(runner jobRunner, params jobParams,
 	jobName, in, parts, out, join string, shard, shards int, timeout time.Duration, resume bool,
-	crashAfterFrames int, peerListen string, failover bool, failoverListen string,
-	maxRespawns, ckptEvery int) {
+	crashAfterFrames int, peerListen string, failover bool, maxRespawns, ckptEvery int) {
 	if shard < 1 || shard >= shards {
 		log.Fatalf("-shard must be in [1,%d)", shards)
 	}
@@ -423,7 +426,6 @@ func runWorker(runner jobRunner, params jobParams,
 	}
 	if failover {
 		wcfg.Failover = true
-		wcfg.FailoverListen = failoverListen
 		wcfg.MaxRespawns = maxRespawns
 		wcfg.CheckpointEvery = ckptEvery
 		wcfg.LoadPartition = func(s int) (*graph.Partition, error) {
@@ -444,18 +446,7 @@ func runWorker(runner jobRunner, params jobParams,
 		// would.
 		fmt.Fprintf(os.Stderr, "worker %d finished as elected coordinator: n=%d m=%d -> m=%d (wire: %d bytes)\n",
 			shard, part.N, part.M, g.M(), wireBytes)
-		w := os.Stdout
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := graphio.Write(w, g); err != nil {
-			log.Fatal(err)
-		}
+		writeOutput(out, g)
 	}
 	fmt.Fprintf(os.Stderr, "worker %d done; ledger: %s\n", shard, stats)
 }

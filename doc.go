@@ -63,8 +63,8 @@
 // multi-machine partition puts on the wire. Multi-process runs are
 // fault-tolerant end to end: worker death is recovered by checkpointed
 // deterministic replay, coordinator death by shard-0 failover when
-// NetConfig.Failover is armed (a surviving shard adopts the hub from a
-// pre-announced standby listener and re-broadcasts the last
+// NetConfig.Failover is armed (a surviving shard adopts its
+// pre-announced peer listener as the hub and re-broadcasts the last
 // checkpoint), and a checkpoint blob can resume a run on a fleet of a
 // different size (NetConfig.Resume) — in every case with output
 // bit-identical to a failure-free run. See internal/dist for the

@@ -30,8 +30,9 @@
 //
 // A TransportSpec is a value describing how the job's rounds execute:
 // Mem() (single-process, the default), Sharded(p) (p worker
-// goroutines), Mesh(p) (coordinator + p−1 worker goroutines over real
-// loopback TCP sockets), and the real multi-process pair
+// goroutines), Mesh(p) (an in-process Net + Worker fleet: a
+// coordinator and p−1 worker goroutines over real loopback TCP
+// sockets), and the real multi-process pair
 // Net(NetConfig)/Worker(WorkerConfig). Specs carry no connections;
 // Run materializes, drives, and tears down the transport they
 // describe.
@@ -113,14 +114,16 @@
 // handshake, tallies, collectives, blobs, and the recovery protocol.
 // Round data travels on a full mesh: each worker binds a peer
 // listener, announces it during the join handshake, and the
-// coordinator broadcasts the address book at the top of every
-// attempt; lower shard dials, higher shard accepts, so bring-up is
-// acyclic and cannot deadlock. Every worker↔worker batch crosses the
-// wire exactly once (Result.DataWireBytes counts them) — each message
-// billed once per link, the direct-neighbour model the paper's
-// distributed bounds assume — and the coordinator exchanges only its
-// own batches. At P ≤ 2 no worker has a direct peer: there are no
-// links and no book, and the same barrier runs over the hub alone.
+// coordinator broadcasts the address book in every attempt after the
+// job header and checkpoint; lower shard dials, higher shard accepts,
+// so bring-up is acyclic and cannot deadlock. Every worker↔worker
+// batch crosses the wire exactly once (Result.DataWireBytes counts
+// them) — each message billed once per link, the direct-neighbour
+// model the paper's distributed bounds assume — and the coordinator
+// exchanges only its own batches. At P ≤ 2 no worker has a direct
+// peer: there are no links, and the same barrier runs over the hub
+// alone (without failover there is no peer listener and no book
+// either).
 //
 // The trade-off is connectivity: every worker needs a peer listener
 // the other workers can reach (WorkerConfig.PeerListen, distworker
@@ -220,21 +223,22 @@
 //
 // Coordinator death is survivable too when failover is armed
 // (NetConfig.Failover + WorkerConfig.Failover on every process, see
-// failover.go). Every worker pre-binds a standby hub listener and
-// announces it at the join handshake; the coordinator broadcasts the
-// assembled standby address book right after the checkpoint at the top
-// of every attempt, so each worker always holds the same book, the
-// same raw job-header bytes, and the same checkpoint. When a worker
-// loses its hub connection, the election is a pure function of that
-// shared book — the lowest-numbered shard with a standby address wins,
-// no votes, no split brain — and the winner adopts shard 0: its
-// standby listener becomes the hub, it re-broadcasts the stashed
-// header VERBATIM plus the checkpoint, asks the host to respawn its
-// vacated shard (WorkerConfig.Respawn), and runs the normal recovery
-// loop while the other survivors rejoin at the book address. Replay is
-// deterministic, so kill -9 the COORDINATOR mid-run and the output and
-// ledger still equal the failure-free run's (failover_test.go and
-// cmd/distworker's coordinator-kill drills).
+// failover.go). A worker's peer listener doubles as its standby hub:
+// with failover armed every worker binds it and announces it at the
+// join handshake even at P = 2, and the coordinator broadcasts the
+// peer address book right after the job header and checkpoint of
+// every attempt, so a worker that holds the book also holds the same
+// raw job-header bytes and the same checkpoint as every other worker.
+// When a worker loses its hub connection, the election is a pure
+// function of that shared book — the lowest-numbered shard with a peer
+// address wins, no votes, no split brain — and the winner adopts
+// shard 0: its peer listener becomes the hub, it re-broadcasts the
+// stashed header VERBATIM plus the checkpoint, asks the host to
+// respawn its vacated shard (WorkerConfig.Respawn), and runs the
+// normal recovery loop while the other survivors rejoin at the book
+// address. Replay is deterministic, so kill -9 the COORDINATOR mid-run
+// and the output and ledger still equal the failure-free run's
+// (failover_test.go and cmd/distworker's coordinator-kill drills).
 //
 // The same broadcast checkpoint powers elastic resize between runs: a
 // checkpoint blob delivered to NetConfig.OnCheckpoint can seed

@@ -75,8 +75,8 @@ type Result[R any] struct {
 // methods cannot introduce type parameters.)
 //
 // The spec decides the execution shape: Mem and Sharded run the whole
-// graph in this process; Mesh runs the full multi-process protocol
-// over loopback TCP with worker goroutines; Net drives a real
+// graph in this process; Mesh runs the Net and Worker drivers below as
+// an in-process fleet over loopback TCP; Net drives a real
 // coordinator — listen, broadcast the job's name and parameters, run
 // shard 0, assemble — and Worker drives one real worker shard, which
 // adopts the coordinator's broadcast parameters (the local job value
@@ -94,7 +94,7 @@ func Run[R any](e *Engine, job Job[R]) (Result[R], error) {
 	case specMem, specSharded:
 		return runInProcess(e, job)
 	case specMesh:
-		return runLoopbackJob(e, job)
+		return runMesh(e, job)
 	case specNet:
 		return runNetCoordinatorJob(e, job)
 	case specWorker:
@@ -155,47 +155,47 @@ func (e *Engine) partitionFor(shard, shards int) (*graph.Partition, error) {
 // Resume blob seeds the checkpoint state instead of starting empty —
 // the elastic-restart path, valid at any shard count.
 func runNetCoordinatorJob[R any](e *Engine, job Job[R]) (Result[R], error) {
-	part, err := e.partitionFor(0, e.spec.shards)
+	cfg := e.spec.net
+	part, err := e.partitionFor(0, cfg.Shards)
 	if err != nil {
 		return Result[R]{}, err
 	}
-	tr, err := listenNet(e.spec.listen, part.N, e.spec.shards, e.spec.timeoutOrDefault(),
-		netOptions{failover: e.spec.failover})
+	tr, err := listenNet(part.N, cfg)
 	if err != nil {
 		return Result[R]{}, err
 	}
 	defer tr.Close()
-	tr.failAfterFrames = e.spec.failFrames
-	if e.spec.onListen != nil {
-		e.spec.onListen(tr.Addr())
+	tr.failAfterFrames = cfg.FailAfterFrames
+	if cfg.OnListen != nil {
+		cfg.OnListen(tr.Addr())
 	}
 	ck := &ckptState{}
-	if e.spec.resume != nil {
-		if ck, err = decodeCkpt(e.spec.resume); err != nil {
+	if cfg.Resume != nil {
+		if ck, err = decodeCkpt(cfg.Resume); err != nil {
 			return Result[R]{}, fmt.Errorf("dist: decoding resume checkpoint: %w", err)
 		}
 	}
-	ck.every = e.spec.ckptEvery
-	ck.onDurable = e.spec.onCkpt
-	return runCoordinatorLoop(e, tr, part, job, ck)
+	ck.every = cfg.CheckpointEvery
+	ck.onDurable = cfg.OnCheckpoint
+	return runCoordinatorLoop(tr, part, job, ck, cfg.Respawn, cfg.MaxRespawns)
 }
 
 // runCoordinatorLoop is the coordinator's retry loop, shared by a
 // born coordinator (runNetCoordinatorJob) and an elected one
 // (adoptAndRun): run attempts, recovering the fleet after each worker
-// failure within the respawn budget.
-func runCoordinatorLoop[R any](e *Engine, tr *NetTransport, part *graph.Partition, job Job[R], ck *ckptState) (Result[R], error) {
-	budget := e.spec.maxRespawns
+// failure through respawn while the budget lasts.
+func runCoordinatorLoop[R any](tr *NetTransport, part *graph.Partition, job Job[R], ck *ckptState,
+	respawn func(shard int, addr string), budget int) (Result[R], error) {
 	for {
 		res, err := runNetJob(tr, part, job, ck)
 		if err == nil {
 			return res, nil
 		}
 		var wf *workerFailure
-		if e.spec.respawn == nil || budget <= 0 || !errors.As(err, &wf) {
+		if respawn == nil || budget <= 0 || !errors.As(err, &wf) {
 			return Result[R]{}, err
 		}
-		if rerr := tr.recoverWorkers(wf.shard, e.spec.respawn, &budget); rerr != nil {
+		if rerr := tr.recoverWorkers(wf.shard, respawn, &budget); rerr != nil {
 			return Result[R]{}, fmt.Errorf("dist: recovering from %v: %w", err, rerr)
 		}
 	}
@@ -206,23 +206,21 @@ func runCoordinatorLoop[R any](e *Engine, tr *NetTransport, part *graph.Partitio
 // attempt; the worker acks it and re-runs, adopting the re-broadcast
 // header and checkpoint like any fresh joiner. With failover armed, a
 // LOST coordinator triggers the election instead of failing the run:
-// the lowest-numbered shard in the last broadcast standby book adopts
-// shard 0 (and this process, if elected, finishes the run as the
-// coordinator, returning the assembled Output), while every other
-// survivor rejoins the winner's standby address as its old shard.
+// the lowest-numbered shard in the last broadcast peer address book
+// adopts shard 0 (and this process, if elected, finishes the run as
+// the coordinator, returning the assembled Output), while every other
+// survivor rejoins the winner's peer listener as its old shard.
 func runNetWorkerJob[R any](e *Engine, job Job[R]) (Result[R], error) {
-	part, err := e.partitionFor(e.spec.shard, e.spec.shards)
+	cfg := e.spec.worker
+	part, err := e.partitionFor(cfg.Shard, cfg.Shards)
 	if err != nil {
 		return Result[R]{}, err
 	}
-	opt := netOptions{peerListen: e.spec.peerListen,
-		failover: e.spec.failover, failoverListen: e.spec.failoverListen}
-	tr, err := joinNetRetry(e.spec.join, part.N, e.spec.shard, e.spec.shards,
-		e.spec.timeoutOrDefault(), e.spec.joinRetry, opt)
+	tr, err := joinNetRetry(part.N, cfg)
 	if err != nil {
 		return Result[R]{}, err
 	}
-	tr.failAfterFrames = e.spec.failFrames
+	tr.failAfterFrames = cfg.FailAfterFrames
 	defer func() {
 		if tr != nil {
 			tr.Close()
@@ -240,58 +238,55 @@ func runNetWorkerJob[R any](e *Engine, job Job[R]) (Result[R], error) {
 			}
 			continue
 		}
-		if !e.spec.failover || !isConnLoss(err) {
+		if !cfg.Failover || !isConnLoss(err) {
 			return Result[R]{}, err
 		}
 		elected := tr.electedShard()
 		if elected < 0 {
-			return Result[R]{}, fmt.Errorf("dist: coordinator lost before the first standby-book broadcast (fleet never fully formed), nothing to elect from: %w", err)
+			return Result[R]{}, fmt.Errorf("dist: coordinator lost before the first peer-book broadcast (fleet never fully formed), nothing to elect from: %w", err)
 		}
 		if elected == tr.self {
 			adopted := tr
 			tr = nil // ownership moves; adoptAndRun closes it
 			return adoptAndRun(e, adopted, job)
 		}
-		// Survivor: rejoin the winner's standby address as the same
-		// shard, with fresh peer/standby listeners, and re-run the
-		// attempt like any respawned worker. The rejoin window covers at
-		// least one full I/O timeout so the winner has time to adopt.
-		addr := tr.failAddrs[elected]
+		// Survivor: rejoin the winner's peer listener as the same shard,
+		// with a fresh peer listener of its own, and re-run the attempt
+		// like any respawned worker. The rejoin window covers at least
+		// one full I/O timeout so the winner has time to adopt.
+		rejoin := cfg
+		rejoin.Join = tr.meshAddrs[elected]
+		rejoin.JoinRetry = max(cfg.JoinRetry, tr.timeout)
 		old := tr
 		tr = nil
 		old.Close()
-		window := e.spec.joinRetry
-		if t := e.spec.timeoutOrDefault(); t > window {
-			window = t
-		}
-		tr, err = joinNetRetry(addr, part.N, e.spec.shard, e.spec.shards,
-			e.spec.timeoutOrDefault(), window, opt)
-		if err != nil {
-			return Result[R]{}, fmt.Errorf("dist: rejoining elected coordinator (shard %d at %s): %w", elected, addr, err)
+		if tr, err = joinNetRetry(part.N, rejoin); err != nil {
+			return Result[R]{}, fmt.Errorf("dist: rejoining elected coordinator (shard %d at %s): %w", elected, rejoin.Join, err)
 		}
 	}
 }
 
 // adoptAndRun finishes a run as the elected coordinator: materialize
-// partition 0, turn the standby listener into the fleet's hub
+// partition 0, turn the peer listener into the fleet's hub
 // (adoptCoordinator), ask the host to respawn the shard this process
 // vacates, and run the normal coordinator loop — which re-broadcasts
 // the stashed job header and checkpoint, so the re-formed fleet
 // replays deterministically and the output is bit-identical to a
 // failure-free run.
 func adoptAndRun[R any](e *Engine, old *NetTransport, job Job[R]) (Result[R], error) {
+	cfg := e.spec.worker
 	vacated := old.self
-	if e.spec.respawn == nil {
+	if cfg.Respawn == nil {
 		old.Close()
 		return Result[R]{}, fmt.Errorf("dist: shard %d elected coordinator but has no Respawn hook to refill its vacated shard", vacated)
 	}
 	var part *graph.Partition
 	var err error
 	switch {
-	case e.spec.loadPart != nil:
-		part, err = e.spec.loadPart(0)
+	case cfg.LoadPartition != nil:
+		part, err = cfg.LoadPartition(0)
 	case e.g != nil:
-		part = graph.PartitionOf(e.g, 0, e.spec.shards)
+		part = graph.PartitionOf(e.g, 0, cfg.Shards)
 	default:
 		err = fmt.Errorf("dist: shard %d elected coordinator but has neither LoadPartition nor a full graph to materialize partition 0", vacated)
 	}
@@ -305,25 +300,24 @@ func adoptAndRun[R any](e *Engine, old *NetTransport, job Job[R]) (Result[R], er
 		return Result[R]{}, err
 	}
 	defer tr.Close()
-	e.spec.respawn(vacated, tr.Addr())
+	cfg.Respawn(vacated, tr.Addr())
 	ck := tr.lastCkpt
 	if ck == nil {
 		ck = &ckptState{}
 	}
-	ck.every = e.spec.ckptEvery
-	ck.onDurable = e.spec.onCkpt
-	return runCoordinatorLoop(e, tr, part, job, ck)
+	ck.every = cfg.CheckpointEvery
+	return runCoordinatorLoop(tr, part, job, ck, cfg.Respawn, cfg.MaxRespawns)
 }
 
-// joinNetRetry dials the coordinator, retrying refused or failed joins
-// for up to the retry window — how a respawned (or -resume) worker
-// rejoins a coordinator that is still tearing down its predecessor,
-// and how a failover survivor reaches an elected coordinator that is
-// still adopting.
-func joinNetRetry(addr string, n, shard, shards int, timeout, retry time.Duration, opt netOptions) (*NetTransport, error) {
-	deadline := time.Now().Add(retry)
+// joinNetRetry dials cfg.Join, retrying refused or failed joins for up
+// to cfg.JoinRetry — how a respawned (or -resume) worker rejoins a
+// coordinator that is still tearing down its predecessor, and how a
+// failover survivor reaches an elected coordinator that is still
+// adopting.
+func joinNetRetry(n int, cfg WorkerConfig) (*NetTransport, error) {
+	deadline := time.Now().Add(cfg.JoinRetry)
 	for {
-		tr, err := joinNet(addr, n, shard, shards, timeout, opt)
+		tr, err := joinNet(n, cfg)
 		if err == nil || !time.Now().Before(deadline) {
 			return tr, err
 		}
@@ -331,27 +325,39 @@ func joinNetRetry(addr string, n, shard, shards int, timeout, retry time.Duratio
 	}
 }
 
-// runLoopbackJob runs the whole multi-process protocol inside this
-// process (the Mesh spec): a coordinator plus shards−1 worker
-// goroutines, each on its own NetTransport over real loopback TCP
-// sockets and each materializing only its partition.
-func runLoopbackJob[R any](e *Engine, job Job[R]) (Result[R], error) {
+// runMesh runs the Mesh spec as an in-process fleet on the drivers of
+// a real multi-process run: a Net coordinator on loopback whose
+// OnListen starts p−1 goroutines, each running a Worker spec on its
+// own partition view. A worker that fails reports its error; one that
+// is still waiting on the hub when the coordinator fails is unblocked
+// by the coordinator's Close.
+func runMesh[R any](e *Engine, job Job[R]) (Result[R], error) {
 	if e.g == nil {
 		return Result[R]{}, fmt.Errorf("dist: the %s spec needs a full graph (use NewEngine)", e.spec)
 	}
-	g := e.g
-	p := graph.ClampShards(g.N, e.spec.shards)
-	var res Result[R]
-	err := runLoopback(g.N, p, e.spec.timeoutOrDefault(),
-		func(coord *NetTransport) error {
-			var err error
-			res, err = runNetJob(coord, graph.PartitionOf(g, 0, p), job, &ckptState{})
-			return err
-		},
-		func(tr *NetTransport, s int) error {
-			_, err := runNetJob(tr, graph.PartitionOf(g, s, p), job, nil)
-			return err
-		})
+	g, p, timeout := e.g, graph.ClampShards(e.g.N, e.spec.shards), e.spec.net.Timeout
+	errs := make(chan error, p)
+	started := 0
+	coord := Net(NetConfig{Listen: "127.0.0.1:0", Shards: p, Timeout: timeout,
+		OnListen: func(addr string) {
+			for s := 1; s < p; s++ {
+				started++
+				go func(s int) {
+					w := Worker(WorkerConfig{Join: addr, Shard: s, Shards: p, Timeout: timeout})
+					if _, err := Run(NewPartitionEngine(w, graph.PartitionOf(g, s, p)), job); err != nil {
+						errs <- fmt.Errorf("shard %d: %w", s, err)
+						return
+					}
+					errs <- nil
+				}(s)
+			}
+		}})
+	res, err := runNetCoordinatorJob(NewEngine(coord, g), job)
+	for ; started > 0; started-- {
+		if werr := <-errs; err == nil {
+			err = werr
+		}
+	}
 	if err != nil {
 		return Result[R]{}, err
 	}

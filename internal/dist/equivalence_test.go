@@ -11,19 +11,21 @@ import (
 )
 
 // The cross-transport equivalence matrix: ONE table sweeping every
-// TransportSpec — Mem as the reference, then {Sharded, Net + Worker
-// fleet, Mesh} × shards {1, 2, 3, 7} — over both built-in jobs and
+// TransportSpec — Mem as the reference, then {Sharded, Mesh, failover
+// fleet} × shards {1, 2, 3, 7} — over both built-in jobs and
 // representative graphs, asserting edge-identical outputs and an
 // identical Stats ledger everywhere through the single Engine.Run
-// entry point. The net column drives the multi-process specs
-// themselves (a Net coordinator plus Worker engines on partition
-// views, as cmd/distworker does) inside the test process; the mesh
-// column drives the in-process Mesh scaffold; both run the one network
-// data plane. This is the single readable pin of the package's central
-// invariant — transports move messages, not decisions — and it is what
-// proves the Engine/Job refactor behavior-preserving: the expected
-// values are the same in-memory references the pre-Engine
-// per-transport entry points were pinned against.
+// entry point. The mesh column runs the Net and Worker drivers as an
+// in-process fleet; the net column runs the same drivers with
+// coordinator failover armed and every shard, the coordinator's
+// included, on a partition engine as cmd/distworker runs them — so it
+// pins that the failover bring-up (a peer listener and address book
+// even at P = 2) moves no decision. This is the single readable pin of
+// the package's central invariant — transports move messages, not
+// decisions — and it is what proves the Engine/Job refactor
+// behavior-preserving: the expected values are the same in-memory
+// references the pre-Engine per-transport entry points were pinned
+// against.
 func TestCrossTransportEquivalenceMatrix(t *testing.T) {
 	const eps, rho = 0.75, 4.0
 	seeds := []uint64{11, 42} // seed-derived state must agree at every seed, not one lucky one
@@ -120,7 +122,7 @@ const matrixTimeout = 30 * time.Second
 func runColumn[R any](t *testing.T, column string, g *graph.Graph, p int, job dist.Job[R]) dist.Result[R] {
 	t.Helper()
 	if column == "net" {
-		return runFleet(t, g, p, job)
+		return runFailoverFleet(t, g, p, job)
 	}
 	spec := dist.Sharded(p)
 	if column == "mesh" {
@@ -133,23 +135,23 @@ func runColumn[R any](t *testing.T, column string, g *graph.Graph, p int, job di
 	return res
 }
 
-// runFleet runs job as a multi-process fleet inside the test process:
-// a Net coordinator over the full graph plus p−1 Worker engines on
-// goroutines, each holding only its partition view.
-func runFleet[R any](t *testing.T, g *graph.Graph, p int, job dist.Job[R]) dist.Result[R] {
+// runFailoverFleet runs job as a failover-armed fleet inside the test
+// process: a Net coordinator plus p−1 Worker engines on goroutines,
+// each process holding only its partition view.
+func runFailoverFleet[R any](t *testing.T, g *graph.Graph, p int, job dist.Job[R]) dist.Result[R] {
 	t.Helper()
 	errs := make(chan error, p)
-	spec := dist.Net(dist.NetConfig{Listen: "127.0.0.1:0", Shards: p, Timeout: matrixTimeout,
+	spec := dist.Net(dist.NetConfig{Listen: "127.0.0.1:0", Shards: p, Timeout: matrixTimeout, Failover: true,
 		OnListen: func(addr string) {
 			for s := 1; s < p; s++ {
 				go func(s int) {
-					wspec := dist.Worker(dist.WorkerConfig{Join: addr, Shard: s, Shards: p, Timeout: matrixTimeout})
+					wspec := dist.Worker(dist.WorkerConfig{Join: addr, Shard: s, Shards: p, Timeout: matrixTimeout, Failover: true})
 					_, err := dist.Run(dist.NewPartitionEngine(wspec, graph.PartitionOf(g, s, p)), job)
 					errs <- err
 				}(s)
 			}
 		}})
-	res, err := dist.Run(dist.NewEngine(spec, g), job)
+	res, err := dist.Run(dist.NewPartitionEngine(spec, graph.PartitionOf(g, 0, p)), job)
 	for s := 1; s < p; s++ {
 		if werr := <-errs; err == nil {
 			err = werr

@@ -8,15 +8,16 @@ import (
 
 // The exchange core: the shard-pair staging, barrier drain, and traffic
 // tally shared by every transport. ShardedTransport uses it with one
-// worker goroutine per shard, MemTransport with the grain-adaptive
-// in-process worker partition, and NetTransport with one OS process per
-// shard — the buckets a process stages for remote shards are exactly
-// the byte batches it flushes onto the wire at the round barrier. The
-// rows are keyed by destination shard, so the staging is already
-// direct-destination: the network transport serializes each bucket
-// into a frame addressed From→To and writes it straight onto the
-// destination's connection (handing a worker peer's flush to that
-// connection's writer goroutine).
+// worker goroutine per shard (or, as the in-memory transport, with the
+// grain-adaptive worker partition and one billing shard), and
+// NetTransport with one OS process per shard — the buckets a process
+// stages for remote shards are exactly the byte batches it flushes
+// onto the wire at the round barrier. The rows are keyed by
+// destination shard, so the staging is already direct-destination:
+// the network transport serializes each bucket into a frame addressed
+// From→To and writes it straight onto the destination's connection
+// (handing a worker peer's flush to that connection's writer
+// goroutine).
 //
 // Staging discipline. A message is appended to the row of the worker
 // that stages it, so rows need no locks:
@@ -30,7 +31,7 @@ import (
 //     are pure functions of the seed, which the recipient's owner
 //     re-derives locally; they are staged by the worker that owns the
 //     recipient and never travel, but are billed identically on every
-//     transport (cross-shard when ShardOf(From) ≠ ShardOf(to)).
+//     transport (cross-shard when From and to have different owners).
 //
 // At the barrier every recipient shard drains its column in staging
 // shard order (0..P-1, own row in place), so mailbox order — and with

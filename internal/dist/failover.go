@@ -14,27 +14,26 @@ import (
 // coordinator. With failover armed (NetConfig.Failover +
 // WorkerConfig.Failover on every process) that hole closes:
 //
-//  1. At the join handshake every worker pre-binds a STANDBY hub
-//     listener and announces its address in an appended
-//     frameFailoverAddr. The listener stays silent — it costs one fd —
-//     until an election needs it.
-//  2. The coordinator assembles the standby address book and
-//     broadcasts it at the top of every attempt, right after the
-//     checkpoint. Every worker therefore holds, at all times, the same
-//     book, the same raw job-header bytes, and the same decoded
-//     checkpoint as every other worker.
+//  1. Every worker binds its peer listener — the one that carries the
+//     direct links at P > 2, bound even at P = 2 when failover is
+//     armed — and announces its address at the join handshake. The
+//     listener doubles as the worker's standby hub.
+//  2. The coordinator assembles the peer address book and broadcasts
+//     it in every attempt right after the job header and the
+//     checkpoint. A worker that holds a book therefore also holds the
+//     same raw job-header bytes and the same decoded checkpoint as
+//     every other worker.
 //  3. When a worker loses its hub connection (EOF, reset, or timeout —
 //     isConnLoss), the election is a pure function of the shared book:
-//     the lowest-numbered shard with a standby address is the new
+//     the lowest-numbered shard with a peer address is the new
 //     coordinator. No votes, no extra round trips, no split brain —
 //     every survivor computes the same winner from the same bytes.
-//  4. The elected worker adopts shard 0: its standby listener becomes
-//     the hub listener, it re-broadcasts the stashed job header
-//     VERBATIM plus the checkpoint, asks the host to respawn its now
-//     vacated shard (WorkerConfig.Respawn), and runs the normal
-//     coordinator recovery loop. The other survivors dial the book
-//     address and rejoin as their old shards with fresh standby
-//     listeners.
+//  4. The elected worker adopts shard 0: its peer listener becomes the
+//     hub listener, it re-broadcasts the stashed job header VERBATIM
+//     plus the checkpoint, asks the host to respawn its now vacated
+//     shard (WorkerConfig.Respawn), and runs the normal coordinator
+//     recovery loop. The other survivors dial the book address and
+//     rejoin as their old shards with fresh peer listeners.
 //
 // Replay from the broadcast checkpoint is deterministic (every round
 // is a pure function of seed, partition, and round number), so the
@@ -66,13 +65,13 @@ func isConnLoss(err error) bool {
 }
 
 // electedShard returns the failover winner: the lowest-numbered shard
-// with a standby address in this process's copy of the book, or -1
-// when no book was ever broadcast (coordinator died before the fleet
+// with a peer address in this process's copy of the book, or -1 when
+// no book was ever broadcast (coordinator died before the fleet
 // formed). The book is identical on every survivor, so every survivor
 // elects the same shard without communicating.
 func (t *NetTransport) electedShard() int {
-	for s := 1; s < len(t.failAddrs); s++ {
-		if t.failAddrs[s] != "" {
+	for s := 1; s < len(t.meshAddrs); s++ {
+		if t.meshAddrs[s] != "" {
 			return s
 		}
 	}
@@ -81,19 +80,20 @@ func (t *NetTransport) electedShard() int {
 
 // adoptCoordinator builds the shard-0 transport of an elected worker:
 // a fresh coordinator NetTransport whose hub listener is the old
-// transport's pre-bound standby listener, carrying over the stashed
-// job header and checkpoint so the new coordinator re-broadcasts
-// exactly what the dead one last did. The old worker transport is
-// closed (standby excepted — it changes hands first).
+// transport's peer listener — the address every survivor holds in its
+// book — carrying over the stashed job header and checkpoint so the
+// new coordinator re-broadcasts exactly what the dead one last did.
+// The old worker transport is closed (the listener excepted — it
+// changes hands first).
 func adoptCoordinator(old *NetTransport) (*NetTransport, error) {
-	if old.standby == nil {
-		return nil, fmt.Errorf("dist: elected shard %d has no standby listener to adopt", old.self)
+	if old.meshLn == nil {
+		return nil, fmt.Errorf("dist: elected shard %d has no peer listener to adopt", old.self)
 	}
 	t, err := newNetTransport(old.part.n, 0, old.part.p, old.timeout)
 	if err != nil {
 		return nil, err
 	}
-	t.ln, old.standby = old.standby, nil
+	t.ln, old.meshLn = old.meshLn, nil
 	t.failover = old.failover
 	t.lastHeader = old.lastHeader
 	t.lastCkpt = old.lastCkpt

@@ -41,14 +41,14 @@ func coordinatorCrashDrill(t *testing.T, p int) {
 	go func() {
 		coordErr <- func() (err error) {
 			defer recoverNetError(&err)
-			tr, err := listenNet("127.0.0.1:0", g.N, p, recoveryTimeout,
-				netOptions{failover: true})
+			tr, err := listenNet(g.N, NetConfig{Listen: "127.0.0.1:0", Shards: p,
+				Timeout: recoveryTimeout, Failover: true})
 			if err != nil {
 				return err
 			}
 			defer tr.Close()
 			addrCh <- tr.Addr()
-			// Die mid-run, well after the first standby-book broadcast:
+			// Die mid-run, well after the first peer-book broadcast:
 			// sever every socket before writing frame 400 — what SIGKILL
 			// looks like to the fleet (in-flight frames are lost, nothing
 			// is flushed on the way down).
@@ -138,13 +138,22 @@ func coordinatorCrashDrill(t *testing.T, p int) {
 	}
 }
 
+// TestTwoShardRunSurvivesCoordinatorCrash runs the drill at P = 2,
+// where no worker has a direct peer: the only worker binds its peer
+// listener for failover alone, is elected, adopts that listener as the
+// hub, and finishes the run beside its own respawned shard.
+func TestTwoShardRunSurvivesCoordinatorCrash(t *testing.T) {
+	coordinatorCrashDrill(t, 2)
+}
+
 // TestNetRunSurvivesCoordinatorCrash is the coordinator-failover
 // ground truth: kill the coordinator mid-run, shard 1 is elected and
-// adopts shard 0 from the broadcast checkpoint, shard 2 rejoins its
-// standby hub, the vacated shard 1 is respawned, the survivors' direct
-// links unwind with the dead hub and the re-formed fleet rebuilds the
-// mesh from the new coordinator's re-broadcast address book — and the
-// output and ledger are bit-identical to a failure-free run.
+// adopts shard 0 from the broadcast checkpoint, shard 2 rejoins at
+// shard 1's peer listener, the vacated shard 1 is respawned, the
+// survivors' direct links unwind with the dead hub and the re-formed
+// fleet rebuilds the mesh from the new coordinator's re-broadcast
+// address book — and the output and ledger are bit-identical to a
+// failure-free run.
 func TestNetRunSurvivesCoordinatorCrash(t *testing.T) {
 	coordinatorCrashDrill(t, 3)
 }
@@ -231,9 +240,9 @@ func TestNetRunElasticResizeBitIdentical(t *testing.T) {
 // cannot join a failover-less coordinator — the capability flags of
 // the hello/welcome handshake must match exactly, so a misconfigured
 // fleet fails loudly at bring-up instead of desynchronizing on the
-// appended standby-address frames.
+// peer-address frame a failover worker announces even at P = 2.
 func TestFailoverHandshakeRejectsMixedFleet(t *testing.T) {
-	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
+	coord, err := listenNet(10, NetConfig{Listen: "127.0.0.1:0", Shards: 2, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +253,7 @@ func TestFailoverHandshakeRejectsMixedFleet(t *testing.T) {
 	waited := make(chan error, 1)
 	go func() { waited <- coord.WaitReady() }()
 	defer func() { coord.ln.Close(); <-waited }()
-	_, err = joinNet(coord.Addr(), 10, 1, 2, 2*time.Second, netOptions{failover: true})
+	_, err = joinNet(10, WorkerConfig{Join: coord.Addr(), Shard: 1, Shards: 2, Timeout: 2 * time.Second, Failover: true})
 	if err == nil {
 		t.Fatal("failover-armed worker joined a failover-less coordinator")
 	}
@@ -278,15 +287,16 @@ func TestIsConnLoss(t *testing.T) {
 	}
 }
 
-// TestElectedShard pins the election function: lowest-numbered shard
-// with a standby address wins; an empty or missing book elects nobody.
+// TestElectedShard pins the election function: the lowest-numbered
+// shard with an address in the peer book wins; an empty or missing
+// book elects nobody.
 func TestElectedShard(t *testing.T) {
 	tr := &NetTransport{}
 	if got := tr.electedShard(); got != -1 {
 		t.Fatalf("no book elected shard %d, want -1", got)
 	}
-	tr.failAddrs = []string{"", "", "127.0.0.1:2", "127.0.0.1:3"}
+	tr.meshAddrs = []string{"", "", "127.0.0.1:2", "127.0.0.1:3"}
 	if got := tr.electedShard(); got != 2 {
-		t.Fatalf("elected shard %d, want 2 (lowest with a standby address)", got)
+		t.Fatalf("elected shard %d, want 2 (lowest with a peer address)", got)
 	}
 }

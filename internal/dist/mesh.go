@@ -7,17 +7,19 @@ package dist
 // distributed bounds, billed once per link. The hub connections carry
 // everything else — the join handshake, tallies, collectives, blobs,
 // and the recovery protocol. At P ≤ 2 no worker has a direct peer, so
-// there are no links and no address book; the same barrier pair runs
-// over the hub alone.
+// there are no links; the same barrier pair runs over the hub alone.
 //
 // Bring-up happens once per attempt (setupDataPlane): each worker
 // announced its peer listener address during the join handshake, the
-// coordinator broadcasts the assembled address book, and every worker
-// dials its lower-numbered peers while accepting its higher-numbered
-// ones. Each direct link runs the full connection discipline of the
-// hub: heartbeats in both directions, a per-direction CRC-32C stream
-// checksum cross-checked at every barrier, and frame batching through
-// the shared net.Buffers arena.
+// coordinator broadcasts the assembled address book after the job
+// header and checkpoint, and every worker dials its lower-numbered
+// peers while accepting its higher-numbered ones. The same listener is
+// a failover worker's standby hub (see failover.go), so with failover
+// armed it is bound, announced, and broadcast even at P = 2, where it
+// carries no links. Each direct link runs the full connection
+// discipline of the hub: heartbeats in both directions, a per-direction
+// CRC-32C stream checksum cross-checked at every barrier, and frame
+// batching through the shared net.Buffers arena.
 //
 // On top of the direct links the barrier double-buffers: flushAsync
 // hands a completed vectored batch to a per-connection writer
@@ -53,8 +55,7 @@ import (
 )
 
 const (
-	// maxMeshAddrLen bounds an announced peer or standby listener
-	// address.
+	// maxMeshAddrLen bounds an announced peer listener address.
 	maxMeshAddrLen = 512
 	// asyncWriterDepth is the writer goroutine's queue depth: how many
 	// flushed batches may be in flight on one connection before
@@ -64,10 +65,11 @@ const (
 	asyncWriterDepth = 4
 )
 
-// meshActive reports whether there are direct worker↔worker links to
-// carry. With p ≤ 2 no worker has a direct peer, so a run has no
-// links, no peer listeners, and no address book.
-func (t *NetTransport) meshActive() bool { return t.part.p > 2 }
+// peerListened reports whether workers bind, announce, and receive the
+// book of peer listeners: for the direct links at p > 2 (with p ≤ 2 no
+// worker has a direct peer), and as the failover standby hub whenever
+// failover is armed.
+func (t *NetTransport) peerListened() bool { return t.part.p > 2 || t.failover }
 
 // pendingBatch is one flushed-but-not-yet-written batch owned by a
 // connection's writer goroutine: the vectored buffers, the pooled
@@ -284,27 +286,23 @@ func decodeAddrBook(blob []byte, p int) ([]string, error) {
 	return addrs, nil
 }
 
-// setupDataPlane establishes the attempt's worker↔worker links when
-// the mesh is active (P > 2): the coordinator broadcasts the
-// address book it collected at the join handshakes, and every worker
-// dials its lower-numbered peers then accepts its higher-numbered
-// ones. Lower-dials-higher-accepts is acyclic, and a dial needs only
-// the peer's listener to exist — TCP's accept backlog parks the
-// connection until the acceptor finishes its own dials — so bring-up
-// cannot deadlock. Called at the top of every attempt: a rollback
-// tears every link down, the respawned shard announces a fresh
-// listener as it rejoins, and the next attempt rebuilds from the
-// fresh book.
+// setupDataPlane broadcasts the peer address book the coordinator
+// collected at the join handshakes (when peer listeners are bound) and
+// has every worker dial its lower-numbered peers then accept its
+// higher-numbered ones (at P = 2 there are none).
+// Lower-dials-higher-accepts is acyclic, and a dial needs only the
+// peer's listener to exist — TCP's accept backlog parks the connection
+// until the acceptor finishes its own dials — so bring-up cannot
+// deadlock. Called in every attempt after the header and checkpoint
+// broadcasts (the coordinator has waited for every handshake by then):
+// a rollback tears every link down, the respawned shard announces a
+// fresh listener as it rejoins, and the next attempt rebuilds from the
+// fresh book, which workers keep as the failover election's input.
 func (t *NetTransport) setupDataPlane() error {
-	if !t.meshActive() {
+	if !t.peerListened() {
 		return nil
 	}
 	if t.self == 0 {
-		// Wait for every join handshake BEFORE encoding the book — the
-		// handshakes are what fill meshAddrs in.
-		if err := t.WaitReady(); err != nil {
-			return err
-		}
 		_, err := t.BroadcastBlob(encodeAddrBook(t.meshAddrs))
 		return err
 	}
@@ -312,11 +310,10 @@ func (t *NetTransport) setupDataPlane() error {
 	if err != nil {
 		return err
 	}
-	book, err := decodeAddrBook(blob, t.part.p)
-	if err != nil {
+	if t.meshAddrs, err = decodeAddrBook(blob, t.part.p); err != nil {
 		return err
 	}
-	return t.meshConnect(book)
+	return t.meshConnect(t.meshAddrs)
 }
 
 // meshConnect builds this worker's direct links from the address

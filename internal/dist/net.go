@@ -71,12 +71,13 @@ import (
 // checkpoint each attempt, so replay reproduces bit-identical frames,
 // tallies, and output (see checkpoint.go and the recovery tests).
 // With failover armed (NetConfig.Failover), COORDINATOR death is
-// survivable too: every worker pre-binds a standby hub listener and
-// announces it at the join handshake, the coordinator broadcasts the
-// assembled standby book each attempt, and on losing the hub the
+// survivable too: every worker binds its peer listener (even at P = 2)
+// and announces it at the join handshake, the coordinator broadcasts
+// the peer address book each attempt, and on losing the hub the
 // lowest-numbered shard in the book adopts shard 0 from its copy of
-// the broadcast checkpoint while the other survivors rejoin its
-// standby address (see failover.go and engine.go). Protocol
+// the broadcast checkpoint, its peer listener becoming the hub, while
+// the other survivors rejoin that address (see failover.go and
+// engine.go). Protocol
 // violations and checksum mismatches remain fatal: the transport
 // panics with *NetError, which drivers recover into an exit. Timeouts
 // default to 60s per frame.
@@ -91,28 +92,24 @@ type NetTransport struct {
 	hub   *peerConn    // worker only
 	ready bool
 
-	// The full-mesh data plane (see mesh.go), in effect when P > 2.
-	// meshLn is a worker's peer listener, announced to the
-	// coordinator at the join handshake; meshAddrs is the coordinator's
-	// address book, broadcast at the top of every attempt; meshPeers
-	// are a worker's direct links to the other workers, indexed by
-	// shard (nil at 0 and self).
+	// The full-mesh data plane (see mesh.go). meshLn is a worker's
+	// peer listener (bound when P > 2 or failover is armed), announced
+	// to the coordinator at the join handshake; meshAddrs is the peer
+	// address book — collected from the handshakes on the coordinator,
+	// adopted from the per-attempt broadcast on workers; meshPeers are
+	// a worker's direct links to the other workers, indexed by shard
+	// (nil at 0 and self).
 	meshLn    net.Listener
 	meshAddrs []string
 	meshPeers []*peerConn
 
 	// Coordinator failover (NetConfig.Failover / WorkerConfig.Failover;
-	// see failover.go). standby is a worker's pre-bound spare hub
-	// listener, announced at the join handshake and silent until this
-	// worker is elected coordinator; failAddrs is the standby address
-	// book — collected from the handshakes on the coordinator, adopted
-	// from the per-attempt broadcast on workers. lastHeader and lastCkpt
-	// are a worker's copies of the coordinator's job-header and
+	// see failover.go): the peer listener doubles as the standby hub
+	// and the peer book as the election's input. lastHeader and
+	// lastCkpt are a worker's copies of the coordinator's job-header and
 	// checkpoint broadcasts, kept current so an elected worker can
 	// re-broadcast the exact same run state.
 	failover   bool
-	standby    net.Listener
-	failAddrs  []string
 	lastHeader []byte
 	lastCkpt   *ckptState
 
@@ -500,11 +497,6 @@ func payloadLen(h frameHeader) (int, error) {
 		n = int(h.Count)
 	case frameMeshHello, frameMeshWelcome:
 		n = helloSize
-	case frameFailoverAddr:
-		if h.Count > maxMeshAddrLen {
-			return 0, fmt.Errorf("implausible failover standby address length %d", h.Count)
-		}
-		n = int(h.Count)
 	default:
 		return 0, fmt.Errorf("unknown frame type %d", h.Type)
 	}
@@ -632,41 +624,28 @@ func (p *peerConn) drainToAck(gen uint32) error {
 	}
 }
 
-// netOptions bundles the optional settings of a transport: a
-// worker's peer listener address, and coordinator failover (with its
-// standby listener address). Every process of a fleet must agree on
-// failover — the hello/welcome flags reject a mix.
-type netOptions struct {
-	peerListen     string
-	failover       bool
-	failoverListen string
-}
-
-// flags returns the hello/welcome capability bits of these options.
-func (o netOptions) flags() uint32 {
-	if o.failover {
+// helloFlags returns the hello/welcome capability bits of a transport
+// with the given failover setting. Every process of a fleet must agree
+// on failover — the hello/welcome flags reject a mix.
+func helloFlags(failover bool) uint32 {
+	if failover {
 		return helloFlagFailover
 	}
 	return 0
 }
 
-// options reconstructs the capability set of a live transport.
-func (t *NetTransport) options() netOptions {
-	return netOptions{failover: t.failover}
-}
-
-// listenNet binds the coordinator (shard 0) transport for a shards-way
+// listenNet binds the coordinator (shard 0) transport of cfg for a
 // run over n vertices. It returns after binding; Addr reports the
 // bound address to hand to workers, and WaitReady blocks until all
-// shards-1 workers have joined.
-func listenNet(addr string, n, shards int, timeout time.Duration, opt netOptions) (*NetTransport, error) {
-	t, err := newNetTransport(n, 0, shards, timeout)
+// cfg.Shards−1 workers have joined.
+func listenNet(n int, cfg NetConfig) (*NetTransport, error) {
+	t, err := newNetTransport(n, 0, cfg.Shards, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	t.failover = opt.failover
+	t.failover = cfg.Failover
 	if t.part.p > 1 {
-		ln, err := net.Listen("tcp", addr)
+		ln, err := net.Listen("tcp", cfg.Listen)
 		if err != nil {
 			return nil, err
 		}
@@ -675,57 +654,41 @@ func listenNet(addr string, n, shards int, timeout time.Duration, opt netOptions
 	return t, nil
 }
 
-// joinNet dials the coordinator at addr and joins as the given shard.
-// It blocks until the coordinator accepts the handshake. When the mesh
-// is active (P > 2) the worker first binds its peer listener on
-// opt.peerListen ("127.0.0.1:0" if empty; set a routable host for
-// multi-machine runs) and announces the address during the handshake.
-func joinNet(addr string, n, shard, shards int, timeout time.Duration, opt netOptions) (*NetTransport, error) {
-	t, err := newNetTransport(n, shard, shards, timeout)
+// joinNet dials the coordinator at cfg.Join and joins as cfg.Shard.
+// It blocks until the coordinator accepts the handshake. When peer
+// listeners are in use (P > 2 or failover armed) the worker first
+// binds its peer listener on cfg.PeerListen ("127.0.0.1:0" if empty;
+// set a routable host for multi-machine runs) and announces the
+// address during the handshake.
+func joinNet(n int, cfg WorkerConfig) (*NetTransport, error) {
+	shard := cfg.Shard
+	t, err := newNetTransport(n, shard, cfg.Shards, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
 	if shard == 0 {
 		return nil, fmt.Errorf("dist: shard 0 is the coordinator, not a joining worker")
 	}
-	t.failover = opt.failover
-	if t.meshActive() {
-		peerListen := opt.peerListen
+	t.failover = cfg.Failover
+	if t.peerListened() {
+		peerListen := cfg.PeerListen
 		if peerListen == "" {
 			peerListen = "127.0.0.1:0"
 		}
 		ln, err := net.Listen("tcp", peerListen)
 		if err != nil {
-			return nil, fmt.Errorf("dist: binding mesh peer listener %q: %w", peerListen, err)
+			return nil, fmt.Errorf("dist: binding peer listener %q: %w", peerListen, err)
 		}
 		t.meshLn = ln
-	}
-	if t.failover {
-		standbyListen := opt.failoverListen
-		if standbyListen == "" {
-			standbyListen = "127.0.0.1:0"
-		}
-		ln, err := net.Listen("tcp", standbyListen)
-		if err != nil {
-			if t.meshLn != nil {
-				t.meshLn.Close()
-			}
-			return nil, fmt.Errorf("dist: binding failover standby listener %q: %w", standbyListen, err)
-		}
-		t.standby = ln
 	}
 	fail := func(err error) (*NetTransport, error) {
 		if t.meshLn != nil {
 			t.meshLn.Close()
 			t.meshLn = nil
 		}
-		if t.standby != nil {
-			t.standby.Close()
-			t.standby = nil
-		}
 		return nil, err
 	}
-	c, err := net.DialTimeout("tcp", addr, t.timeout)
+	c, err := net.DialTimeout("tcp", cfg.Join, t.timeout)
 	if err != nil {
 		return fail(err)
 	}
@@ -733,9 +696,10 @@ func joinNet(addr string, n, shard, shards int, timeout time.Duration, opt netOp
 	t.hub.rollbackOK = true
 	// The capability flags ride the otherwise-unused Round field of the
 	// hello/welcome headers, leaving the hello payload encoding untouched.
-	hh := frameHeader{Type: frameHello, From: uint16(shard), Round: opt.flags()}
+	flags := helloFlags(t.failover)
+	hh := frameHeader{Type: frameHello, From: uint16(shard), Round: flags}
 	var hb [helloSize]byte
-	putHello(hb[:], hello{Version: wireVersion, N: uint64(n), Shard: uint32(shard), Shards: uint32(shards)})
+	putHello(hb[:], hello{Version: wireVersion, N: uint64(n), Shard: uint32(shard), Shards: uint32(t.part.p)})
 	if err := t.hub.writeFrame(hh, hb[:]); err != nil {
 		c.Close()
 		return fail(err)
@@ -744,14 +708,6 @@ func joinNet(addr string, n, shard, shards int, timeout time.Duration, opt netOp
 		peerAddr := []byte(t.meshLn.Addr().String())
 		ah := frameHeader{Type: frameMeshAddr, From: uint16(shard), Count: uint32(len(peerAddr))}
 		if err := t.hub.writeFrame(ah, peerAddr); err != nil {
-			c.Close()
-			return fail(err)
-		}
-	}
-	if t.standby != nil {
-		standbyAddr := []byte(t.standby.Addr().String())
-		fh := frameHeader{Type: frameFailoverAddr, From: uint16(shard), Count: uint32(len(standbyAddr))}
-		if err := t.hub.writeFrame(fh, standbyAddr); err != nil {
 			c.Close()
 			return fail(err)
 		}
@@ -765,12 +721,12 @@ func joinNet(addr string, n, shard, shards int, timeout time.Duration, opt netOp
 		c.Close()
 		return fail(fmt.Errorf("dist: join handshake: %w (a version or capability mismatch closes the connection — check that every process runs the same build and agrees on -failover)", err))
 	}
-	if wh.Round != opt.flags() {
+	if wh.Round != flags {
 		c.Close()
 		return fail(fmt.Errorf("dist: capability mismatch: coordinator failover=%v, this worker failover=%v",
-			wh.Round&helloFlagFailover != 0, opt.failover))
+			wh.Round&helloFlagFailover != 0, t.failover))
 	}
-	if got := parseHello(payload); got.Version != wireVersion || got.N != uint64(n) || got.Shards != uint32(shards) {
+	if got := parseHello(payload); got.Version != wireVersion || got.N != uint64(n) || got.Shards != uint32(t.part.p) {
 		c.Close()
 		return fail(fmt.Errorf("dist: coordinator config mismatch: %+v", got))
 	}
@@ -874,13 +830,12 @@ func (t *NetTransport) acceptWorkers(missing map[int]bool) error {
 // acceptHandshake validates one join: protocol version, global sizes,
 // a failover setting that matches this coordinator's, and a shard id
 // that is in range, missing, and not already joined — so a duplicate
-// rejoin after a crash is accepted exactly once. When the mesh is
-// active (P > 2) the worker's announced peer address follows its hello
-// and is recorded in the address book (validated here, before any
-// dial, so a bad address is an actionable handshake error rather than
-// a mysterious mid-bring-up dial failure on some other worker); with
-// failover armed the worker's standby hub address follows in turn and
-// is recorded in the failover book.
+// rejoin after a crash is accepted exactly once. When peer listeners
+// are in use (P > 2 or failover armed) the worker's announced peer
+// address follows its hello and is recorded in the address book
+// (validated here, before any dial, so a bad address is an actionable
+// handshake error rather than a mysterious mid-bring-up dial failure
+// on some other worker or a failed election).
 func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int, error) {
 	fh, payload, err := pc.readFrame(frameHello)
 	if err != nil {
@@ -894,11 +849,11 @@ func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int,
 	if s < 1 || s >= t.part.p || t.peers[s] != nil || !missing[s] {
 		return 0, fmt.Errorf("dist: bad or duplicate worker shard %d", s)
 	}
-	if fh.Round != t.options().flags() {
+	if fh.Round != helloFlags(t.failover) {
 		return 0, fmt.Errorf("dist: capability mismatch: coordinator failover=%v, worker shard %d failover=%v",
 			t.failover, s, fh.Round&helloFlagFailover != 0)
 	}
-	if t.meshActive() {
+	if t.peerListened() {
 		ah, apayload, err := pc.readFrame(frameMeshAddr)
 		if err != nil {
 			return 0, fmt.Errorf("dist: worker shard %d mesh address: %w", s, err)
@@ -916,25 +871,7 @@ func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int,
 		}
 		t.meshAddrs[s] = addr
 	}
-	if t.failover {
-		ah, apayload, err := pc.readFrame(frameFailoverAddr)
-		if err != nil {
-			return 0, fmt.Errorf("dist: worker shard %d failover standby address: %w", s, err)
-		}
-		addr := string(apayload)
-		t.putBuf(apayload)
-		if int(ah.From) != s {
-			return 0, fmt.Errorf("dist: failover address from shard %d inside shard %d's handshake", ah.From, s)
-		}
-		if host, port, err := net.SplitHostPort(addr); err != nil || host == "" || port == "" {
-			return 0, fmt.Errorf("dist: worker shard %d announced unusable standby address %q (want host:port): %v", s, addr, err)
-		}
-		if t.failAddrs == nil {
-			t.failAddrs = make([]string, t.part.p)
-		}
-		t.failAddrs[s] = addr
-	}
-	wf := frameHeader{Type: frameWelcome, Round: t.options().flags()}
+	wf := frameHeader{Type: frameWelcome, Round: helloFlags(t.failover)}
 	var wb [helloSize]byte
 	putHello(wb[:], hello{Version: wireVersion, N: uint64(t.part.n), Shard: h.Shard, Shards: uint32(t.part.p)})
 	if err := pc.writeFrame(wf, wb[:]); err != nil {
@@ -1056,7 +993,7 @@ func (t *NetTransport) Close() error {
 			}
 		}
 	}
-	for _, ln := range []net.Listener{t.meshLn, t.standby, t.ln} {
+	for _, ln := range []net.Listener{t.meshLn, t.ln} {
 		if ln != nil {
 			keep(ln.Close())
 		}
@@ -1104,9 +1041,6 @@ func (t *NetTransport) mustReady() {
 
 // Shards returns the global shard count P.
 func (t *NetTransport) Shards() int { return t.part.p }
-
-// ShardOf returns the shard owning vertex v.
-func (t *NetTransport) ShardOf(v int32) int { return t.part.shardOf(v) }
 
 // Workers returns P: the execution partition spans every process, of
 // which exactly one worker (this shard) runs locally.
@@ -1205,10 +1139,65 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 	return global
 }
 
+// gather is the upward half of every hub collective: a worker writes
+// one frame of type typ (Count count, the attempt's collective
+// sequence number in Round) to its hub and flushes; the coordinator
+// reads one such frame from each worker in shard order, validating
+// its origin and sequence number. The coordinator gets the payloads
+// indexed by shard (slot 0 empty), a worker gets nil. Coordinator-side
+// failures name the worker (peerFail).
+func (t *NetTransport) gather(typ uint8, count uint32, payload []byte) ([][]byte, error) {
+	if t.self != 0 {
+		if err := t.hub.writeFrame(frameHeader{Type: typ, From: uint16(t.self), Round: t.seq, Count: count}, payload); err != nil {
+			return nil, err
+		}
+		return nil, t.hub.flush()
+	}
+	out := make([][]byte, t.part.p)
+	for w := 1; w < t.part.p; w++ {
+		h, b, err := t.peers[w].readFrame(typ)
+		if err != nil {
+			return nil, t.peerFail(w, fmt.Errorf("collective %d from shard %d: %w", t.seq, w, err))
+		}
+		if int(h.From) != w || h.Round != t.seq {
+			return nil, t.peerFail(w, fmt.Errorf("collective frame %+v from shard %d, want collective %d", h, w, t.seq))
+		}
+		out[w] = b
+	}
+	return out, nil
+}
+
+// broadcast is the downward half: the coordinator writes one frame of
+// type typ to every worker, flushing each, and returns its own
+// payload; a worker reads the frame from its hub, validates the
+// sequence number, and returns the payload.
+func (t *NetTransport) broadcast(typ uint8, count uint32, payload []byte) ([]byte, error) {
+	if t.self != 0 {
+		h, b, err := t.hub.readFrame(typ)
+		if err != nil {
+			return nil, err
+		}
+		if h.Round != t.seq {
+			return nil, fmt.Errorf("dist: collective frame %+v, want collective %d", h, t.seq)
+		}
+		return b, nil
+	}
+	h := frameHeader{Type: typ, Round: t.seq, Count: count}
+	for w := 1; w < t.part.p; w++ {
+		if err := t.peers[w].writeFrame(h, payload); err != nil {
+			return nil, t.peerFail(w, err)
+		}
+		if err := t.peers[w].flush(); err != nil {
+			return nil, t.peerFail(w, err)
+		}
+	}
+	return payload, nil
+}
+
 // AllMaxInt32 reduces x to its maximum across all shards (the
 // control-plane convergecast of collectiveTransport).
 func (t *NetTransport) AllMaxInt32(x int32) int32 {
-	return int32(t.allReduce("AllMaxInt32", frameMax, uint64(uint32(x)), func(a, b uint64) uint64 {
+	return int32(t.allReduce(frameMax, uint64(uint32(x)), func(a, b uint64) uint64 {
 		if int32(b) > int32(a) {
 			return b
 		}
@@ -1218,73 +1207,55 @@ func (t *NetTransport) AllMaxInt32(x int32) int32 {
 
 // AllOrWord reduces w by bitwise OR across all shards.
 func (t *NetTransport) AllOrWord(w uint64) uint64 {
-	return t.allReduce("AllOrWord", frameOr, w, func(a, b uint64) uint64 { return a | b })
+	return t.allReduce(frameOr, w, func(a, b uint64) uint64 { return a | b })
 }
 
 // allReduce is the one-value collective behind AllMaxInt32 and
 // AllOrWord: every worker contributes x to the coordinator, which
 // folds the contributions into its own in shard order with combine
 // and broadcasts the result. frameMax carries 4 bytes; frameOr keeps
-// its vector encoding (Count=1, one 8-byte word). Like every
-// collective, the frames carry the attempt's collective sequence
-// number, validated on both sides.
-func (t *NetTransport) allReduce(name string, typ uint8, x uint64, combine func(a, b uint64) uint64) uint64 {
+// its vector encoding (Count=1, one 8-byte word).
+func (t *NetTransport) allReduce(typ uint8, x uint64, combine func(a, b uint64) uint64) uint64 {
 	t.mustReady()
 	t.seq++
 	if t.part.p == 1 {
 		return x
 	}
-	h := frameHeader{Type: typ, From: uint16(t.self), Round: t.seq}
-	size := 4
+	count, size := uint32(0), 4
 	if typ == frameOr {
-		h.Count, size = 1, 8
+		count, size = 1, 8
 	}
 	var vb [8]byte
-	encode := func(v uint64) []byte {
-		binary.LittleEndian.PutUint64(vb[:], v)
-		return vb[:size]
-	}
-	decode := func(payload []byte) uint64 {
-		var b [8]byte
-		copy(b[:], payload) // little-endian: a 4-byte value zero-extends
-		t.putBuf(payload)
-		return binary.LittleEndian.Uint64(b[:])
-	}
-	if t.self != 0 {
-		if err := t.hub.writeFrame(h, encode(x)); err != nil {
+	binary.LittleEndian.PutUint64(vb[:], x)
+	word := func(w int, b []byte) uint64 {
+		if len(b) != size {
+			err := fmt.Errorf("collective %d carries %d bytes, want %d", t.seq, len(b), size)
+			if w > 0 {
+				err = t.peerFail(w, err)
+			}
 			t.fatal(err)
 		}
-		if err := t.hub.flush(); err != nil {
-			t.fatal(err)
-		}
-		rh, payload, err := t.hub.readFrame(typ)
-		if err != nil {
-			t.fatal(err)
-		}
-		if rh.Round != t.seq || len(payload) != size {
-			t.fatal(fmt.Errorf("%s result %+v, want collective %d with %d bytes", name, rh, t.seq, size))
-		}
-		return decode(payload)
+		var wb [8]byte
+		copy(wb[:], b) // little-endian: a 4-byte value zero-extends
+		t.putBuf(b)
+		return binary.LittleEndian.Uint64(wb[:])
 	}
-	for w := 1; w < t.part.p; w++ {
-		rh, payload, err := t.peers[w].readFrame(typ)
-		if err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
-		if int(rh.From) != w || rh.Round != t.seq || len(payload) != size {
-			t.fatal(t.peerFail(w, fmt.Errorf("%s contribution %+v from shard %d, want collective %d with %d bytes", name, rh, w, t.seq, size)))
-		}
-		x = combine(x, decode(payload))
+	parts, err := t.gather(typ, count, vb[:size])
+	if err != nil {
+		t.fatal(err)
 	}
-	for w := 1; w < t.part.p; w++ {
-		if err := t.peers[w].writeFrame(h, encode(x)); err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
-		if err := t.peers[w].flush(); err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
+	for w := 1; w < len(parts); w++ {
+		x = combine(x, word(w, parts[w]))
 	}
-	return x
+	binary.LittleEndian.PutUint64(vb[:], x)
+	res, err := t.broadcast(typ, count, vb[:size])
+	if err != nil {
+		t.fatal(err)
+	}
+	if t.self == 0 {
+		return x
+	}
+	return word(0, res)
 }
 
 // AllGatherInt32s merges the shards' sorted, disjoint id lists into
@@ -1300,47 +1271,27 @@ func (t *NetTransport) AllGatherInt32s(xs []int32) []int32 {
 	if t.part.p == 1 {
 		return xs
 	}
+	parts, err := t.gather(frameGather, uint32(len(xs)), packInt32s(xs))
+	if err != nil {
+		t.fatal(err)
+	}
+	var merged []int32
+	if t.self == 0 {
+		lists := make([][]int32, t.part.p)
+		lists[0] = xs
+		for w := 1; w < t.part.p; w++ {
+			lists[w] = parseInt32s(parts[w])
+			t.putBuf(parts[w])
+		}
+		merged = mergeSortedInt32s(lists)
+	}
+	res, err := t.broadcast(frameGather, uint32(len(merged)), packInt32s(merged))
+	if err != nil {
+		t.fatal(err)
+	}
 	if t.self != 0 {
-		contrib := packInt32s(xs)
-		if err := t.hub.writeFrame(frameHeader{Type: frameGather, From: uint16(t.self), Round: t.seq, Count: uint32(len(xs))}, contrib); err != nil {
-			t.fatal(err)
-		}
-		if err := t.hub.flush(); err != nil {
-			t.fatal(err)
-		}
-		h, payload, err := t.hub.readFrame(frameGather)
-		if err != nil {
-			t.fatal(err)
-		}
-		if h.Round != t.seq {
-			t.fatal(fmt.Errorf("AllGatherInt32s result for collective %d, want %d", h.Round, t.seq))
-		}
-		merged := parseInt32s(payload)
-		t.putBuf(payload)
-		return merged
-	}
-	lists := make([][]int32, t.part.p)
-	lists[0] = xs
-	for w := 1; w < t.part.p; w++ {
-		h, payload, err := t.peers[w].readFrame(frameGather)
-		if err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
-		if int(h.From) != w || h.Round != t.seq {
-			t.fatal(t.peerFail(w, fmt.Errorf("AllGatherInt32s contribution %+v from shard %d, want collective %d", h, w, t.seq)))
-		}
-		lists[w] = parseInt32s(payload)
-		t.putBuf(payload)
-	}
-	merged := mergeSortedInt32s(lists)
-	buf := packInt32s(merged)
-	for w := 1; w < t.part.p; w++ {
-		if err := t.peers[w].writeFrame(frameHeader{Type: frameGather, Round: t.seq, Count: uint32(len(merged))}, buf); err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
-		if err := t.peers[w].flush(); err != nil {
-			t.fatal(t.peerFail(w, err))
-		}
+		merged = parseInt32s(res)
+		t.putBuf(res)
 	}
 	return merged
 }
@@ -1432,25 +1383,7 @@ func (t *NetTransport) BroadcastBlob(b []byte) ([]byte, error) {
 	if t.part.p == 1 {
 		return b, nil
 	}
-	if t.self != 0 {
-		h, payload, err := t.hub.readFrame(frameBlob)
-		if err != nil {
-			return nil, err
-		}
-		if h.Round != t.seq {
-			return nil, fmt.Errorf("dist: broadcast blob for collective %d, want %d", h.Round, t.seq)
-		}
-		return payload, nil
-	}
-	for w := 1; w < t.part.p; w++ {
-		if err := t.peers[w].writeFrame(frameHeader{Type: frameBlob, Round: t.seq, Count: uint32(len(b))}, b); err != nil {
-			return nil, t.peerFail(w, err)
-		}
-		if err := t.peers[w].flush(); err != nil {
-			return nil, t.peerFail(w, err)
-		}
-	}
-	return b, nil
+	return t.broadcast(frameBlob, uint32(len(b)), b)
 }
 
 // GatherBlobs ships every process's payload to the coordinator, which
@@ -1463,25 +1396,11 @@ func (t *NetTransport) GatherBlobs(b []byte) ([][]byte, error) {
 	if t.part.p == 1 {
 		return [][]byte{b}, nil
 	}
-	if t.self != 0 {
-		if err := t.hub.writeFrame(frameHeader{Type: frameBlob, From: uint16(t.self), Round: t.seq, Count: uint32(len(b))}, b); err != nil {
-			return nil, err
-		}
-		return nil, t.hub.flush()
+	out, err := t.gather(frameBlob, uint32(len(b)), b)
+	if out != nil {
+		out[0] = b
 	}
-	out := make([][]byte, t.part.p)
-	out[0] = b
-	for w := 1; w < t.part.p; w++ {
-		h, payload, err := t.peers[w].readFrame(frameBlob)
-		if err != nil {
-			return nil, t.peerFail(w, fmt.Errorf("gathering from shard %d: %w", w, err))
-		}
-		if int(h.From) != w || h.Round != t.seq {
-			return nil, t.peerFail(w, fmt.Errorf("dist: gathered blob %+v from shard %d, want collective %d", h, w, t.seq))
-		}
-		out[w] = payload
-	}
-	return out, nil
+	return out, err
 }
 
 func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }

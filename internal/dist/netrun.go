@@ -3,17 +3,16 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/graph"
 )
 
-// The multi-process run scaffold shared by the Net, Worker, and
-// Mesh specs: one SPMD schedule every process executes in lockstep
-// over its own NetTransport. The coordinator broadcasts the job header
-// (name + parameters, see job.go) so the workers adopt — and
-// cross-check — the same job; every process runs the job's partition
+// The multi-process run scaffold of the Net and Worker specs (which
+// the Mesh spec runs in one process): one SPMD schedule every process
+// executes in lockstep over its own NetTransport. The coordinator
+// broadcasts the job header (name + parameters, see job.go) so the
+// workers adopt — and cross-check — the same job, then the checkpoint
+// and the peer address book; every process runs the job's partition
 // body over its own shard; the job's assemble gathers each shard's
 // owned contribution at the coordinator (a boundary edge is
 // contributed by the shard owning its U endpoint, so it is merged
@@ -40,6 +39,9 @@ func recoverNetError(err *error) {
 // broadcast): its encoding is re-broadcast at the top of every attempt
 // right after the job header, so a freshly respawned worker runs the
 // exact same function as a survivor — decode, fast-forward, resume.
+// The peer address book follows the checkpoint, so a worker holding a
+// book (the failover election's input) also holds the header and
+// checkpoint an elected coordinator must re-broadcast.
 // On failure the retry loops in engine.go recover the fleet and call
 // this again; beginAttempt discards any per-attempt protocol state so
 // the replay starts bit-identically.
@@ -50,12 +52,6 @@ func runNetJob[R any](tr *NetTransport, part *graph.Partition, job Job[R], ck *c
 			part.Shard, part.Shards, tr.Shard(), tr.Shards())
 	}
 	tr.beginAttempt()
-	// Establish the attempt's worker↔worker links before any job state
-	// flows: the coordinator broadcasts the address book and the
-	// workers wire themselves up (a no-op at P ≤ 2).
-	if err := tr.setupDataPlane(); err != nil {
-		return Result[R]{}, err
-	}
 	impl := job.impl
 	if tr.Shard() == 0 {
 		if err := tr.WaitReady(); err != nil {
@@ -83,14 +79,6 @@ func runNetJob[R any](tr *NetTransport, part *graph.Partition, job Job[R], ck *c
 		if _, err := tr.BroadcastBlob(encodeCkpt(ck)); err != nil {
 			return Result[R]{}, err
 		}
-		if tr.failover {
-			if tr.failAddrs == nil {
-				tr.failAddrs = make([]string, tr.part.p)
-			}
-			if _, err := tr.BroadcastBlob(encodeAddrBook(tr.failAddrs)); err != nil {
-				return Result[R]{}, err
-			}
-		}
 	} else {
 		blob, err := tr.BroadcastBlob(nil)
 		if err != nil {
@@ -109,17 +97,12 @@ func runNetJob[R any](tr *NetTransport, part *graph.Partition, job Job[R], ck *c
 			return Result[R]{}, err
 		}
 		tr.lastCkpt = ck
-		if tr.failover {
-			bookBlob, err := tr.BroadcastBlob(nil)
-			if err != nil {
-				return Result[R]{}, err
-			}
-			book, err := decodeAddrBook(bookBlob, tr.part.p)
-			if err != nil {
-				return Result[R]{}, err
-			}
-			tr.failAddrs = book
-		}
+	}
+	// Establish the attempt's worker↔worker links before any round
+	// runs: the coordinator broadcasts the peer address book and the
+	// workers wire themselves up.
+	if err := tr.setupDataPlane(); err != nil {
+		return Result[R]{}, err
 	}
 	re := newRoundEngineOn(part.N, tr)
 	po := impl.runPart(re, part, ck)
@@ -167,57 +150,4 @@ func gatherRunCounters(tr *NetTransport, peakViewWords int) (wireBytes, dataByte
 		dataBytes += int64(binary.LittleEndian.Uint64(blob[16:]))
 	}
 	return wireBytes, dataBytes, maxPeakWords, nil
-}
-
-// runLoopback is the scaffold of the Mesh spec: it binds a coordinator
-// on loopback TCP, runs the worker body as shards 1..p−1 goroutines
-// (each on its own joined NetTransport, with a loopback peer listener
-// for the direct links) and the coordinator body as shard 0, converts
-// *NetError panics to errors, unblocks workers still waiting on the
-// hub if the coordinator fails, and collects the first error. Bodies
-// return results through their closures.
-func runLoopback(n, p int, timeout time.Duration,
-	coordinator func(coord *NetTransport) error,
-	worker func(tr *NetTransport, shard int) error) error {
-	coord, err := listenNet("127.0.0.1:0", n, p, timeout, netOptions{})
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	errCh := make(chan error, p)
-	var wg sync.WaitGroup
-	for s := 1; s < p; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			err := func() (err error) {
-				defer recoverNetError(&err)
-				tr, err := joinNet(coord.Addr(), n, s, p, timeout, netOptions{})
-				if err != nil {
-					return err
-				}
-				defer tr.Close()
-				return worker(tr, s)
-			}()
-			if err != nil {
-				errCh <- fmt.Errorf("shard %d: %w", s, err)
-			}
-		}(s)
-	}
-	err = func() (err error) {
-		defer recoverNetError(&err)
-		return coordinator(coord)
-	}()
-	if err != nil {
-		// Unblock workers still waiting on the hub before joining them.
-		coord.Close()
-	}
-	wg.Wait()
-	close(errCh)
-	for werr := range errCh {
-		if err == nil {
-			err = werr
-		}
-	}
-	return err
 }

@@ -35,7 +35,7 @@ func recoverySparsifyJob() Job[*graph.Graph] {
 // worker dies mid-run).
 func doomWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames int) error {
 	t.Helper()
-	tr, err := joinNet(addr, g.N, shard, p, recoveryTimeout, netOptions{})
+	tr, err := joinNet(g.N, WorkerConfig{Join: addr, Shard: shard, Shards: p, Timeout: recoveryTimeout})
 	if err != nil {
 		return err
 	}
@@ -299,13 +299,13 @@ func TestChecksumAgreesEndToEnd(t *testing.T) {
 // the bad join as a stray — it keeps accepting and fails only when the
 // join window's deadline expires with the shard still missing.
 func TestNetHandshakeValidation(t *testing.T) {
-	if _, err := listenNet("127.0.0.1:0", 10, 100, 2*time.Second, netOptions{}); err == nil {
+	if _, err := listenNet(10, NetConfig{Listen: "127.0.0.1:0", Shards: 100, Timeout: 2 * time.Second}); err == nil {
 		t.Fatal("accepted more shards than vertices")
 	}
-	if _, err := joinNet("127.0.0.1:1", 10, 0, 2, time.Second, netOptions{}); err == nil {
+	if _, err := joinNet(10, WorkerConfig{Join: "127.0.0.1:1", Shard: 0, Shards: 2, Timeout: time.Second}); err == nil {
 		t.Fatal("shard 0 joined as a worker")
 	}
-	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
+	coord, err := listenNet(10, NetConfig{Listen: "127.0.0.1:0", Shards: 2, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestNetHandshakeValidation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		// Wrong n: the coordinator must refuse, and WaitReady fail.
-		_, err := joinNet(coord.Addr(), 11, 1, 2, 2*time.Second, netOptions{})
+		_, err := joinNet(11, WorkerConfig{Join: coord.Addr(), Shard: 1, Shards: 2, Timeout: 2 * time.Second})
 		done <- err
 	}()
 	if err := coord.WaitReady(); err == nil {
@@ -329,7 +329,7 @@ func TestNetHandshakeValidation(t *testing.T) {
 // closed and the join window keeps accepting; the real worker still
 // gets in. This was a bring-up bug: one stray used to abort the fleet.
 func TestWaitReadyToleratesStrays(t *testing.T) {
-	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
+	coord, err := listenNet(10, NetConfig{Listen: "127.0.0.1:0", Shards: 2, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestWaitReadyToleratesStrays(t *testing.T) {
 		if c, err := net.Dial("tcp", coord.Addr()); err == nil {
 			c.Close()
 		}
-		tr, err := joinNet(coord.Addr(), 10, 1, 2, 2*time.Second, netOptions{})
+		tr, err := joinNet(10, WorkerConfig{Join: coord.Addr(), Shard: 1, Shards: 2, Timeout: 2 * time.Second})
 		if err == nil {
 			defer tr.Close()
 		}
@@ -366,7 +366,7 @@ func TestWaitReadyToleratesStrays(t *testing.T) {
 // bring-up bug: the deadline was set once for the whole window.
 func TestWaitReadyDeadlineSlides(t *testing.T) {
 	timeout := 2 * time.Second
-	coord, err := listenNet("127.0.0.1:0", 10, 3, timeout, netOptions{})
+	coord, err := listenNet(10, NetConfig{Listen: "127.0.0.1:0", Shards: 3, Timeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestWaitReadyDeadlineSlides(t *testing.T) {
 		go func(shard int, d time.Duration) {
 			defer wg.Done()
 			time.Sleep(d)
-			tr, err := joinNet(coord.Addr(), 10, shard, 3, timeout, netOptions{})
+			tr, err := joinNet(10, WorkerConfig{Join: coord.Addr(), Shard: shard, Shards: 3, Timeout: timeout})
 			if err != nil {
 				t.Errorf("shard %d: %v", shard, err)
 				return
@@ -397,7 +397,7 @@ func TestWaitReadyDeadlineSlides(t *testing.T) {
 // out of step can no longer satisfy the wrong collective silently —
 // the Round tag on collective frames is validated on both sides.
 func TestCollectiveRoundTagValidated(t *testing.T) {
-	coord, err := listenNet("127.0.0.1:0", 10, 2, 2*time.Second, netOptions{})
+	coord, err := listenNet(10, NetConfig{Listen: "127.0.0.1:0", Shards: 2, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestCollectiveRoundTagValidated(t *testing.T) {
 	go func() {
 		workerErr <- func() (err error) {
 			defer recoverNetError(&err)
-			tr, err := joinNet(coord.Addr(), 10, 1, 2, 2*time.Second, netOptions{})
+			tr, err := joinNet(10, WorkerConfig{Join: coord.Addr(), Shard: 1, Shards: 2, Timeout: 2 * time.Second})
 			if err != nil {
 				return err
 			}
@@ -441,7 +441,7 @@ func TestCollectiveRoundTagValidated(t *testing.T) {
 // only real death — not slow rounds — trips the timeout.
 func TestHeartbeatsKeepSlowComputeAlive(t *testing.T) {
 	timeout := 300 * time.Millisecond
-	coord, err := listenNet("127.0.0.1:0", 10, 2, timeout, netOptions{})
+	coord, err := listenNet(10, NetConfig{Listen: "127.0.0.1:0", Shards: 2, Timeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestHeartbeatsKeepSlowComputeAlive(t *testing.T) {
 	go func() {
 		_ = func() (err error) {
 			defer recoverNetError(&err)
-			tr, err := joinNet(coord.Addr(), 10, 1, 2, timeout, netOptions{})
+			tr, err := joinNet(10, WorkerConfig{Join: coord.Addr(), Shard: 1, Shards: 2, Timeout: timeout})
 			if err != nil {
 				t.Error(err)
 				got <- -1
@@ -492,7 +492,7 @@ func TestHeartbeatsKeepSlowComputeAlive(t *testing.T) {
 // until the attempt completes or fails for real.
 func runMeshLinkLossWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames int) error {
 	t.Helper()
-	tr, err := joinNet(addr, g.N, shard, p, recoveryTimeout, netOptions{})
+	tr, err := joinNet(g.N, WorkerConfig{Join: addr, Shard: shard, Shards: p, Timeout: recoveryTimeout})
 	if err != nil {
 		return err
 	}

@@ -17,13 +17,10 @@ import (
 //     the zero TransportSpec is Mem()).
 //   - Sharded(p): p worker goroutines exchanging messages through
 //     per-shard-pair buffers at each round barrier.
-//   - Mesh(p): a coordinator plus p−1 worker goroutines, each on its
-//     own NetTransport over real loopback TCP sockets, each
-//     materializing only its partition — the full network path without
-//     process isolation. The workers dial each other directly, so
-//     cross-shard round traffic travels exactly once and the
-//     coordinator carries only its own batches plus control, tally,
-//     and collective frames.
+//   - Mesh(p): an in-process Net + Worker fleet — a Net coordinator on
+//     loopback TCP plus p−1 goroutines each running a Worker spec on
+//     its own partition view, so it runs exactly the drivers of a real
+//     multi-process run without process isolation.
 //   - Net(cfg): the coordinator (shard 0) of a real multi-process run;
 //     other processes join with Worker specs.
 //   - Worker(cfg): one worker shard of a real multi-process run.
@@ -35,30 +32,12 @@ import (
 // counters of distribution) vary. The cross-transport matrix in
 // equivalence_test.go pins this.
 type TransportSpec struct {
-	kind     specKind
-	shards   int
-	timeout  time.Duration
-	listen   string
-	onListen func(addr string)
-	join     string
-	shard    int
-	// Fault-tolerance knobs (Net and Worker specs; see NetConfig and
-	// WorkerConfig for semantics).
-	respawn     func(shard int, addr string)
-	maxRespawns int
-	ckptEvery   int
-	joinRetry   time.Duration
-	failFrames  int
-	// A worker's peer listener address (WorkerConfig.PeerListen).
-	peerListen string
-	// Coordinator failover and elastic restart (NetConfig.Failover/
-	// Resume/OnCheckpoint, WorkerConfig.Failover/FailoverListen/
-	// LoadPartition).
-	failover       bool
-	failoverListen string
-	loadPart       func(shard int) (*graph.Partition, error)
-	resume         []byte
-	onCkpt         func(ckpt []byte)
+	kind   specKind
+	shards int // Sharded and Mesh
+	// net and worker are the configs of the Net and Worker specs, kept
+	// whole; Mesh reads only net.Timeout (see WithTimeout).
+	net    NetConfig
+	worker WorkerConfig
 }
 
 type specKind uint8
@@ -81,11 +60,11 @@ func Mem() TransportSpec { return TransportSpec{} }
 // (clamped to [1, n] at run time).
 func Sharded(p int) TransportSpec { return TransportSpec{kind: specSharded, shards: p} }
 
-// Mesh returns the loopback-TCP spec: Engine.Run binds a coordinator
-// on 127.0.0.1, spawns p−1 worker goroutines each joined over a real
-// socket and each holding only its partition, and runs the whole
+// Mesh returns the loopback-TCP spec: Engine.Run runs a Net
+// coordinator on 127.0.0.1 whose OnListen starts p−1 goroutines, each
+// running a Worker spec on its own partition view, so the whole
 // multi-process protocol (framing, direct worker↔worker links, tally
-// handshake, collectives, result gather) inside one process. Round
+// handshake, collectives, result gather) runs inside one process. Round
 // flushes to the direct peers run on per-peer writer goroutines
 // (double buffering: round r's batch is on the wire while round r+1
 // computes). Output, Stats, and the round schedule are bit-identical
@@ -125,13 +104,14 @@ type NetConfig struct {
 	// every epoch; < 0 disables checkpointing (recovery replays from
 	// the top).
 	CheckpointEvery int
-	// Failover arms coordinator failover: every worker announces a
-	// pre-bound standby hub listener at its join handshake, the
-	// coordinator broadcasts the assembled standby address book at the
-	// top of every attempt, and if this coordinator dies mid-run the
-	// lowest-numbered live shard adopts shard 0 from the broadcast
-	// checkpoint (see WorkerConfig.Failover). Every Worker spec in the
-	// fleet must set Failover too (the hello handshake rejects a mix).
+	// Failover arms coordinator failover: every worker binds its peer
+	// listener (WorkerConfig.PeerListen) even at P = 2 and announces it
+	// at its join handshake, the coordinator broadcasts the peer address
+	// book after the job header and checkpoint of every attempt, and if
+	// this coordinator dies mid-run the lowest-numbered shard in the
+	// book adopts shard 0 from the broadcast checkpoint (see
+	// WorkerConfig.Failover). Every Worker spec in the fleet must set
+	// Failover too (the hello handshake rejects a mix).
 	Failover bool
 	// FailAfterFrames, when positive, crashes this coordinator process
 	// (SIGKILL to self) just before it writes its Nth protocol frame —
@@ -160,20 +140,7 @@ type NetConfig struct {
 // the job's name and parameters, runs shard 0, and assembles the
 // result.
 func Net(cfg NetConfig) TransportSpec {
-	return TransportSpec{
-		kind:        specNet,
-		shards:      cfg.Shards,
-		timeout:     cfg.Timeout,
-		listen:      cfg.Listen,
-		onListen:    cfg.OnListen,
-		respawn:     cfg.Respawn,
-		maxRespawns: cfg.MaxRespawns,
-		ckptEvery:   cfg.CheckpointEvery,
-		failover:    cfg.Failover,
-		failFrames:  cfg.FailAfterFrames,
-		resume:      cfg.Resume,
-		onCkpt:      cfg.OnCheckpoint,
-	}
+	return TransportSpec{kind: specNet, net: cfg}
 }
 
 // WorkerConfig configures one worker shard of a real multi-process run
@@ -199,28 +166,25 @@ type WorkerConfig struct {
 	FailAfterFrames int
 	// PeerListen is the address this worker's peer listener binds
 	// ("127.0.0.1:0" if empty — set a routable host for multi-machine
-	// runs). At P > 2 every worker announces its peer listener to the
-	// coordinator and exchanges round batches directly with the other
-	// workers, so the address must be reachable from every other
-	// worker.
+	// runs). The listener is bound at P > 2 or when Failover is set:
+	// the worker announces it to the coordinator, exchanges round
+	// batches on it directly with the other workers, and, if elected
+	// after a coordinator death, adopts it as the fleet's hub — so the
+	// address must be reachable from every other worker.
 	PeerListen string
-	// Failover arms coordinator failover on this worker: it binds a
-	// standby hub listener before joining and announces the address at
-	// the handshake. If the coordinator dies mid-run, the lowest-
-	// numbered shard in the last broadcast standby book adopts shard 0 —
-	// it loads partition 0 (LoadPartition), turns its standby listener
-	// into the fleet's hub, re-broadcasts the job header and the last
+	// Failover arms coordinator failover on this worker: it binds its
+	// peer listener even at P = 2 and announces the address at the
+	// handshake. If the coordinator dies mid-run, the lowest-numbered
+	// shard in the last broadcast peer address book adopts shard 0 — it
+	// loads partition 0 (LoadPartition), turns its peer listener into
+	// the fleet's hub, re-broadcasts the job header and the last
 	// checkpoint, respawns its own now-vacant shard (Respawn), and
 	// finishes the run as the coordinator, returning the assembled
-	// Output; every other survivor rejoins the standby address as its
-	// old shard. Replay from the checkpoint is deterministic, so the
-	// output and Stats are bit-identical to a failure-free run. Must
-	// match the coordinator's NetConfig.Failover.
+	// Output; every other survivor rejoins that address as its old
+	// shard. Replay from the checkpoint is deterministic, so the output
+	// and Stats are bit-identical to a failure-free run. Must match the
+	// coordinator's NetConfig.Failover.
 	Failover bool
-	// FailoverListen is the address the standby listener binds when
-	// Failover is set ("127.0.0.1:0" if empty — set a routable host for
-	// multi-machine runs).
-	FailoverListen string
 	// LoadPartition, when non-nil, loads the partition for a given shard
 	// — how an elected worker materializes partition 0 after adoption.
 	// Optional when the engine holds the full graph (the partition is
@@ -249,28 +213,13 @@ type WorkerConfig struct {
 // Stats ledger, which the tally handshake makes identical on every
 // process.
 func Worker(cfg WorkerConfig) TransportSpec {
-	return TransportSpec{
-		kind:           specWorker,
-		shards:         cfg.Shards,
-		timeout:        cfg.Timeout,
-		join:           cfg.Join,
-		shard:          cfg.Shard,
-		joinRetry:      cfg.JoinRetry,
-		failFrames:     cfg.FailAfterFrames,
-		peerListen:     cfg.PeerListen,
-		failover:       cfg.Failover,
-		failoverListen: cfg.FailoverListen,
-		loadPart:       cfg.LoadPartition,
-		respawn:        cfg.Respawn,
-		maxRespawns:    cfg.MaxRespawns,
-		ckptEvery:      cfg.CheckpointEvery,
-	}
+	return TransportSpec{kind: specWorker, worker: cfg}
 }
 
 // WithTimeout returns a copy of the spec with the per-frame I/O
 // deadline set (meaningful for Mesh, Net, and Worker specs).
 func (s TransportSpec) WithTimeout(d time.Duration) TransportSpec {
-	s.timeout = d
+	s.net.Timeout, s.worker.Timeout = d, d
 	return s
 }
 
@@ -282,27 +231,19 @@ func (s TransportSpec) String() string {
 	case specMesh:
 		return fmt.Sprintf("mesh(%d)", s.shards)
 	case specNet:
-		return fmt.Sprintf("net(%s, %d shards%s)", s.listen, s.shards, s.flagSuffix())
+		return fmt.Sprintf("net(%s, %d shards%s)", s.net.Listen, s.net.Shards, failoverSuffix(s.net.Failover))
 	case specWorker:
-		return fmt.Sprintf("worker(%s, shard %d/%d%s)", s.join, s.shard, s.shards, s.flagSuffix())
+		return fmt.Sprintf("worker(%s, shard %d/%d%s)", s.worker.Join, s.worker.Shard, s.worker.Shards, failoverSuffix(s.worker.Failover))
 	default:
 		return "mem"
 	}
 }
 
-// flagSuffix renders the optional failover marker of the Net and
+// failoverSuffix renders the optional failover marker of the Net and
 // Worker spec strings.
-func (s TransportSpec) flagSuffix() string {
-	if s.failover {
+func failoverSuffix(failover bool) string {
+	if failover {
 		return ", failover"
 	}
 	return ""
-}
-
-// timeoutOrDefault returns the spec's deadline, defaulted.
-func (s TransportSpec) timeoutOrDefault() time.Duration {
-	if s.timeout <= 0 {
-		return DefaultNetTimeout
-	}
-	return s.timeout
 }

@@ -3,6 +3,8 @@ package dist
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // TestPhaseMergeSemantics: BeginPhase with a repeated name re-targets
@@ -63,9 +65,8 @@ func TestUnnamedRoundsFallIntoMain(t *testing.T) {
 func TestCrossShardAccounting(t *testing.T) {
 	// 4 vertices, 2 shards: shard 0 owns {0,1}, shard 1 owns {2,3}.
 	e := newRoundEngineOn(4, NewShardedTransport(4, 2))
-	tr := e.Transport()
-	if tr.ShardOf(1) != 0 || tr.ShardOf(2) != 1 {
-		t.Fatalf("unexpected partition: ShardOf(1)=%d ShardOf(2)=%d", tr.ShardOf(1), tr.ShardOf(2))
+	if s1, s2 := graph.ShardOfVertex(4, 2, 1), graph.ShardOfVertex(4, 2, 2); s1 != 0 || s2 != 1 {
+		t.Fatalf("unexpected partition: shard of 1 is %d, of 2 is %d", s1, s2)
 	}
 	e.BeginPhase("x")
 	e.Deliver(1, Message{From: 0, Kind: MsgKeep})   // local within shard 0: 1 word
@@ -104,6 +105,50 @@ func TestCrossShardAccounting(t *testing.T) {
 	st2 := e.Stats()
 	if st2.CrossShardMessages != st.CrossShardMessages {
 		t.Fatalf("senderless message billed cross-shard: %+v", st2)
+	}
+}
+
+// TestShardedTransportPartition: the ownership partition is a balanced
+// contiguous cover, the execution partition coincides with it, and
+// shard counts clamp sanely.
+func TestShardedTransportPartition(t *testing.T) {
+	for _, tc := range []struct{ n, p, want int }{
+		{100, 4, 4}, {100, 0, 1}, {100, -3, 1}, {3, 8, 3}, {0, 4, 1},
+	} {
+		tr := NewShardedTransport(tc.n, tc.p)
+		if tr.Shards() != tc.want || tr.Workers() != tc.want {
+			t.Fatalf("n=%d p=%d: shards %d workers %d want %d", tc.n, tc.p, tr.Shards(), tr.Workers(), tc.want)
+		}
+		seen := 0
+		for s := 0; s < tr.Shards(); s++ {
+			// Every vertex must be owned by exactly the shard whose
+			// range contains it, and staged by that shard's worker.
+			for v := int32(0); v < int32(tc.n); v++ {
+				if tr.x.owner.shardOf(v) == s {
+					seen++
+					if tr.x.exec.shardOf(v) != s {
+						t.Fatalf("n=%d p=%d: vertex %d owned by shard %d but executed by worker %d",
+							tc.n, tc.p, v, s, tr.x.exec.shardOf(v))
+					}
+				}
+			}
+		}
+		if seen != tc.n {
+			t.Fatalf("n=%d p=%d: partition covers %d vertices", tc.n, tc.p, seen)
+		}
+	}
+	// Contiguity and balance for one concrete partition.
+	tr := NewShardedTransport(10, 3)
+	prev := 0
+	for v := int32(0); v < 10; v++ {
+		s := tr.x.owner.shardOf(v)
+		if s < prev || s > prev+1 {
+			t.Fatalf("partition not contiguous at v=%d: shard %d after %d", v, s, prev)
+		}
+		prev = s
+	}
+	if prev != 2 {
+		t.Fatalf("last vertex owned by shard %d, want 2", prev)
 	}
 }
 

@@ -1,14 +1,13 @@
 package dist
 
-import "repro/internal/parutil"
-
 // Transport is the seam between the round engine and the medium that
 // carries messages between rounds. The engine runs the synchronous
 // schedule (compute phase → EndRound barrier → next round); the
-// transport decides how staged messages physically travel: a single
-// in-memory staging area (MemTransport), a vertex-partitioned exchange
-// across worker goroutines (ShardedTransport), or a real network
-// between processes (NetTransport).
+// transport decides how staged messages physically travel: through
+// the exchange core inside one process (ShardedTransport — one
+// logical staging area for the in-memory transport, a
+// vertex-partitioned exchange across worker goroutines for the sharded
+// one), or over a real network between processes (NetTransport).
 //
 // A transport owns two coupled concerns:
 //
@@ -40,8 +39,6 @@ type Transport interface {
 	// transport, P for the sharded and network ones. Stats.Shards
 	// records it.
 	Shards() int
-	// ShardOf returns the shard that owns vertex v.
-	ShardOf(v int32) int
 	// Workers returns the execution partition size of ForWorkers. For
 	// the sharded and network transports this equals Shards; the
 	// in-memory transport uses parutil's grain-adaptive worker count.
@@ -102,51 +99,4 @@ type collectiveTransport interface {
 	// pairwise disjoint (each id contributed by exactly one owner), so
 	// the union's length is the sum of the contributions.
 	AllGatherInt32s(xs []int32) []int32
-}
-
-// MemTransport is the original single-staging-area simulation, now
-// running on the shared exchange core with parutil's grain-adaptive
-// worker partition for staging rows and a single ownership shard for
-// billing. It is the default transport and behaves exactly like the
-// pre-Transport engine: one logical staging area, flipped wholesale
-// into mailboxes at the round barrier, no cross-shard traffic.
-type MemTransport struct {
-	x *exchanger
-}
-
-// NewMemTransport returns the in-memory transport for n vertices.
-func NewMemTransport(n int) *MemTransport {
-	return &MemTransport{x: newExchanger(n, parutil.Workers(n), 1)}
-}
-
-// Shards reports the single ownership domain of the in-memory medium.
-func (t *MemTransport) Shards() int { return 1 }
-
-// ShardOf places every vertex in shard 0.
-func (t *MemTransport) ShardOf(int32) int { return 0 }
-
-// Workers returns parutil's grain-adaptive worker count for n vertices.
-func (t *MemTransport) Workers() int { return t.x.exec.p }
-
-// ForWorkers runs body over the exchange core's worker partition —
-// the same `s*n/p` blocked partition parutil.ForShard would build, but
-// frozen at construction so the staging rows of Send and the compute
-// partition can never disagree (parutil re-reads GOMAXPROCS per call).
-// Execution order matches the pre-Transport engine's callers, so any
-// shard-ordered collection built on it is unchanged.
-func (t *MemTransport) ForWorkers(body func(worker, lo, hi int)) {
-	t.x.forWorkers(body)
-}
-
-// Send stages m for vertex `to` in the current round.
-func (t *MemTransport) Send(_ int, to int32, m Message) {
-	t.x.send(to, m)
-}
-
-// Recv returns the messages delivered to v by the last EndRound.
-func (t *MemTransport) Recv(_ int, v int32) []Message { return t.x.recv(v) }
-
-// EndRound tallies the staged traffic and drains it into the mailboxes.
-func (t *MemTransport) EndRound(int) RoundTally {
-	return t.x.drainAll()
 }

@@ -12,7 +12,8 @@ import (
 // edge list, Stats — bit-identical across every transport and shard
 // count) live in the cross-transport matrix of equivalence_test.go.
 // This file keeps the transport-SPECIFIC properties: the cross-shard
-// ledger split, the partition geometry, and degenerate inputs.
+// ledger split and degenerate inputs. The partition geometry is pinned
+// where its formula lives (graphio's TestShardOfVertexInvertsBounds).
 
 // TestShardedLedgerMatchesMem: the ledger is transport-independent up
 // to the CrossShard split — Rounds, Messages, Words, MaxMessageWords
@@ -51,45 +52,6 @@ func TestShardedLedgerMatchesMem(t *testing.T) {
 	}
 	if ref.Shards != 1 || ref.CrossShardMessages != 0 {
 		t.Fatalf("in-memory ledger should report one shard, no cross traffic: %+v", ref)
-	}
-}
-
-// TestShardedTransportPartition: the ownership partition is a balanced
-// contiguous cover, ShardOf inverts it, and shard counts clamp sanely.
-func TestShardedTransportPartition(t *testing.T) {
-	for _, tc := range []struct{ n, p, want int }{
-		{100, 4, 4}, {100, 0, 1}, {100, -3, 1}, {3, 8, 3}, {0, 4, 1},
-	} {
-		tr := dist.NewShardedTransport(tc.n, tc.p)
-		if tr.Shards() != tc.want {
-			t.Fatalf("n=%d p=%d: shards %d want %d", tc.n, tc.p, tr.Shards(), tc.want)
-		}
-		seen := 0
-		for s := 0; s < tr.Shards(); s++ {
-			// Every vertex must be owned by exactly the shard whose
-			// range contains it.
-			for v := int32(0); v < int32(tc.n); v++ {
-				if tr.ShardOf(v) == s {
-					seen++
-				}
-			}
-		}
-		if seen != tc.n {
-			t.Fatalf("n=%d p=%d: partition covers %d vertices", tc.n, tc.p, seen)
-		}
-	}
-	// Contiguity and balance for one concrete partition.
-	tr := dist.NewShardedTransport(10, 3)
-	prev := 0
-	for v := int32(0); v < 10; v++ {
-		s := tr.ShardOf(v)
-		if s < prev || s > prev+1 {
-			t.Fatalf("partition not contiguous at v=%d: shard %d after %d", v, s, prev)
-		}
-		prev = s
-	}
-	if prev != 2 {
-		t.Fatalf("last vertex owned by shard %d, want 2", prev)
 	}
 }
 

@@ -23,12 +23,15 @@ const (
 	// frame, and the failover bit of the hello/welcome flags; version 5
 	// retires the coordinator-relayed star plane — the full mesh is the
 	// only data plane, so the mesh bit of the hello flags is gone and a
-	// v4 process, which might expect a relay, is refused at hello.
-	// Existing frame encodings are never mutated — new types are
-	// appended and the version is bumped, so a mixed-version fleet
-	// fails loudly at the hello handshake instead of desynchronizing
-	// mid-run.
-	wireVersion = uint32(5)
+	// v4 process, which might expect a relay, is refused at hello;
+	// version 6 retires the standby-address frame — a failover worker's
+	// peer listener doubles as its standby hub, so it announces one
+	// address (even at P = 2) and the coordinator broadcasts one book,
+	// after the job header and checkpoint. Existing frame encodings are
+	// never mutated — new types are appended and the version is bumped,
+	// so a mixed-version fleet fails loudly at the hello handshake
+	// instead of desynchronizing mid-run.
+	wireVersion = uint32(6)
 
 	headerSize   = 20
 	envelopeSize = 28
@@ -58,8 +61,8 @@ const (
 	frameMeshHello   // dialing worker → accepting worker: open a direct data link (hello payload)
 	frameMeshWelcome // accepting worker → dialing worker: link accepted (hello payload)
 	// v4 coordinator-failover frames:
-	frameFailoverAddr // worker → coordinator, after hello: this shard's standby hub listen address (Count raw bytes)
-	frameFault        // worker → coordinator: my direct link to shard To died; attribute the failure there (no payload)
+	_          // reserved: v4–v5's standby hub address, retired in v6
+	frameFault // worker → coordinator: my direct link to shard To died; attribute the failure there (no payload)
 )
 
 // Capability flags of the hello/welcome handshake. They ride the
@@ -67,9 +70,10 @@ const (
 // the hello payload encoding stays fixed, and both sides require an
 // exact match — a fleet that mixes failover-armed with failover-less
 // processes fails loudly at the handshake instead of desynchronizing
-// on the appended frames. Bit 1 was the v3–v4 mesh-plane bit; v5
-// retired it with the star plane.
-const helloFlagFailover = 2 // v4: coordinator failover armed (frameFailoverAddr follows)
+// on the peer-address frame a failover worker sends even at P = 2.
+// Bit 1 was the v3–v4 mesh-plane bit; v5 retired it with the star
+// plane.
+const helloFlagFailover = 2 // v4: coordinator failover armed (frameMeshAddr follows at any P)
 
 // frameHeader describes one frame on the wire.
 type frameHeader struct {
@@ -77,7 +81,7 @@ type frameHeader struct {
 	From  uint16 // origin shard
 	To    uint16 // destination shard (frameRound; otherwise 0)
 	Round uint32
-	Count uint32 // record count (frameRound, frameOr, frameGather) or byte length (frameBlob, address frames)
+	Count uint32 // record count (frameRound, frameOr, frameGather) or byte length (frameBlob, frameMeshAddr)
 }
 
 // putHeader encodes h into b (len ≥ headerSize).
