@@ -37,12 +37,13 @@
 // exchanging cross-shard messages through per-shard-pair buffers at
 // each round barrier, and Mesh(p) runs the whole multi-process
 // protocol — partition views, batched binary frames on real loopback
-// TCP sockets, a per-round tally handshake that keeps the ledger
-// identical on every process — inside one process. Real multi-process
-// deployments use dist.Run directly with the Net/Worker specs; see
-// cmd/distworker for the CLI (coordinator + worker modes, -job
-// resolved against the dist job registry) and examples/distributed for
-// a verified run with real OS processes. The network transport has one
+// TCP sockets, a round barrier in which every process sends every
+// other its local tally, so the ledger is identical on every process —
+// inside one process. Real multi-process deployments use dist.Run
+// directly with the Net/Worker specs; see cmd/distworker for the CLI
+// (coordinator + worker modes, -job resolved against the dist job
+// registry) and examples/distributed for a verified run with real OS
+// processes. The network transport has one
 // data plane, a full mesh: the coordinator carries control traffic and
 // its own batches, while the workers send each other their round
 // batches directly, so every message crosses the wire once. The price

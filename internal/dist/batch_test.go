@@ -10,9 +10,13 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"net"
+	"runtime/debug"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
 )
 
 // memConn is an in-memory net.Conn half: writes append to wr, reads
@@ -212,6 +216,75 @@ func TestReadFrameReassemblesChunkedBatch(t *testing.T) {
 		}
 		if err := r.readCheck(7); err != nil {
 			t.Fatalf("chunk %d: stream checksum across chunked reassembly: %v", chunk, err)
+		}
+	}
+}
+
+// TestEndRoundBatchesLargerThanSocketBuffers runs one barrier in which
+// every shard owes every other shard a 28 MiB batch, far more than a
+// loopback socket buffers, so both directions of every link carry more
+// than the kernel holds at once. A barrier that wrote a link
+// synchronously before reading the other side's batch would wedge
+// until the 5 s frame timeout. Every mailbox must hold its messages in
+// origin order, and every process must bill the same tally.
+func TestEndRoundBatchesLargerThanSocketBuffers(t *testing.T) {
+	for _, p := range []int{2, 3} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) { bigBarrier(t, p) })
+	}
+}
+
+// bigBarrier runs one such barrier on a P-shard fleet over loopback.
+// A P = 3 fleet holds about 1 GB, 3 GB under the race detector; the
+// memory goes back to the OS before the next fleet, so -count runs do
+// not pile up.
+func bigBarrier(t *testing.T, p int) {
+	const n, perPeer = 3000, 1 << 20
+	defer debug.FreeOSMemory()
+	bounds := graph.ShardBounds(n, p)
+	tallies := make([]RoundTally, p)
+	err := runFleet(n, p, 5*time.Second, func(tr *NetTransport) (err error) {
+		defer recoverNetError(&err)
+		s := tr.Shard()
+		if err := tr.WaitReady(); err != nil {
+			return err
+		}
+		if err := tr.setupDataPlane(); err != nil {
+			return err
+		}
+		lo, size := bounds[s], bounds[s+1]-bounds[s]
+		for d := 0; d < p; d++ {
+			dlo, dsize := bounds[d], bounds[d+1]-bounds[d]
+			for i := 0; d != s && i < perPeer; i++ {
+				tr.Send(int32(dlo+i%dsize), Message{Kind: MsgCenter, From: int32(lo + i%size), A: int32(s), B: int32(i)})
+			}
+		}
+		tallies[s] = tr.EndRound(0)
+		for v := lo; v < lo+size; v++ {
+			box, k := tr.Recv(int32(v)), 0
+			for o := 0; o < p; o++ {
+				for i := v - lo; o != s && i < perPeer; i += size {
+					want := Message{Kind: MsgCenter, From: int32(bounds[o] + i%(bounds[o+1]-bounds[o])), A: int32(o), B: int32(i)}
+					if k >= len(box) || box[k] != want {
+						return fmt.Errorf("shard %d: vertex %d message %d is not %+v", s, v, k, want)
+					}
+					k++
+				}
+			}
+			if k != len(box) {
+				return fmt.Errorf("shard %d: vertex %d got %d messages, want %d", s, v, len(box), k)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := int64(p * (p - 1) * perPeer)
+	want := RoundTally{Messages: msgs, Words: msgs * int64(MsgCenter.Words()), MaxMessageWords: MsgCenter.Words(),
+		CrossShardMessages: msgs, CrossShardWords: msgs * int64(MsgCenter.Words())}
+	for s, got := range tallies {
+		if got != want {
+			t.Fatalf("shard %d billed %+v, want %+v", s, got, want)
 		}
 	}
 }

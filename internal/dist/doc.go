@@ -51,8 +51,8 @@
 //	// res.Output is the sparsifier, res.Stats the Theorem 5 ledger.
 //
 // Mesh — the full multi-process protocol (partition views, binary
-// frames on real sockets, direct worker↔worker links, the round-tally
-// handshake, the result gather) inside one process:
+// frames on real sockets, direct worker↔worker links, the round
+// barrier, the result gather) inside one process:
 //
 //	res, err := dist.Run(dist.NewEngine(dist.Mesh(4), g),
 //	    dist.SpannerJob(0, 7))
@@ -111,18 +111,17 @@
 // process and the buckets become batched fixed-size binary frames
 // flushed over TCP at every barrier. Shard 0 is the coordinator: every
 // worker joins it over a hub connection that carries the join
-// handshake, tallies, collectives, blobs, and the recovery protocol.
-// Round data travels on a full mesh: each worker binds a peer
-// listener, announces it during the join handshake, and the
-// coordinator broadcasts the address book in every attempt after the
-// job header and checkpoint; lower shard dials, higher shard accepts,
-// so bring-up is acyclic and cannot deadlock. Every worker↔worker
-// batch crosses the wire exactly once (Result.DataWireBytes counts
-// them) — each message billed once per link, the direct-neighbour
-// model the paper's distributed bounds assume — and the coordinator
-// exchanges only its own batches. At P ≤ 2 no worker has a direct
-// peer: there are no links, and the same barrier runs over the hub
-// alone (without failover there is no peer listener and no book
+// handshake, the coordinator's batches, collectives, blobs, and the
+// recovery protocol. The other round data travels on a full mesh: each
+// worker binds a peer listener, announces it during the join
+// handshake, and the coordinator broadcasts the address book in every
+// attempt after the job header and checkpoint; lower shard dials,
+// higher shard accepts, so bring-up is acyclic and cannot deadlock.
+// Every worker↔worker batch crosses the wire exactly once
+// (Result.DataWireBytes counts them) — each message billed once per
+// link, the direct-neighbour model the paper's distributed bounds
+// assume. At P ≤ 2 no worker has a direct peer: the hub is the only
+// link (without failover there is no peer listener and no book
 // either).
 //
 // The trade-off is connectivity: every worker needs a peer listener
@@ -137,12 +136,13 @@
 // worker↔worker batch twice and lost on every measured number, so
 // wire version 5 retired it.
 //
-// The barrier doubles as the round-tally handshake — every process
-// ships the tally of what it staged, the coordinator reduces, every
-// engine bills the global tally — so the ledger is identical on every
-// process. Loop-control values a single process reads off shared
-// memory travel as small unbilled collectives
-// (AllMaxInt32/AllOrWord/AllGatherInt32s) piggybacked on the barrier.
+// Every shard runs the same barrier, over every link alike: it sends
+// each other shard the batch staged for it, its own local tally, and a
+// stream check, then reads the same from each, and bills the sum of
+// the P local tallies — so the ledger is identical on every process
+// without a second hop through the coordinator. Loop-control values a
+// single process reads off shared memory travel as small unbilled
+// collectives (AllMaxInt32/AllOrWord/AllGatherInt32s) on the hub.
 //
 // # Wire batching and buffer reuse
 //
@@ -155,7 +155,7 @@
 // vectored write — a round barrier costs one syscall per peer instead
 // of one per frame.
 //
-// On the direct links the per-peer round batches are double-buffered:
+// On every link the per-peer round batches are double-buffered:
 // flushAsync hands the sealed batch to the connection's writer
 // goroutine and returns immediately, so round r's bytes are on the
 // wire while round r+1 computes, and pooled payload buffers are
@@ -163,17 +163,19 @@
 // invariant this preserves is strict write-then-read alternation PER
 // PEER — a process never reads from a peer before everything it owes
 // that peer is queued in order on that peer's connection; whether the
-// bytes leave synchronously (collectives, the hub tally) or on the
-// writer goroutine (mesh data batches) cannot deadlock the
-// barrier, because each side's reads are against traffic the other
-// side has already queued. A synchronous flush on a connection first
-// drains its writer, so per-connection byte order is exactly the
-// per-frame protocol's. Heartbeats bypass the batch and may hit the
-// wire ahead of pending frames, which is safe because readFrame
-// consumes them transparently at any stream position (batch_test.go
-// pins byte-identity for both flush paths and chunked reassembly, and
-// the WireBytes goldens in wirebytes_golden_test.go pin the totals
-// across the batching change).
+// bytes leave synchronously (collectives) or on the writer goroutine
+// (round batches) cannot deadlock the barrier, because each side's
+// reads are against traffic the other side has already queued, and
+// the writers drain while both sides read (batch_test.go runs a
+// barrier whose batches overflow the socket buffers in both directions
+// of every link). A synchronous flush on a connection first drains its
+// writer, so per-connection byte order is exactly the per-frame
+// protocol's. Heartbeats bypass the batch and may hit the wire ahead
+// of pending frames, which is safe because readFrame consumes them
+// transparently at any stream position (batch_test.go pins
+// byte-identity for both flush paths and chunked reassembly, and the
+// WireBytes goldens in wirebytes_golden_test.go pin the totals across
+// the batching change).
 //
 // Payload buffers cycle through a per-transport size-classed freelist
 // (getBuf/putBuf): reads draw from it, encoded batches return to it

@@ -11,11 +11,11 @@ import (
 // Engine is the single entry point of the distributed subsystem: it
 // binds a TransportSpec (how rounds execute) to an input (the graph or
 // one shard's partition of it) and owns everything between — partition
-// loading, the exchange core, the round-tally handshake, and the
-// gathering of Stats, PeakViewWords, and WireBytes. Run(engine, job)
-// executes any Job on it; the same job value runs unchanged on every
-// spec, which is the paper's one-algorithm-many-models promise made
-// into an API shape.
+// loading, the exchange core, the round barrier, and the gathering of
+// Stats, PeakViewWords, and WireBytes. Run(engine, job) executes any
+// Job on it; the same job value runs unchanged on every spec, which is
+// the paper's one-algorithm-many-models promise made into an API
+// shape.
 type Engine struct {
 	spec TransportSpec
 	g    *graph.Graph
@@ -48,7 +48,7 @@ type Result[R any] struct {
 	Output R
 	// Stats is the communication ledger of the run (Theorems 2 and 5).
 	// It is identical on every spec and, for multi-process runs, on
-	// every process (the round-tally handshake).
+	// every process (each sums every shard's local round tallies).
 	Stats Stats
 	// PeakViewWords is the largest edge-table footprint (in words, see
 	// view.tableWords) any round's working view reached. On the
@@ -245,6 +245,9 @@ func runNetWorkerJob[R any](e *Engine, job Job[R]) (Result[R], error) {
 		if elected < 0 {
 			return Result[R]{}, fmt.Errorf("dist: coordinator lost before the first peer-book broadcast (fleet never fully formed), nothing to elect from: %w", err)
 		}
+		// The hub is lost: drop its queued batches rather than wait out
+		// a write deadline for each of them.
+		tr.links[0].abort()
 		if elected == tr.self {
 			adopted := tr
 			tr = nil // ownership moves; adoptAndRun closes it

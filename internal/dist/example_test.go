@@ -40,7 +40,7 @@ func ExampleRun_spanner() {
 
 // Mesh(p) runs the whole multi-process protocol over loopback TCP —
 // partition loading, binary frames over real sockets, direct
-// worker↔worker links, the round-tally handshake, the result gather —
+// worker↔worker links, the round barrier, the result gather —
 // inside one process, and the output is bit-identical to the in-memory
 // spec's.
 func ExampleRun_loopback() {

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,17 +24,13 @@ import (
 
 // coordinatorCrashDrill runs one fleet with a doomed coordinator: the
 // coordinator transport is driven manually with fault injection that
-// severs every socket at a fixed frame count, while the workers run
-// the real public engine path with failover armed. Exactly one worker
-// (the elected lowest shard) must finish holding the assembled output.
-func coordinatorCrashDrill(t *testing.T, p int) {
-	g := gen.Gnp(400, 0.05, 7)
+// severs every socket before it writes frame `frame`, while the
+// workers run the real public engine path with failover armed.
+// Exactly one worker (the elected lowest shard) must finish holding
+// the assembled output.
+func coordinatorCrashDrill(t *testing.T, fx crashFixture, frame int) {
+	g, p := fx.g, fx.p
 	job := recoverySparsifyJob()
-	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	addrCh := make(chan string, 1)
 	coordErr := make(chan error, 1)
 	go func() {
@@ -48,13 +43,13 @@ func coordinatorCrashDrill(t *testing.T, p int) {
 			}
 			defer tr.Close()
 			addrCh <- tr.Addr()
-			// Die mid-run, well after the first peer-book broadcast:
-			// sever every socket before writing frame 400 — what SIGKILL
+			// Die mid-run, after the first peer-book broadcast: sever
+			// every socket before writing the given frame — what SIGKILL
 			// looks like to the fleet (in-flight frames are lost, nothing
 			// is flushed on the way down).
-			tr.failAfterFrames = 400
+			tr.failAfterFrames = frame
 			tr.failAct = func() {
-				for _, pc := range tr.peers {
+				for _, pc := range tr.links {
 					if pc != nil {
 						pc.c.Close()
 					}
@@ -124,18 +119,7 @@ func coordinatorCrashDrill(t *testing.T, p int) {
 	if len(elected) != 1 {
 		t.Fatalf("%d finishers hold the assembled output, want exactly 1 (the elected coordinator)", len(elected))
 	}
-	res := elected[0]
-	if !reflect.DeepEqual(res.Stats, ref.Stats) {
-		t.Fatalf("failed-over ledger diverges:\n%+v\nvs failure-free\n%+v", res.Stats, ref.Stats)
-	}
-	if res.Output.M() != ref.Output.M() {
-		t.Fatalf("failed-over m=%d vs failure-free %d", res.Output.M(), ref.Output.M())
-	}
-	for i := range ref.Output.Edges {
-		if res.Output.Edges[i] != ref.Output.Edges[i] {
-			t.Fatalf("failed-over edge %d differs from the failure-free run", i)
-		}
-	}
+	fx.check(t, elected[0])
 }
 
 // TestTwoShardRunSurvivesCoordinatorCrash runs the drill at P = 2,
@@ -143,7 +127,7 @@ func coordinatorCrashDrill(t *testing.T, p int) {
 // listener for failover alone, is elected, adopts that listener as the
 // hub, and finishes the run beside its own respawned shard.
 func TestTwoShardRunSurvivesCoordinatorCrash(t *testing.T) {
-	coordinatorCrashDrill(t, 2)
+	coordinatorCrashDrill(t, newCrashFixture(t, 2), 400)
 }
 
 // TestNetRunSurvivesCoordinatorCrash is the coordinator-failover
@@ -155,7 +139,7 @@ func TestTwoShardRunSurvivesCoordinatorCrash(t *testing.T) {
 // address book — and the output and ledger are bit-identical to a
 // failure-free run.
 func TestNetRunSurvivesCoordinatorCrash(t *testing.T) {
-	coordinatorCrashDrill(t, 3)
+	coordinatorCrashDrill(t, newCrashFixture(t, 3), 400)
 }
 
 // TestMeshRunSurvivesCoordinatorCrash runs the same drill at P = 4,
@@ -164,7 +148,7 @@ func TestNetRunSurvivesCoordinatorCrash(t *testing.T) {
 // rejoin the elected shard 1, and dial each other afresh from its
 // re-broadcast address book beside the respawned shard 1's links.
 func TestMeshRunSurvivesCoordinatorCrash(t *testing.T) {
-	coordinatorCrashDrill(t, 4)
+	coordinatorCrashDrill(t, newCrashFixture(t, 4), 400)
 }
 
 // TestNetRunElasticResizeBitIdentical pins the elastic-restart

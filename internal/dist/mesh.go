@@ -5,9 +5,11 @@ package dist
 // cross-shard batch crosses the wire exactly once and shard 0 carries
 // only its own batches — the direct-neighbour model of the paper's
 // distributed bounds, billed once per link. The hub connections carry
-// everything else — the join handshake, tallies, collectives, blobs,
-// and the recovery protocol. At P ≤ 2 no worker has a direct peer, so
-// there are no links; the same barrier pair runs over the hub alone.
+// the coordinator's batches and everything else — the join handshake,
+// collectives, blobs, and the recovery protocol. Every link, hub or
+// direct, carries the same barrier frames: each round both ends send
+// each other a batch, a local tally, and a stream check (EndRound). At
+// P ≤ 2 no worker has a direct peer, so there are no direct links.
 //
 // Bring-up happens once per attempt (setupDataPlane): each worker
 // announced its peer listener address during the join handshake, the
@@ -21,16 +23,15 @@ package dist
 // CRC-32C stream checksum cross-checked at every barrier, and frame
 // batching through the shared net.Buffers arena.
 //
-// On top of the direct links the barrier double-buffers: flushAsync
-// hands a completed vectored batch to a per-connection writer
-// goroutine and returns, so the round goroutine encodes the next
-// peer's batch (and, across barriers, computes round r+1) while round
-// r's bytes drain to the kernel. The write-then-read alternation that
-// keeps the protocol deadlock-free is preserved per peer: a worker
-// enqueues its batch to peer d before it reads from d, and sync
-// operations (collectives, handshakes) drain the async writer first,
-// so on any single connection the byte order is exactly the per-frame
-// protocol's.
+// On every link the barrier double-buffers: flushAsync hands a
+// completed vectored batch to a per-connection writer goroutine and
+// returns, so the round goroutine encodes the next peer's batch (and,
+// across barriers, computes round r+1) while round r's bytes drain to
+// the kernel. The write-then-read alternation that keeps the protocol
+// deadlock-free is preserved per peer: a shard enqueues its batch to
+// peer d before it reads from d, and sync operations (collectives,
+// handshakes) drain the async writer first, so on any single
+// connection the byte order is exactly the per-frame protocol's.
 //
 // Recovery composes with the mesh through the worker-recovery
 // machinery (rollback, checkpointed replay) plus one frame: a worker
@@ -194,9 +195,9 @@ func (p *peerConn) flushAsync() error {
 // drainAsync blocks until every batch handed to the writer goroutine
 // has hit the socket (or failed) and is reclaimed. flush calls it
 // first, so on any one connection the sync protocol (collectives,
-// handshakes, the hub tally exchange) observes its bytes strictly
-// after the async round traffic — per-connection protocol order is
-// untouched by double buffering.
+// handshakes, rollbacks) observes its bytes strictly after the async
+// round traffic — per-connection protocol order is untouched by
+// double buffering.
 func (p *peerConn) drainAsync() error {
 	p.reclaimAcks(true)
 	return p.werr
@@ -215,9 +216,11 @@ func (p *peerConn) stopWriter() {
 
 // abort tears a connection down without waiting for in-flight writes:
 // the socket closes first, so a writer goroutine blocked on a dead or
-// stalled peer fails immediately instead of waiting out its deadline.
-// Only teardownMesh uses it, during a recovery rollback — a clean
-// Close drains every writer first (peerConn.close).
+// stalled peer fails immediately instead of waiting out its deadline
+// once per queued batch. It is for links already known dead or being
+// dropped: the direct links on a recovery rollback (teardownMesh), a
+// dead worker's hub (recoverWorkers), and a failover survivor's lost
+// hub — a clean Close drains every writer first (peerConn.close).
 func (p *peerConn) abort() {
 	_ = p.c.Close()
 	p.stopHeartbeats()
@@ -233,10 +236,10 @@ func (p *peerConn) abort() {
 // coordinator's book across attempts, and only a respawned shard
 // announces a new one.
 func (t *NetTransport) teardownMesh() {
-	for s, pc := range t.meshPeers {
-		if pc != nil {
+	for s := 1; s < len(t.links); s++ {
+		if pc := t.links[s]; pc != nil {
 			pc.abort()
-			t.meshPeers[s] = nil
+			t.links[s] = nil
 		}
 	}
 }
@@ -323,9 +326,6 @@ func (t *NetTransport) setupDataPlane() error {
 // before any round runs.
 func (t *NetTransport) meshConnect(book []string) error {
 	p := t.part.p
-	if t.meshPeers == nil {
-		t.meshPeers = make([]*peerConn, p)
-	}
 	for d := 1; d < t.self; d++ {
 		c, err := net.DialTimeout("tcp", book[d], t.timeout)
 		if err != nil {
@@ -355,7 +355,7 @@ func (t *NetTransport) meshConnect(book []string) error {
 			return t.meshFail(d, fmt.Errorf("shard %d peer config mismatch: %+v", d, got))
 		}
 		pc.startHeartbeats()
-		t.meshPeers[d] = pc
+		t.links[d] = pc
 	}
 	need := p - 1 - t.self
 	type deadliner interface{ SetDeadline(time.Time) error }
@@ -379,7 +379,7 @@ func (t *NetTransport) meshConnect(book []string) error {
 			c.Close()
 			continue
 		}
-		t.meshPeers[s] = pc
+		t.links[s] = pc
 		pc.startHeartbeats()
 		need--
 		deadline = time.Now().Add(t.timeout)
@@ -400,7 +400,7 @@ func (t *NetTransport) acceptMeshHandshake(pc *peerConn) (int, error) {
 		return 0, fmt.Errorf("dist: mesh peer config mismatch: %+v", h)
 	}
 	s := int(h.Shard)
-	if s <= t.self || s >= t.part.p || t.meshPeers[s] != nil {
+	if s <= t.self || s >= t.part.p || t.links[s] != nil {
 		return 0, fmt.Errorf("dist: bad or duplicate mesh peer shard %d", s)
 	}
 	var wb [helloSize]byte
@@ -435,20 +435,20 @@ func (t *NetTransport) acceptMeshHandshake(pc *peerConn) (int, error) {
 // too, the park fails out on its own. suspect 0 means the dead peer is
 // unknown (a missing inbound dial at bring-up) and nothing is sent.
 func (t *NetTransport) meshFail(suspect int, err error) error {
+	hub := t.links[0]
 	if suspect > 0 {
 		var fb [headerSize]byte
 		putHeader(fb[:], frameHeader{Type: frameFault, From: uint16(t.self), To: uint16(suspect)})
-		h := t.hub
-		h.wmu.Lock()
-		_ = h.c.SetWriteDeadline(time.Now().Add(t.timeout))
-		_, _ = h.c.Write(fb[:])
-		h.wmu.Unlock()
+		hub.wmu.Lock()
+		_ = hub.c.SetWriteDeadline(time.Now().Add(t.timeout))
+		_, _ = hub.c.Write(fb[:])
+		hub.wmu.Unlock()
 	}
 	deadline := time.Now().Add(2 * t.timeout)
 	for {
-		_ = t.hub.c.SetReadDeadline(deadline)
+		_ = hub.c.SetReadDeadline(deadline)
 		var hb [headerSize]byte
-		if _, e := io.ReadFull(t.hub.br, hb[:]); e != nil {
+		if _, e := io.ReadFull(hub.br, hb[:]); e != nil {
 			break
 		}
 		h, e := parseHeader(hb[:])
@@ -463,179 +463,10 @@ func (t *NetTransport) meshFail(suspect int, err error) error {
 			break
 		}
 		if n > 0 {
-			if _, e := io.CopyN(io.Discard, t.hub.br, int64(n)); e != nil {
+			if _, e := io.CopyN(io.Discard, hub.br, int64(n)); e != nil {
 				break
 			}
 		}
 	}
 	return fmt.Errorf("mesh data plane: %w", err)
-}
-
-// endRoundMeshWorker is the worker barrier. Writes: one frameRound +
-// frameCheck per direct peer, each handed to that connection's writer
-// goroutine (flushAsync) so the next peer's batch is encoded while the
-// previous one drains; then the shard-0 batch, the local tally, and
-// the stream check on the hub. Reads: each direct peer's batch +
-// check, then the coordinator's batch, the global tally, and its
-// check. The batch to peer d is always enqueued before d is read — the
-// per-peer write-then-read alternation — and delivery stays in global
-// origin order (0..p−1), so mailbox order and every downstream
-// decision are bit-identical to the in-process transports. At P = 2
-// there are no direct peers and only the hub exchange runs.
-func (t *NetTransport) endRoundMeshWorker(round int, local RoundTally) (RoundTally, error) {
-	self, p := t.self, t.part.p
-	for d := 1; d < p; d++ {
-		if d == self {
-			continue
-		}
-		pc := t.meshPeers[d]
-		batch := t.x.takeRow(self, d)
-		h := frameHeader{Type: frameRound, From: uint16(self), To: uint16(d), Round: uint32(round), Count: uint32(len(batch))}
-		payload := t.encodeEnvelopes(batch)
-		if err := pc.writeFrame(h, payload); err != nil {
-			return RoundTally{}, t.meshFail(d, fmt.Errorf("link to shard %d: %w", d, err))
-		}
-		pc.retireBuf(payload)
-		if err := pc.writeCheck(uint32(round)); err != nil {
-			return RoundTally{}, t.meshFail(d, fmt.Errorf("link to shard %d: %w", d, err))
-		}
-		if err := pc.flushAsync(); err != nil {
-			return RoundTally{}, t.meshFail(d, fmt.Errorf("link to shard %d: %w", d, err))
-		}
-	}
-	batch := t.x.takeRow(self, 0)
-	h := frameHeader{Type: frameRound, From: uint16(self), Round: uint32(round), Count: uint32(len(batch))}
-	payload := t.encodeEnvelopes(batch)
-	if err := t.hub.writeFrame(h, payload); err != nil {
-		return RoundTally{}, err
-	}
-	t.hub.retireBuf(payload)
-	var tb [tallySize]byte
-	putTally(tb[:], local)
-	if err := t.hub.writeFrame(frameHeader{Type: frameTally, From: uint16(self), Round: uint32(round)}, tb[:]); err != nil {
-		return RoundTally{}, err
-	}
-	if err := t.hub.writeCheck(uint32(round)); err != nil {
-		return RoundTally{}, err
-	}
-	if err := t.hub.flush(); err != nil {
-		return RoundTally{}, err
-	}
-
-	// Read the inbound barrier raw and decode only after each stream's
-	// checksum verifies: corrupted traffic is rejected, never
-	// interpreted as messages.
-	payloads := make([][]byte, p)
-	for d := 1; d < p; d++ {
-		if d == self {
-			continue
-		}
-		pc := t.meshPeers[d]
-		rh, payload, err := pc.readFrame(frameRound)
-		if err != nil {
-			return RoundTally{}, t.meshFail(d, fmt.Errorf("link to shard %d: %w", d, err))
-		}
-		if int(rh.From) != d || int(rh.To) != self || int(rh.Round) != round {
-			return RoundTally{}, t.meshFail(d, fmt.Errorf("link to shard %d: misrouted batch %+v (want from %d to %d round %d)", d, rh, d, self, round))
-		}
-		payloads[d] = payload
-		if err := pc.readCheck(uint32(round)); err != nil {
-			return RoundTally{}, t.meshFail(d, fmt.Errorf("link to shard %d: %w", d, err))
-		}
-	}
-	rh, payload, err := t.hub.readFrame(frameRound)
-	if err != nil {
-		return RoundTally{}, err
-	}
-	if rh.From != 0 || int(rh.To) != self || int(rh.Round) != round {
-		return RoundTally{}, fmt.Errorf("misrouted batch %+v (want from 0 to %d round %d)", rh, self, round)
-	}
-	payloads[0] = payload
-	th, tallyPayload, err := t.hub.readFrame(frameTally)
-	if err != nil {
-		return RoundTally{}, err
-	}
-	if int(th.Round) != round {
-		return RoundTally{}, fmt.Errorf("global tally for round %d, want round %d", th.Round, round)
-	}
-	global := parseTally(tallyPayload)
-	t.putBuf(tallyPayload)
-	if err := t.hub.readCheck(uint32(round)); err != nil {
-		return RoundTally{}, err
-	}
-
-	t.x.clearMailboxes(self)
-	var discard RoundTally
-	for d := 0; d < p; d++ {
-		if d == self {
-			t.x.deliverInto(&discard, t.x.takeRow(self, self))
-			continue
-		}
-		t.x.deliverInto(&discard, t.decodeEnvelopes(payloads[d]))
-		t.putBuf(payloads[d])
-	}
-	return global, nil
-}
-
-// endRoundMeshCoordinator is the coordinator barrier. Each worker's
-// hub stream carries only its shard-0 batch, its local tally, and its
-// stream check; the coordinator merges the tallies and writes back its
-// own batch, the global tally, and its check per worker.
-func (t *NetTransport) endRoundMeshCoordinator(round int, local RoundTally) (RoundTally, error) {
-	p := t.part.p
-	global := local
-	payloads := make([][]byte, p)
-	for w := 1; w < p; w++ {
-		h, payload, err := t.peers[w].readFrame(frameRound)
-		if err != nil {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("reading shard %d: %w", w, err))
-		}
-		if int(h.From) != w || h.To != 0 || int(h.Round) != round {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("bad batch header %+v from shard %d round %d", h, w, round))
-		}
-		payloads[w] = payload
-		th, tb, err := t.peers[w].readFrame(frameTally)
-		if err != nil {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("reading shard %d tally: %w", w, err))
-		}
-		if int(th.From) != w || int(th.Round) != round {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("bad tally header %+v from shard %d round %d", th, w, round))
-		}
-		wt := parseTally(tb)
-		t.putBuf(tb)
-		if err := t.peers[w].readCheck(uint32(round)); err != nil {
-			return RoundTally{}, t.peerFail(w, fmt.Errorf("shard %d: %w", w, err))
-		}
-		global = mergeTallies([]RoundTally{global, wt})
-	}
-	var gtb [tallySize]byte
-	putTally(gtb[:], global)
-	for r := 1; r < p; r++ {
-		payload := t.encodeEnvelopes(t.x.takeRow(0, r))
-		h := frameHeader{Type: frameRound, To: uint16(r), Round: uint32(round), Count: uint32(len(payload) / envelopeSize)}
-		if err := t.peers[r].writeFrame(h, payload); err != nil {
-			return RoundTally{}, t.peerFail(r, err)
-		}
-		t.peers[r].retireBuf(payload)
-		if err := t.peers[r].writeFrame(frameHeader{Type: frameTally, Round: uint32(round)}, gtb[:]); err != nil {
-			return RoundTally{}, t.peerFail(r, err)
-		}
-		if err := t.peers[r].writeCheck(uint32(round)); err != nil {
-			return RoundTally{}, t.peerFail(r, err)
-		}
-		if err := t.peers[r].flush(); err != nil {
-			return RoundTally{}, t.peerFail(r, err)
-		}
-	}
-	t.x.clearMailboxes(0)
-	var discard RoundTally
-	for d := 0; d < p; d++ {
-		if d == 0 {
-			t.x.deliverInto(&discard, t.x.takeRow(0, 0))
-			continue
-		}
-		t.x.deliverInto(&discard, t.decodeEnvelopes(payloads[d]))
-		t.putBuf(payloads[d])
-	}
-	return global, nil
 }

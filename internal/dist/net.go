@@ -24,31 +24,28 @@ import (
 // round barrier.
 //
 // Topology: shard 0 is the coordinator; it listens, the workers join,
-// and control traffic (tallies, collectives, blobs) always flows
-// through it. Round data travels on a full mesh (see mesh.go): the
-// workers dial each other directly, so each worker↔worker batch
-// crosses the wire once and shard 0 exchanges only its own batches.
-// The barrier doubles as the round-tally handshake: every process
-// ships the tally of the traffic it staged, the coordinator reduces
-// and re-broadcasts the global tally, and every engine bills that —
-// so Stats.Rounds, Words, and the CrossShard split are identical on
-// every process and to the single-process transports, which the
-// equivalence matrix pins.
+// and control traffic (collectives, blobs, recovery) always flows
+// through it. Round data travels on a full mesh (see mesh.go): every
+// process holds one link to every other shard — a worker's link to
+// shard 0 is its hub connection, and the workers dial each other
+// directly — so each batch crosses the wire once.
 //
-// The barrier protocol per EndRound, from a worker's perspective:
-// write one frameRound batch plus a frameCheck to every other worker,
-// then the shard-0 batch, one frameTally, and one frameCheck to the
-// coordinator; then read each worker's batch and check, the
-// coordinator's batch, the global frameTally, and the coordinator's
-// frameCheck — the inbound payloads are held raw and decoded only
-// after the stream checksum verifies. The coordinator reads every
-// worker fully (join), then writes every worker fully (broadcast).
-// Every connection alternates strictly between writing everything
-// owed to its peer and reading, so the protocol cannot deadlock.
-// Collectives (AllMaxInt32, AllOrWord, the blob gather/broadcast)
-// follow the same alternation and carry a per-transport collective
-// sequence number in their Round field, so a desynchronized peer can
-// never satisfy the wrong collective silently.
+// EndRound is one barrier that every shard runs: to each other shard
+// it queues the batch staged for that shard, one frameTally carrying
+// its own local tally, and one frameCheck, hands them to the link's
+// writer goroutine, then reads the same three frames from every other
+// shard — the inbound payloads are held raw and decoded only after the
+// stream checksum verifies. Every process sums the P local tallies
+// itself, in shard order, so Stats.Rounds, Words, and the CrossShard
+// split are identical on every process and to the single-process
+// transports, which the equivalence matrix pins. Everything a shard
+// owes a peer is queued before it reads that peer, and the writer
+// goroutines drain while it reads, so the barrier cannot deadlock on
+// full socket buffers. Collectives (AllMaxInt32, AllOrWord, the blob
+// gather/broadcast) write then read synchronously on the hub links and
+// carry a per-transport collective sequence number in their Round
+// field, so a desynchronized peer can never satisfy the wrong
+// collective silently.
 //
 // Failure model: liveness is heartbeat-based and failure is recovered
 // by deterministic replay. Each connection direction carries a
@@ -87,21 +84,21 @@ type NetTransport struct {
 	x       *exchanger
 	timeout time.Duration
 
-	ln    net.Listener // coordinator only
-	peers []*peerConn  // coordinator only, indexed by shard (nil at 0)
-	hub   *peerConn    // worker only
+	ln net.Listener // coordinator only
+	// links holds this process's connection to every other shard,
+	// indexed by shard (nil at self). On the coordinator they are the
+	// workers' hub connections; on a worker links[0] is its hub and the
+	// others are its direct links to the other workers (see mesh.go).
+	links []*peerConn
 	ready bool
 
 	// The full-mesh data plane (see mesh.go). meshLn is a worker's
 	// peer listener (bound when P > 2 or failover is armed), announced
 	// to the coordinator at the join handshake; meshAddrs is the peer
 	// address book — collected from the handshakes on the coordinator,
-	// adopted from the per-attempt broadcast on workers; meshPeers are
-	// a worker's direct links to the other workers, indexed by shard
-	// (nil at 0 and self).
+	// adopted from the per-attempt broadcast on workers.
 	meshLn    net.Listener
 	meshAddrs []string
-	meshPeers []*peerConn
 
 	// Coordinator failover (NetConfig.Failover / WorkerConfig.Failover;
 	// see failover.go): the peer listener doubles as the standby hub
@@ -277,7 +274,7 @@ type peerConn struct {
 	hbStop chan struct{}
 	hbDone chan struct{}
 
-	// Async double buffering (the mesh data plane; see mesh.go):
+	// Async double buffering (every round barrier; see mesh.go):
 	// flushAsync hands the pending batch to a dedicated writer
 	// goroutine, so round r's bytes go to the kernel while the round
 	// goroutine stages round r+1. All resource bookkeeping (the payload
@@ -692,31 +689,32 @@ func joinNet(n int, cfg WorkerConfig) (*NetTransport, error) {
 	if err != nil {
 		return fail(err)
 	}
-	t.hub = newPeerConn(t, c)
-	t.hub.rollbackOK = true
+	hub := newPeerConn(t, c)
+	hub.rollbackOK = true
+	t.links[0] = hub
 	// The capability flags ride the otherwise-unused Round field of the
 	// hello/welcome headers, leaving the hello payload encoding untouched.
 	flags := helloFlags(t.failover)
 	hh := frameHeader{Type: frameHello, From: uint16(shard), Round: flags}
 	var hb [helloSize]byte
 	putHello(hb[:], hello{Version: wireVersion, N: uint64(n), Shard: uint32(shard), Shards: uint32(t.part.p)})
-	if err := t.hub.writeFrame(hh, hb[:]); err != nil {
+	if err := hub.writeFrame(hh, hb[:]); err != nil {
 		c.Close()
 		return fail(err)
 	}
 	if t.meshLn != nil {
 		peerAddr := []byte(t.meshLn.Addr().String())
 		ah := frameHeader{Type: frameMeshAddr, From: uint16(shard), Count: uint32(len(peerAddr))}
-		if err := t.hub.writeFrame(ah, peerAddr); err != nil {
+		if err := hub.writeFrame(ah, peerAddr); err != nil {
 			c.Close()
 			return fail(err)
 		}
 	}
-	if err := t.hub.flush(); err != nil {
+	if err := hub.flush(); err != nil {
 		c.Close()
 		return fail(err)
 	}
-	wh, payload, err := t.hub.readFrame(frameWelcome)
+	wh, payload, err := hub.readFrame(frameWelcome)
 	if err != nil {
 		c.Close()
 		return fail(fmt.Errorf("dist: join handshake: %w (a version or capability mismatch closes the connection — check that every process runs the same build and agrees on -failover)", err))
@@ -730,7 +728,7 @@ func joinNet(n int, cfg WorkerConfig) (*NetTransport, error) {
 		c.Close()
 		return fail(fmt.Errorf("dist: coordinator config mismatch: %+v", got))
 	}
-	t.hub.startHeartbeats()
+	hub.startHeartbeats()
 	t.ready = true
 	return t, nil
 }
@@ -750,6 +748,7 @@ func newNetTransport(n, shard, shards int, timeout time.Duration) (*NetTransport
 		self:    shard,
 		x:       newExchanger(n, shards, shards),
 		timeout: timeout,
+		links:   make([]*peerConn, shards),
 	}
 	t.ready = t.part.p == 1
 	return t, nil
@@ -772,12 +771,9 @@ func (t *NetTransport) WaitReady() error {
 	if t.ln == nil {
 		return fmt.Errorf("dist: WaitReady on a worker transport")
 	}
-	if t.peers == nil {
-		t.peers = make([]*peerConn, t.part.p)
-	}
 	missing := make(map[int]bool)
 	for s := 1; s < t.part.p; s++ {
-		if t.peers[s] == nil {
+		if t.links[s] == nil {
 			missing[s] = true
 		}
 	}
@@ -819,7 +815,7 @@ func (t *NetTransport) acceptWorkers(missing map[int]bool) error {
 			c.Close()
 			continue
 		}
-		t.peers[s] = pc
+		t.links[s] = pc
 		pc.startHeartbeats()
 		delete(missing, s)
 		deadline = time.Now().Add(t.timeout)
@@ -846,7 +842,7 @@ func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int,
 		return 0, fmt.Errorf("dist: worker config mismatch: %+v", h)
 	}
 	s := int(h.Shard)
-	if s < 1 || s >= t.part.p || t.peers[s] != nil || !missing[s] {
+	if s < 1 || s >= t.part.p || t.links[s] != nil || !missing[s] {
 		return 0, fmt.Errorf("dist: bad or duplicate worker shard %d", s)
 	}
 	if fh.Round != helloFlags(t.failover) {
@@ -899,7 +895,7 @@ func (t *NetTransport) beginAttempt() {
 // recovery generation, announce the rollback to the survivors and
 // drain each to its ack (a survivor that fails the drain is dead too —
 // e.g. one that finished and exited before the rollback reached it),
-// close and respawn every dead shard through the hook, and re-run the
+// abort and respawn every dead shard through the hook, and re-run the
 // join window for the missing shards. On success the transport is
 // ready for a fresh attempt; the caller re-runs the job, which replays
 // deterministically from the coordinator's checkpoint.
@@ -914,10 +910,10 @@ func (t *NetTransport) recoverWorkers(first int, respawn func(shard int, addr st
 	gen := t.generation
 	dead := map[int]bool{first: true}
 	for w := 1; w < t.part.p; w++ {
-		if dead[w] || t.peers[w] == nil {
+		if dead[w] || t.links[w] == nil {
 			continue
 		}
-		p := t.peers[w]
+		p := t.links[w]
 		if err := p.writeFrame(frameHeader{Type: frameRollback, Round: gen}, nil); err != nil {
 			dead[w] = true
 			continue
@@ -927,16 +923,16 @@ func (t *NetTransport) recoverWorkers(first int, respawn func(shard int, addr st
 		}
 	}
 	for w := 1; w < t.part.p; w++ {
-		if dead[w] || t.peers[w] == nil {
+		if dead[w] || t.links[w] == nil {
 			continue
 		}
-		if err := t.peers[w].drainToAck(gen); err != nil {
+		if err := t.links[w].drainToAck(gen); err != nil {
 			dead[w] = true
 		}
 	}
 	var toRespawn []int
 	for w := 1; w < t.part.p; w++ {
-		if dead[w] || t.peers[w] == nil {
+		if dead[w] || t.links[w] == nil {
 			toRespawn = append(toRespawn, w)
 		}
 	}
@@ -947,9 +943,9 @@ func (t *NetTransport) recoverWorkers(first int, respawn func(shard int, addr st
 	*budget -= len(toRespawn)
 	missing := make(map[int]bool)
 	for _, w := range toRespawn {
-		if t.peers[w] != nil {
-			_ = t.peers[w].close()
-			t.peers[w] = nil
+		if t.links[w] != nil {
+			t.links[w].abort()
+			t.links[w] = nil
 		}
 		missing[w] = true
 		respawn(w, t.Addr())
@@ -963,22 +959,23 @@ func (t *NetTransport) recoverWorkers(first int, respawn func(shard int, addr st
 // checksums, and acknowledge the rollback generation, after which the
 // worker re-runs the attempt from the top.
 func (t *NetTransport) ackRollback(gen uint32) error {
-	if t.hub == nil {
+	if t.self == 0 {
 		return fmt.Errorf("dist: ackRollback on a coordinator transport")
 	}
 	t.teardownMesh()
-	t.hub.wsum, t.hub.rsum = 0, 0
-	if err := t.hub.writeFrame(frameHeader{Type: frameRollbackAck, Round: gen}, nil); err != nil {
+	hub := t.links[0]
+	hub.wsum, hub.rsum = 0, 0
+	if err := hub.writeFrame(frameHeader{Type: frameRollbackAck, Round: gen}, nil); err != nil {
 		return err
 	}
-	return t.hub.flush()
+	return hub.flush()
 }
 
-// Close tears the transport down. Every link — the direct mesh links,
-// the coordinator's worker connections, a worker's hub — stops its
-// heartbeats and drains its writer before the socket closes, so the
-// last round's batches reach the peers still reading them (abort, the
-// no-drain teardown, is reserved for recovery rollbacks).
+// Close tears the transport down. Every link stops its heartbeats and
+// drains its writer before the socket closes, so the last round's
+// batches reach the peers still reading them (abort, the no-drain
+// teardown, is reserved for links already known dead). A worker's hub
+// (link 0) closes last.
 func (t *NetTransport) Close() error {
 	var first error
 	keep := func(err error) {
@@ -986,11 +983,9 @@ func (t *NetTransport) Close() error {
 			first = err
 		}
 	}
-	for _, conns := range [][]*peerConn{t.meshPeers, t.peers, {t.hub}} {
-		for _, p := range conns {
-			if p != nil {
-				keep(p.close())
-			}
+	for d := len(t.links) - 1; d >= 0; d-- {
+		if p := t.links[d]; p != nil {
+			keep(p.close())
 		}
 	}
 	for _, ln := range []net.Listener{t.meshLn, t.ln} {
@@ -1062,7 +1057,7 @@ func (t *NetTransport) ForWorkers(body func(worker, lo, hi int)) {
 // discipline routes to another shard's row could never be flushed by
 // this process, so it is a fatal contract violation rather than a
 // silent drop.
-func (t *NetTransport) Send(_ int, to int32, m Message) {
+func (t *NetTransport) Send(to int32, m Message) {
 	if d := t.x.stagingShard(to, m); d != t.self {
 		t.fatal(fmt.Errorf("message for vertex %d from %d staged on shard %d, not this shard %d (staging discipline violation)",
 			to, m.From, d, t.self))
@@ -1071,11 +1066,11 @@ func (t *NetTransport) Send(_ int, to int32, m Message) {
 }
 
 // Recv returns the messages delivered to v by the last EndRound.
-func (t *NetTransport) Recv(_ int, v int32) []Message { return t.x.recv(v) }
+func (t *NetTransport) Recv(v int32) []Message { return t.x.recv(v) }
 
 // localTally bills every message this process staged in the closing
-// round (sender-side billing; summed across processes by the handshake
-// it equals the receiver-side billing of the in-process transports).
+// round (sender-side billing; summed across processes by EndRound it
+// equals the receiver-side billing of the in-process transports).
 func (t *NetTransport) localTally() RoundTally {
 	var tally RoundTally
 	for r := 0; r < t.part.p; r++ {
@@ -1112,31 +1107,107 @@ func (t *NetTransport) decodeEnvelopes(payload []byte) []envelope {
 	return envs
 }
 
-// EndRound is the bulk-synchronous barrier: flush staged batches,
-// exchange them through the coordinator, reduce the round tally, and
-// drain the inbound batches into the mailboxes in staging-shard order
-// (identical to ShardedTransport's drain order, so mailbox order — and
-// with it every decision — is transport-independent).
+// EndRound is the round barrier, the same on every shard. To each
+// other shard d it queues three frames on the link to d — the batch
+// staged for d, this shard's local tally, and the stream check — and
+// hands them to the link's writer goroutine (flushAsync), so every
+// shard writes before it reads without waiting on full socket
+// buffers. It then reads the same three frames from every d in shard
+// order and delivers the batches in origin order 0..P−1 (identical to
+// ShardedTransport's drain order, so mailbox order — and with it every
+// decision — is transport-independent). It returns the sum of the P
+// local tallies, which every process computes alike.
 func (t *NetTransport) EndRound(round int) RoundTally {
 	t.mustReady()
-	local := t.localTally()
-	if t.part.p == 1 {
-		var discard RoundTally
-		t.x.clearMailboxes(0)
-		t.x.deliverInto(&discard, t.x.takeRow(0, 0))
-		return local
+	self := t.self
+	tallies := make([]RoundTally, t.part.p)
+	tallies[self] = t.localTally()
+	tb := make([]byte, tallySize)
+	putTally(tb, tallies[self])
+	for d, pc := range t.links {
+		if pc == nil {
+			continue
+		}
+		payload := t.encodeEnvelopes(t.x.takeRow(self, d))
+		h := frameHeader{Type: frameRound, From: uint16(self), To: uint16(d), Round: uint32(round), Count: uint32(len(payload) / envelopeSize)}
+		err := pc.writeFrame(h, payload)
+		pc.retireBuf(payload)
+		if err == nil {
+			err = pc.writeFrame(frameHeader{Type: frameTally, From: uint16(self), Round: uint32(round)}, tb)
+		}
+		if err == nil {
+			err = pc.writeCheck(uint32(round))
+		}
+		if err == nil {
+			err = pc.flushAsync()
+		}
+		if err != nil {
+			t.fatal(fmt.Errorf("round %d: %w", round, t.linkFail(d, err)))
+		}
 	}
-	var global RoundTally
-	var err error
-	if t.self == 0 {
-		global, err = t.endRoundMeshCoordinator(round, local)
-	} else {
-		global, err = t.endRoundMeshWorker(round, local)
+	payloads := make([][]byte, t.part.p)
+	for d, pc := range t.links {
+		if pc == nil {
+			continue
+		}
+		var err error
+		if payloads[d], tallies[d], err = t.readRound(pc, d, round); err != nil {
+			t.fatal(fmt.Errorf("round %d: %w", round, t.linkFail(d, err)))
+		}
 	}
+	t.x.clearMailboxes(self)
+	var discard RoundTally
+	for d, payload := range payloads {
+		if d == self {
+			t.x.deliverInto(&discard, t.x.takeRow(self, self))
+			continue
+		}
+		t.x.deliverInto(&discard, t.decodeEnvelopes(payload))
+		t.putBuf(payload)
+	}
+	return mergeTallies(tallies)
+}
+
+// readRound reads shard d's barrier frames off its link: the batch,
+// returned raw, and the tally, parsed only after the stream check
+// verifies, so corrupted traffic is rejected, never interpreted.
+func (t *NetTransport) readRound(pc *peerConn, d, round int) ([]byte, RoundTally, error) {
+	h, payload, err := pc.readFrame(frameRound)
 	if err != nil {
-		t.fatal(fmt.Errorf("round %d: %w", round, err))
+		return nil, RoundTally{}, err
 	}
-	return global
+	if int(h.From) != d || int(h.To) != t.self || int(h.Round) != round {
+		return nil, RoundTally{}, fmt.Errorf("misrouted batch %+v (want from %d to %d round %d)", h, d, t.self, round)
+	}
+	th, tb, err := pc.readFrame(frameTally)
+	if err != nil {
+		return nil, RoundTally{}, err
+	}
+	if int(th.From) != d || int(th.Round) != round {
+		return nil, RoundTally{}, fmt.Errorf("misrouted tally %+v (want from %d round %d)", th, d, round)
+	}
+	if err := pc.readCheck(uint32(round)); err != nil {
+		return nil, RoundTally{}, err
+	}
+	tally := parseTally(tb)
+	t.putBuf(tb)
+	return payload, tally, nil
+}
+
+// linkFail attributes a failure on the link to shard d. The
+// coordinator names the worker, so the recovery loop respawns it
+// (peerFail); a worker that loses a direct link reports it and parks
+// for the rollback (meshFail); a worker's lost hub surfaces as is, for
+// the failover election or a fatal exit.
+func (t *NetTransport) linkFail(d int, err error) error {
+	err = fmt.Errorf("link to shard %d: %w", d, err)
+	switch {
+	case t.self == 0:
+		return t.peerFail(d, err)
+	case d == 0:
+		return err
+	}
+	return t.meshFail(d, err)
 }
 
 // gather is the upward half of every hub collective: a worker writes
@@ -1148,14 +1219,14 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 // failures name the worker (peerFail).
 func (t *NetTransport) gather(typ uint8, count uint32, payload []byte) ([][]byte, error) {
 	if t.self != 0 {
-		if err := t.hub.writeFrame(frameHeader{Type: typ, From: uint16(t.self), Round: t.seq, Count: count}, payload); err != nil {
+		if err := t.links[0].writeFrame(frameHeader{Type: typ, From: uint16(t.self), Round: t.seq, Count: count}, payload); err != nil {
 			return nil, err
 		}
-		return nil, t.hub.flush()
+		return nil, t.links[0].flush()
 	}
 	out := make([][]byte, t.part.p)
 	for w := 1; w < t.part.p; w++ {
-		h, b, err := t.peers[w].readFrame(typ)
+		h, b, err := t.links[w].readFrame(typ)
 		if err != nil {
 			return nil, t.peerFail(w, fmt.Errorf("collective %d from shard %d: %w", t.seq, w, err))
 		}
@@ -1173,7 +1244,7 @@ func (t *NetTransport) gather(typ uint8, count uint32, payload []byte) ([][]byte
 // sequence number, and returns the payload.
 func (t *NetTransport) broadcast(typ uint8, count uint32, payload []byte) ([]byte, error) {
 	if t.self != 0 {
-		h, b, err := t.hub.readFrame(typ)
+		h, b, err := t.links[0].readFrame(typ)
 		if err != nil {
 			return nil, err
 		}
@@ -1184,10 +1255,10 @@ func (t *NetTransport) broadcast(typ uint8, count uint32, payload []byte) ([]byt
 	}
 	h := frameHeader{Type: typ, Round: t.seq, Count: count}
 	for w := 1; w < t.part.p; w++ {
-		if err := t.peers[w].writeFrame(h, payload); err != nil {
+		if err := t.links[w].writeFrame(h, payload); err != nil {
 			return nil, t.peerFail(w, err)
 		}
-		if err := t.peers[w].flush(); err != nil {
+		if err := t.links[w].flush(); err != nil {
 			return nil, t.peerFail(w, err)
 		}
 	}

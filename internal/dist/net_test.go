@@ -55,8 +55,8 @@ func TestNetMatchesSharded(t *testing.T) {
 
 // TestNetWorkerSpecMatchesCoordinator drives the real multi-process
 // specs directly — one Net engine plus P−1 Worker engines, each on its
-// own TCP connection — and checks the round-tally handshake: every
-// worker's ledger is identical to the coordinator's, a worker's Output
+// own TCP connection — and checks the round barrier's tally exchange:
+// every worker's ledger is identical to the coordinator's, a worker's Output
 // is the zero value, and the coordinator's assembled output matches
 // the in-memory reference.
 func TestNetWorkerSpecMatchesCoordinator(t *testing.T) {

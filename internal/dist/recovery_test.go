@@ -2,6 +2,8 @@ package dist
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -40,10 +42,46 @@ func doomWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames 
 		return err
 	}
 	tr.failAfterFrames = failFrames
-	tr.failAct = func() { tr.hub.c.Close() }
+	tr.failAct = func() { tr.links[0].c.Close() }
 	defer tr.Close()
 	_, err = runNetJob(tr, graph.PartitionOf(g, shard, p), recoverySparsifyJob(), nil)
 	return err
+}
+
+// crashFixture is what a crash drill compares against: the drill
+// graph, the fleet size, and the failure-free Mesh(p) result, computed
+// once per test however many crash points the test runs.
+type crashFixture struct {
+	g   *graph.Graph
+	p   int
+	ref Result[*graph.Graph]
+}
+
+func newCrashFixture(t *testing.T, p int) crashFixture {
+	t.Helper()
+	g := gen.Gnp(400, 0.05, 7)
+	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return crashFixture{g: g, p: p, ref: ref}
+}
+
+// check fails the test unless a recovered run's output and ledger are
+// bit-identical to the failure-free run's.
+func (fx crashFixture) check(t *testing.T, res Result[*graph.Graph]) {
+	t.Helper()
+	if !reflect.DeepEqual(res.Stats, fx.ref.Stats) {
+		t.Fatalf("recovered ledger diverges:\n%+v\nvs failure-free\n%+v", res.Stats, fx.ref.Stats)
+	}
+	if res.Output.M() != fx.ref.Output.M() {
+		t.Fatalf("recovered m=%d vs failure-free %d", res.Output.M(), fx.ref.Output.M())
+	}
+	for i := range fx.ref.Output.Edges {
+		if res.Output.Edges[i] != fx.ref.Output.Edges[i] {
+			t.Fatalf("recovered edge %d differs from the failure-free run", i)
+		}
+	}
 }
 
 // workerCrashDrill is the worker-recovery ground truth: shard doomed
@@ -54,13 +92,8 @@ func doomWorker(t *testing.T, addr string, g *graph.Graph, shard, p, failFrames 
 // it rejoins — and the next attempt rebuilds the mesh from the
 // re-broadcast address book and replays from the last checkpoint. The
 // final output and ledger are bit-identical to a failure-free run.
-func workerCrashDrill(t *testing.T, p, doomed, failFrames int) {
-	g := gen.Gnp(400, 0.05, 7)
-	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+func workerCrashDrill(t *testing.T, fx crashFixture, doomed, failFrames int) {
+	g, p := fx.g, fx.p
 	var respawns atomic.Int32
 	var wg sync.WaitGroup
 	addrCh := make(chan string, 1)
@@ -113,23 +146,13 @@ func workerCrashDrill(t *testing.T, p, doomed, failFrames int) {
 	if n := respawns.Load(); n != 1 {
 		t.Fatalf("respawns=%d, want 1", n)
 	}
-	if !reflect.DeepEqual(res.Stats, ref.Stats) {
-		t.Fatalf("recovered ledger diverges:\n%+v\nvs failure-free\n%+v", res.Stats, ref.Stats)
-	}
-	if res.Output.M() != ref.Output.M() {
-		t.Fatalf("recovered m=%d vs failure-free %d", res.Output.M(), ref.Output.M())
-	}
-	for i := range ref.Output.Edges {
-		if res.Output.Edges[i] != ref.Output.Edges[i] {
-			t.Fatalf("recovered edge %d differs from the failure-free run", i)
-		}
-	}
+	fx.check(t, res)
 }
 
 // TestNetRunSurvivesWorkerCrash: at P = 3 shard 1 dies at frame 900 of
-// ~1500, taking its one direct link (to shard 2) down with it.
+// 2,245, taking its one direct link (to shard 2) down with it.
 func TestNetRunSurvivesWorkerCrash(t *testing.T) {
-	workerCrashDrill(t, 3, 1, 900)
+	workerCrashDrill(t, newCrashFixture(t, 3), 1, 900)
 }
 
 // TestMeshRunSurvivesWorkerCrash: at P = 4 the doomed shard 2 sits in
@@ -138,7 +161,88 @@ func TestNetRunSurvivesWorkerCrash(t *testing.T) {
 // replacement redials shard 1 while shard 3 redials the replacement's
 // fresh listener.
 func TestMeshRunSurvivesWorkerCrash(t *testing.T) {
-	workerCrashDrill(t, 4, 2, 900)
+	workerCrashDrill(t, newCrashFixture(t, 4), 2, 900)
+}
+
+// runFleet runs body once per shard of a P-shard fleet over loopback —
+// the coordinator from listenNet, each worker from joinNet, each on its
+// own goroutine — closes every transport, and returns the first error.
+func runFleet(n, p int, timeout time.Duration, body func(tr *NetTransport) error) error {
+	coord, err := listenNet(n, NetConfig{Listen: "127.0.0.1:0", Shards: p, Timeout: timeout})
+	if err != nil {
+		return err
+	}
+	errs := make(chan error, p-1)
+	for s := 1; s < p; s++ {
+		go func(s int) {
+			tr, err := joinNet(n, WorkerConfig{Join: coord.Addr(), Shard: s, Shards: p, Timeout: timeout})
+			if err == nil {
+				err = body(tr)
+				tr.Close()
+			}
+			errs <- err
+		}(s)
+	}
+	err = body(coord)
+	coord.Close() // unblocks workers still waiting on a failed coordinator
+	for s := 1; s < p; s++ {
+		if werr := <-errs; err == nil {
+			err = werr
+		}
+	}
+	return err
+}
+
+// framesWritten runs one failure-free fleet of fx.p processes, each
+// counting the frames it writes from the point a crash drill arms it,
+// and returns the counts by shard: the last frame at which a drill of
+// that role can fire.
+func (fx crashFixture) framesWritten(t *testing.T) []int {
+	t.Helper()
+	frames := make([]int, fx.p)
+	err := runFleet(fx.g.N, fx.p, recoveryTimeout, func(tr *NetTransport) error {
+		tr.failAfterFrames = math.MaxInt
+		_, err := runNetJob(tr, graph.PartitionOf(fx.g, tr.Shard(), fx.p), recoverySparsifyJob(), nil)
+		frames[tr.Shard()] = tr.framesWritten
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// TestCrashPointSweep enumerates crash points instead of sampling
+// them. At P = 3 it kills, in turn, worker shard 1, worker shard 2
+// and the failover-armed coordinator at every 97th frame that role
+// writes, from just after the first peer-book broadcast to the last
+// frame of a failure-free run. 97 is coprime to the 6 frames a shard
+// writes per round, so the points land on every frame slot of the
+// barrier. Every run must finish bit-identical to the failure-free
+// one.
+func TestCrashPointSweep(t *testing.T) {
+	const stride = 97
+	fx := newCrashFixture(t, 3)
+	ends := fx.framesWritten(t)
+	t.Logf("a failure-free run writes %v frames by shard", ends)
+	for _, doomed := range []int{1, 2} {
+		// A worker writes nothing between its join and the book
+		// broadcast, so its first frame already follows the book.
+		for f := 1; f <= ends[doomed]; f += stride {
+			t.Run(fmt.Sprintf("worker%d/frame=%d", doomed, f), func(t *testing.T) {
+				workerCrashDrill(t, fx, doomed, f)
+			})
+		}
+	}
+	// The coordinator's first 4(p−1) frames are the join welcomes and
+	// the header, checkpoint and book broadcasts. A crash before the
+	// book reaches every worker leaves nothing to elect from (see
+	// failover.go).
+	for f := 4*(fx.p-1) + 1; f <= ends[0]; f += stride {
+		t.Run(fmt.Sprintf("coordinator/frame=%d", f), func(t *testing.T) {
+			coordinatorCrashDrill(t, fx, f)
+		})
+	}
 }
 
 // TestWorkerDisconnectFailsFast: without a respawn hook a worker death
@@ -499,7 +603,7 @@ func runMeshLinkLossWorker(t *testing.T, addr string, g *graph.Graph, shard, p, 
 	defer tr.Close()
 	tr.failAfterFrames = failFrames
 	tr.failAct = func() {
-		for _, pc := range tr.meshPeers {
+		for _, pc := range tr.links[1:] {
 			if pc != nil {
 				pc.c.Close()
 			}
@@ -531,12 +635,8 @@ func runMeshLinkLossWorker(t *testing.T, addr string, g *graph.Graph, shard, p, 
 // bit-identical, and the recovery completes well inside the park
 // window.
 func TestMeshRunSurvivesLinkLoss(t *testing.T) {
-	g := gen.Gnp(400, 0.05, 7)
-	const p = 3
-	ref, err := Run(NewEngine(Mesh(p).WithTimeout(recoveryTimeout), g), recoverySparsifyJob())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := newCrashFixture(t, 3)
+	g, p := fx.g, fx.p
 
 	var respawns atomic.Int32
 	var wg sync.WaitGroup
@@ -603,17 +703,7 @@ func TestMeshRunSurvivesLinkLoss(t *testing.T) {
 	if failed != 1 {
 		t.Fatalf("%d original workers failed, want exactly 1 (the blamed endpoint)", failed)
 	}
-	if !reflect.DeepEqual(res.Stats, ref.Stats) {
-		t.Fatalf("recovered ledger diverges:\n%+v\nvs failure-free\n%+v", res.Stats, ref.Stats)
-	}
-	if res.Output.M() != ref.Output.M() {
-		t.Fatalf("recovered m=%d vs failure-free %d", res.Output.M(), ref.Output.M())
-	}
-	for i := range ref.Output.Edges {
-		if res.Output.Edges[i] != ref.Output.Edges[i] {
-			t.Fatalf("recovered edge %d differs from the failure-free run", i)
-		}
-	}
+	fx.check(t, res)
 }
 
 // TestPeerFailFaultAttribution pins the attribution override: a

@@ -153,9 +153,6 @@ func newRoundEngineOn(n int, tr Transport) *roundEngine {
 	return e
 }
 
-// Transport returns the engine's transport.
-func (e *roundEngine) Transport() Transport { return e.tr }
-
 // BeginPhase directs subsequent rounds' accounting at the named phase,
 // creating it on first use; repeated names merge (iterated stages show
 // up as one row).
@@ -177,7 +174,7 @@ func (e *roundEngine) BeginPhase(name string) {
 // seed-derived kinds (MsgSampled, MsgKeep) — or from a single
 // goroutine outside a compute phase.
 func (e *roundEngine) Deliver(to int32, m Message) {
-	e.tr.Send(e.round, to, m)
+	e.tr.Send(to, m)
 }
 
 // ForVertices runs body(v) for every vertex, partitioned across the
@@ -241,7 +238,7 @@ func (e *roundEngine) EndRound() {
 }
 
 // Mailbox returns the messages delivered to v by the last EndRound.
-func (e *roundEngine) Mailbox(v int32) []Message { return e.tr.Recv(e.round, v) }
+func (e *roundEngine) Mailbox(v int32) []Message { return e.tr.Recv(v) }
 
 // allMaxInt32 reduces x to its maximum across all shards of the
 // transport. Single-process transports compute loop-control values

@@ -61,12 +61,12 @@ func (t *ShardedTransport) ForWorkers(body func(worker, lo, hi int)) {
 // row of the worker owning m.From for sender-staged kinds, into the
 // recipient owner's row otherwise. Rows are touched by no other
 // worker, so the append is race-free.
-func (t *ShardedTransport) Send(_ int, to int32, m Message) {
+func (t *ShardedTransport) Send(to int32, m Message) {
 	t.x.send(to, m)
 }
 
 // Recv returns the messages delivered to v by the last EndRound.
-func (t *ShardedTransport) Recv(_ int, v int32) []Message { return t.x.recv(v) }
+func (t *ShardedTransport) Recv(v int32) []Message { return t.x.recv(v) }
 
 // EndRound is the round barrier: each shard, in parallel, clears the
 // mailboxes it owns and drains its incoming pair buckets (staging

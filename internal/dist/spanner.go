@@ -267,7 +267,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		// billed all the same because a real deployment (where only the
 		// center flips the coin) must pay it.
 		e.BeginPhase("spanner/broadcast")
-		iterSeed := seed ^ (uint64(iter) * 0x9e3779b97f4a7c15)
+		iterSeed := seed ^ (uint64(iter) * spanner.IterSeedMix)
 		sampledBit := func(c int32) bool {
 			return rng.SplitAt(iterSeed, uint64(c)).Float64() < p
 		}

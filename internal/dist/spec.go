@@ -63,13 +63,12 @@ func Sharded(p int) TransportSpec { return TransportSpec{kind: specSharded, shar
 // Mesh returns the loopback-TCP spec: Engine.Run runs a Net
 // coordinator on 127.0.0.1 whose OnListen starts p−1 goroutines, each
 // running a Worker spec on its own partition view, so the whole
-// multi-process protocol (framing, direct worker↔worker links, tally
-// handshake, collectives, result gather) runs inside one process. Round
-// flushes to the direct peers run on per-peer writer goroutines
-// (double buffering: round r's batch is on the wire while round r+1
-// computes). Output, Stats, and the round schedule are bit-identical
-// to every other spec; only WireBytes, DataWireBytes, and wall-clock
-// change.
+// multi-process protocol (framing, direct worker↔worker links, the
+// round barrier, collectives, result gather) runs inside one process.
+// Round flushes run on per-link writer goroutines (double buffering:
+// round r's batch is on the wire while round r+1 computes). Output,
+// Stats, and the round schedule are bit-identical to every other spec;
+// only WireBytes, DataWireBytes, and wall-clock change.
 func Mesh(p int) TransportSpec { return TransportSpec{kind: specMesh, shards: p} }
 
 // NetConfig configures the coordinator side of a real multi-process
@@ -210,8 +209,8 @@ type WorkerConfig struct {
 // cross-checked against the broadcast name), runs this shard, and
 // contributes to the result gather. The returned Result carries the
 // zero Output — assembly happens at the coordinator — but the full
-// Stats ledger, which the tally handshake makes identical on every
-// process.
+// Stats ledger, identical on every process because each sums every
+// shard's local round tallies.
 func Worker(cfg WorkerConfig) TransportSpec {
 	return TransportSpec{kind: specWorker, worker: cfg}
 }

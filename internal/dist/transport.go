@@ -51,18 +51,20 @@ type Transport interface {
 	// only the process's own shard runs locally — the other workers are
 	// other processes executing the same phase.
 	ForWorkers(body func(worker, lo, hi int))
-	// Send stages m for vertex `to` during round r; it becomes readable
-	// via Recv after the EndRound(r) barrier.
-	Send(round int, to int32, m Message)
+	// Send stages m for vertex `to` in the current round; it becomes
+	// readable via Recv after the round's EndRound barrier.
+	Send(to int32, m Message)
 	// Recv returns the messages delivered to v by the last EndRound,
-	// i.e. the traffic sent during round-1. The returned slice is
-	// recycled — callers must not retain it across two EndRound calls.
-	Recv(round int, v int32) []Message
+	// i.e. the traffic sent during the previous round. The returned
+	// slice is recycled — callers must not retain it across two
+	// EndRound calls.
+	Recv(v int32) []Message
 	// EndRound closes round r: staged messages are tallied and become
 	// the mailboxes readable until the next EndRound. On the network
-	// transport the returned tally is the globally reduced one (the
-	// round-tally handshake), so the ledger is identical on every
-	// process and to the in-memory transport's.
+	// transport the returned tally is the global one — every process
+	// sends every other its local tally and sums the P of them — so the
+	// ledger is identical on every process and to the in-memory
+	// transport's.
 	EndRound(round int) RoundTally
 }
 

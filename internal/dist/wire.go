@@ -7,11 +7,11 @@ import (
 
 // The wire codec of the network transport: fixed-size little-endian
 // frames, one frame per (origin shard, destination shard, round) batch
-// plus small control frames for the round-tally handshake and the
-// loop-control reductions. Every frame is a 20-byte header followed by
-// `count` fixed-size records (or `count` raw bytes for blob frames), so
-// a reader knows every payload's length from the header alone and a
-// fuzzer can exercise the codec record by record.
+// plus small control frames for the round barrier's tallies and checks
+// and the loop-control reductions. Every frame is a 20-byte header
+// followed by `count` fixed-size records (or `count` raw bytes for blob
+// frames), so a reader knows every payload's length from the header
+// alone and a fuzzer can exercise the codec record by record.
 
 const (
 	wireMagic = uint32(0x44573031) // "DW01": distworker wire
@@ -27,11 +27,15 @@ const (
 	// version 6 retires the standby-address frame — a failover worker's
 	// peer listener doubles as its standby hub, so it announces one
 	// address (even at P = 2) and the coordinator broadcasts one book,
-	// after the job header and checkpoint. Existing frame encodings are
+	// after the job header and checkpoint; version 7 makes the round
+	// barrier symmetric — every shard sends every other its LOCAL tally
+	// and sums them itself, so a coordinator's tally frame no longer
+	// carries the global tally a v6 worker would bill, and the direct
+	// worker links carry tally frames too. Existing frame encodings are
 	// never mutated — new types are appended and the version is bumped,
 	// so a mixed-version fleet fails loudly at the hello handshake
 	// instead of desynchronizing mid-run.
-	wireVersion = uint32(6)
+	wireVersion = uint32(7)
 
 	headerSize   = 20
 	envelopeSize = 28
@@ -46,7 +50,7 @@ const (
 	frameHello   uint8 = iota + 1 // worker → coordinator: join request
 	frameWelcome                  // coordinator → worker: join accepted
 	frameRound                    // one origin→destination message batch
-	frameTally                    // local (worker→coord) or global (coord→worker) round tally
+	frameTally                    // the sender's local round tally, sent to every other shard
 	frameMax                      // AllMaxInt32 contribution / result
 	frameOr                       // AllOrWord contribution / result (Count=1, one 8-byte word)
 	frameBlob                     // opaque application payload (gather/broadcast)

@@ -41,7 +41,7 @@ func TestHeaderCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTallyCodecRoundTrip covers the round-tally handshake payload.
+// TestTallyCodecRoundTrip covers the round barrier's tally payload.
 func TestTallyCodecRoundTrip(t *testing.T) {
 	tally := RoundTally{Messages: 1 << 40, Words: 3 << 41, MaxMessageWords: 3,
 		CrossShardMessages: 17, CrossShardWords: 51}

@@ -22,12 +22,13 @@ import (
 // their worker↔worker data subset. At P = 2 the only worker talks to
 // the coordinator alone (no direct links, DataWireBytes 0); at P = 3
 // the two workers exchange their batches over one direct link, each
-// batch written exactly once. The absolute totals are pinned so the
-// handshake and mesh bring-up overhead cannot silently grow.
+// batch written exactly once, beside one 60-byte tally frame each way
+// per round. The absolute totals are pinned so the handshake and mesh
+// bring-up overhead cannot silently grow.
 var (
 	goldenWire = map[int][2]int64{
 		2: {2360192, 637284},
-		3: {3311326, 875018},
+		3: {3349486, 879938},
 	}
 	goldenData = map[int][2]int64{
 		2: {0, 0}, // no worker↔worker traffic at P=2
