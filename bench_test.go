@@ -135,16 +135,26 @@ func BenchmarkDistributedSpannerSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedSparsifyOnShards covers the full sharded pipeline
-// the bench CI job tracks (see .github/workflows/ci.yml).
+// BenchmarkDistributedSparsifyOnShards covers the full distributed
+// pipeline the bench CI job tracks (see .github/workflows/ci.yml): the
+// sharded exchange at P=1 and P=4, and the network exchange core of
+// Mesh(2). `go test -bench DistributedSparsify -cpuprofile cpu.out`
+// profiles this path.
 func BenchmarkDistributedSparsifyOnShards(b *testing.B) {
 	g := gen.Gnp(800, 0.25, 3)
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		spec dist.TransportSpec
+	}{
+		{"P=1", dist.Sharded(1)},
+		{"P=4", dist.Sharded(4)},
+		{"Mesh(2)", dist.Mesh(2)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				job := dist.SparsifyJob(0.75, 4, core.DefaultConfig(uint64(i+1)))
-				if _, err := dist.Run(dist.NewEngine(dist.Sharded(p), g), job); err != nil {
+				if _, err := dist.Run(dist.NewEngine(tc.spec, g), job); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -101,7 +101,9 @@
 // sender's owner and genuinely cross the wire for boundary edges,
 // while payloads that are pure functions of the seed (MsgSampled,
 // MsgKeep) are staged — and re-derived — by the recipient's owner, yet
-// billed identically. Decision notices fold back from mailboxes after
+// billed identically. Each message is billed once, when it is staged,
+// on its staging row's tally; the barrier only moves messages and sums
+// the row tallies. Decision notices fold back from mailboxes after
 // each barrier: a no-op re-application in one process, the
 // boundary-edge knowledge transfer across processes.
 //
@@ -137,8 +139,10 @@
 // wire version 5 retired it.
 //
 // Every shard runs the same barrier, over every link alike: it sends
-// each other shard the batch staged for it, its own local tally, and a
-// stream check, then reads the same from each, and bills the sum of
+// each other shard the batch staged for it, its own local tally (its
+// staging row's), and a stream check, then reads the same from each,
+// parses each verified batch into its mailboxes (an envelope the
+// sender could not have staged is a *NetError), and returns the sum of
 // the P local tallies — so the ledger is identical on every process
 // without a second hop through the coordinator. Loop-control values a
 // single process reads off shared memory travel as small unbilled
@@ -255,7 +259,8 @@
 // Per-worker memory is O(n + m_incident) words on a partition run —
 // enforced, not aspirational. A partition view (view.go) stores edges,
 // masks, and per-round scratch densely over local ids [0, m_incident)
-// with only a sorted global-id map at the wire boundary, and even the
+// with only a sorted global-id map (and its bucket directory, at most
+// one word per incident edge) at the wire boundary, and even the
 // end-of-round renumbering gathers only the O(bundle-size) sorted list
 // of in-bundle edge ids. The memory regression suite (memory_test.go)
 // pins the bound statically, dynamically (Result.PeakViewWords of real

@@ -33,10 +33,15 @@ import (
 //     recipient and never travel, but are billed identically on every
 //     transport (cross-shard when From and to have different owners).
 //
+// Billing happens once, at staging, on the tally of the row the
+// message lands in. The barrier only moves messages: in process it
+// sums the P row tallies, and a network process's local tally is its
+// own row's.
+//
 // At the barrier every recipient shard drains its column in staging
-// shard order (0..P-1, own row in place), so mailbox order — and with
-// it every tally — is identical whether the rows were filled by
-// goroutines or arrived as network frames.
+// shard order (0..P-1, own row in place), so mailbox order is
+// identical whether the rows were filled by goroutines or arrived as
+// network frames.
 
 // partition is a balanced contiguous vertex partition (see
 // graph.ShardBounds; the formula lives in the leaf package so the
@@ -51,8 +56,16 @@ func newPartition(n, p int) partition {
 	return partition{n: n, p: p, bounds: graph.ShardBounds(n, p)}
 }
 
+// shardOf returns the shard owning v in [0, n) by a binary search of
+// the bounds: graph.ShardOfVertex's map without its divisions.
 func (pt partition) shardOf(v int32) int {
-	return graph.ShardOfVertex(pt.n, pt.p, v)
+	s := 0
+	for n := pt.p; n > 1; n -= n / 2 { // the owner is in [s, s+n)
+		if int(v) >= pt.bounds[s+n/2] {
+			s += n / 2
+		}
+	}
+	return s
 }
 
 // envelope is one staged message plus its routing address.
@@ -77,14 +90,21 @@ func (k MsgKind) senderStaged() bool {
 // owner is the ownership partition used for cross-shard billing — the
 // two coincide for the sharded and network transports, while the
 // in-memory transport executes on parutil's worker partition but owns
-// everything in a single billing shard.
+// everything in a single billing shard. So whenever owner has more
+// than one shard it is exec, and billing reads exec's routing.
 type exchanger struct {
-	exec  partition
-	owner partition
-	// staged[d][r]: messages staged by worker d for recipients owned by
-	// worker r. Only worker d appends to row d.
-	staged  [][][]envelope
-	mailbox [][]Message // per-vertex mailboxes rebuilt at each barrier
+	exec    partition
+	owner   partition
+	rows    []stagingRow // rows[d]: worker d's staging, written by d alone
+	mailbox [][]Message  // per-vertex mailboxes rebuilt at each barrier
+}
+
+// stagingRow is one worker's outgoing traffic: a bucket per recipient
+// shard and the row's tally, 24 + 40 bytes — one cache line each, so
+// the P workers billing at once do not share one.
+type stagingRow struct {
+	to    [][]envelope
+	tally RoundTally
 }
 
 func newExchanger(n, execP, ownerP int) *exchanger {
@@ -93,21 +113,40 @@ func newExchanger(n, execP, ownerP int) *exchanger {
 		owner:   newPartition(n, ownerP),
 		mailbox: make([][]Message, n),
 	}
-	x.staged = make([][][]envelope, x.exec.p)
-	for d := range x.staged {
-		x.staged[d] = make([][]envelope, x.exec.p)
+	x.rows = make([]stagingRow, x.exec.p)
+	for d := range x.rows {
+		x.rows[d].to = make([][]envelope, x.exec.p)
 	}
 	return x
 }
 
-// stagingShard returns the row the staging discipline assigns to a
-// message: the owner of From for sender-staged kinds, the owner of
-// `to` otherwise.
-func (x *exchanger) stagingShard(to int32, m Message) int {
-	if m.Kind.senderStaged() && m.From >= 0 {
-		return x.exec.shardOf(m.From)
+// route returns the row d the staging discipline assigns to a message
+// (the owner of From for sender-staged kinds, the owner of `to`
+// otherwise), the recipient's shard r, and whether it is billed as
+// cross-shard traffic.
+func (x *exchanger) route(to int32, m Message) (d, r int, cross bool) {
+	r = x.exec.shardOf(to)
+	if m.From < 0 {
+		return r, r, false
 	}
-	return x.exec.shardOf(to)
+	from := x.exec.shardOf(m.From)
+	d = r
+	if m.Kind.senderStaged() {
+		d = from
+	}
+	return d, r, x.owner.p > 1 && from != r
+}
+
+// stage appends m for vertex `to` to bucket r of row d and bills it
+// on the row's tally — the one place a message is billed.
+func (x *exchanger) stage(d, r int, cross bool, to int32, m Message) {
+	row := &x.rows[d]
+	row.to[r] = append(row.to[r], envelope{to: to, m: m})
+	w, c := int64(m.Kind.Words()), int64(0)
+	if cross {
+		c = 1
+	}
+	row.tally.add(RoundTally{Messages: 1, Words: w, MaxMessageWords: int(w), CrossShardMessages: c, CrossShardWords: c * w})
 }
 
 // send stages m for vertex `to` in the row of the worker the staging
@@ -115,46 +154,22 @@ func (x *exchanger) stagingShard(to int32, m Message) int {
 // by that worker during a compute phase, or by any single goroutine
 // outside one.
 func (x *exchanger) send(to int32, m Message) {
-	d := x.stagingShard(to, m)
-	r := x.exec.shardOf(to)
-	x.staged[d][r] = append(x.staged[d][r], envelope{to: to, m: m})
+	d, r, cross := x.route(to, m)
+	x.stage(d, r, cross, to, m)
 }
 
 // recv returns the messages delivered to v by the last drain.
 func (x *exchanger) recv(v int32) []Message { return x.mailbox[v] }
 
-// bill tallies one message against the ownership partition.
-func (x *exchanger) bill(tally *RoundTally, env envelope) {
-	w := env.m.Kind.Words()
-	tally.Messages++
-	tally.Words += int64(w)
-	if w > tally.MaxMessageWords {
-		tally.MaxMessageWords = w
-	}
-	if env.m.From >= 0 && x.owner.p > 1 &&
-		x.owner.shardOf(env.m.From) != x.owner.shardOf(env.to) {
-		tally.CrossShardMessages++
-		tally.CrossShardWords += int64(w)
-	}
-}
-
 // drainColumn clears the mailboxes of recipient shard r and drains its
-// incoming buckets (staging shards in index order) into them, tallying
-// as it goes. Safe to run concurrently for distinct r.
-func (x *exchanger) drainColumn(r int) RoundTally {
-	var tally RoundTally
-	for v := x.exec.bounds[r]; v < x.exec.bounds[r+1]; v++ {
-		x.mailbox[v] = x.mailbox[v][:0]
+// incoming buckets (staging shards in index order) into them. The
+// messages were billed when staged. Safe to run concurrently for
+// distinct r.
+func (x *exchanger) drainColumn(r int) {
+	x.clearMailboxes(r)
+	for d := range x.rows {
+		x.deliver(x.takeRow(d, r))
 	}
-	for d := 0; d < x.exec.p; d++ {
-		buf := x.staged[d][r]
-		for _, env := range buf {
-			x.bill(&tally, env)
-			x.mailbox[env.to] = append(x.mailbox[env.to], env.m)
-		}
-		x.staged[d][r] = buf[:0]
-	}
-	return tally
 }
 
 // forWorkers runs body once per execution worker over the worker's
@@ -180,22 +195,31 @@ func (x *exchanger) forWorkers(body func(worker, lo, hi int)) {
 }
 
 // drainAll drains every column (one worker per recipient shard) and
-// merges the tallies in shard order — the whole in-process barrier.
+// sums the row tallies in row order — the whole in-process barrier.
 func (x *exchanger) drainAll() RoundTally {
-	tallies := make([]RoundTally, x.exec.p)
-	x.forWorkers(func(r, _, _ int) {
-		tallies[r] = x.drainColumn(r)
-	})
-	return mergeTallies(tallies)
+	x.forWorkers(func(r, _, _ int) { x.drainColumn(r) })
+	var total RoundTally
+	for d := range x.rows {
+		total.add(x.takeTally(d))
+	}
+	return total
 }
 
 // takeRow detaches and returns worker d's outgoing bucket for shard r,
 // leaving an empty (capacity-preserving) bucket behind. The network
 // transport uses it to move staged traffic onto the wire.
 func (x *exchanger) takeRow(d, r int) []envelope {
-	buf := x.staged[d][r]
-	x.staged[d][r] = buf[:0]
+	buf := x.rows[d].to[r]
+	x.rows[d].to[r] = buf[:0]
 	return buf
+}
+
+// takeTally returns what row d billed since the last take and zeroes
+// the row's tally.
+func (x *exchanger) takeTally(d int) RoundTally {
+	t := x.rows[d].tally
+	x.rows[d].tally = RoundTally{}
+	return t
 }
 
 // clearMailboxes resets the mailboxes of shard r without draining.
@@ -205,26 +229,18 @@ func (x *exchanger) clearMailboxes(r int) {
 	}
 }
 
-// deliverInto appends one envelope batch into the mailboxes of the
-// local shard, billing into tally.
-func (x *exchanger) deliverInto(tally *RoundTally, batch []envelope) {
+// deliver appends one envelope batch to the mailboxes.
+func (x *exchanger) deliver(batch []envelope) {
 	for _, env := range batch {
-		x.bill(tally, env)
 		x.mailbox[env.to] = append(x.mailbox[env.to], env.m)
 	}
 }
 
-// mergeTallies folds per-shard tallies in shard order.
-func mergeTallies(tallies []RoundTally) RoundTally {
-	var total RoundTally
-	for _, t := range tallies {
-		total.Messages += t.Messages
-		total.Words += t.Words
-		total.CrossShardMessages += t.CrossShardMessages
-		total.CrossShardWords += t.CrossShardWords
-		if t.MaxMessageWords > total.MaxMessageWords {
-			total.MaxMessageWords = t.MaxMessageWords
-		}
-	}
-	return total
+// add folds tally u into t.
+func (t *RoundTally) add(u RoundTally) {
+	t.Messages += u.Messages
+	t.Words += u.Words
+	t.CrossShardMessages += u.CrossShardMessages
+	t.CrossShardWords += u.CrossShardWords
+	t.MaxMessageWords = max(t.MaxMessageWords, u.MaxMessageWords)
 }

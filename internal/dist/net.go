@@ -32,11 +32,14 @@ import (
 //
 // EndRound is one barrier that every shard runs: to each other shard
 // it queues the batch staged for that shard, one frameTally carrying
-// its own local tally, and one frameCheck, hands them to the link's
-// writer goroutine, then reads the same three frames from every other
-// shard — the inbound payloads are held raw and decoded only after the
-// stream checksum verifies. Every process sums the P local tallies
-// itself, in shard order, so Stats.Rounds, Words, and the CrossShard
+// its own local tally (its staging row's, billed when each message was
+// staged — the barrier bills nothing), and one frameCheck, hands them
+// to the link's writer goroutine, then reads the same three frames
+// from every other shard — each inbound batch is held raw until the
+// stream checksum verifies, then parsed straight into the mailboxes,
+// and an envelope its sender could not have staged for this shard is
+// a *NetError naming the sender. Every process sums the P local tallies
+// itself, so Stats.Rounds, Words, and the CrossShard
 // split are identical on every process and to the single-process
 // transports, which the equivalence matrix pins. Everything a shard
 // owes a peer is queued before it reads that peer, and the writer
@@ -138,10 +141,6 @@ type NetTransport struct {
 	// is needed. Blob payloads escape to the application and are never
 	// pooled; everything else cycles through getBuf/putBuf.
 	bufFree [31][][]byte
-	// envScratch is the reusable envelope-decode buffer of the round
-	// barrier; deliverInto copies messages out, so one scratch serves
-	// every batch of a barrier in sequence.
-	envScratch []envelope
 }
 
 // bufFreeDepth bounds how many buffers one size class retains.
@@ -880,14 +879,16 @@ func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int,
 }
 
 // beginAttempt resets the per-attempt protocol state on every process:
-// the collective sequence restarts at zero and any staged or delivered
-// traffic of an aborted attempt is dropped. Called at the top of every
-// runNetJob attempt, so a replay starts from a bit-identical state.
+// the collective sequence restarts at zero and any staged, billed or
+// delivered traffic of an aborted attempt is dropped. Called at the
+// top of every runNetJob attempt, so a replay starts from a
+// bit-identical state.
 func (t *NetTransport) beginAttempt() {
 	t.seq = 0
 	for r := 0; r < t.part.p; r++ {
 		_ = t.x.takeRow(t.self, r)
 	}
+	_ = t.x.takeTally(t.self)
 	t.x.clearMailboxes(t.self)
 }
 
@@ -1058,28 +1059,16 @@ func (t *NetTransport) ForWorkers(body func(worker, lo, hi int)) {
 // this process, so it is a fatal contract violation rather than a
 // silent drop.
 func (t *NetTransport) Send(to int32, m Message) {
-	if d := t.x.stagingShard(to, m); d != t.self {
+	d, r, cross := t.x.route(to, m)
+	if d != t.self {
 		t.fatal(fmt.Errorf("message for vertex %d from %d staged on shard %d, not this shard %d (staging discipline violation)",
 			to, m.From, d, t.self))
 	}
-	t.x.send(to, m)
+	t.x.stage(d, r, cross, to, m)
 }
 
 // Recv returns the messages delivered to v by the last EndRound.
 func (t *NetTransport) Recv(v int32) []Message { return t.x.recv(v) }
-
-// localTally bills every message this process staged in the closing
-// round (sender-side billing; summed across processes by EndRound it
-// equals the receiver-side billing of the in-process transports).
-func (t *NetTransport) localTally() RoundTally {
-	var tally RoundTally
-	for r := 0; r < t.part.p; r++ {
-		for _, env := range t.x.staged[t.self][r] {
-			t.x.bill(&tally, env)
-		}
-	}
-	return tally
-}
 
 // encodeEnvelopes packs a staged batch into a pooled buffer; the
 // caller hands the buffer to writeFrame and retires it at flush.
@@ -1091,39 +1080,23 @@ func (t *NetTransport) encodeEnvelopes(envs []envelope) []byte {
 	return buf
 }
 
-// decodeEnvelopes parses a batch payload into the transport's reusable
-// envelope scratch — valid only until the next call. deliverInto
-// copies the messages into mailboxes, so the barrier decodes its
-// batches one at a time through this single buffer.
-func (t *NetTransport) decodeEnvelopes(payload []byte) []envelope {
-	n := len(payload) / envelopeSize
-	if cap(t.envScratch) < n {
-		t.envScratch = make([]envelope, n)
-	}
-	envs := t.envScratch[:n]
-	for i := range envs {
-		envs[i] = parseEnvelope(payload[i*envelopeSize:])
-	}
-	return envs
-}
-
 // EndRound is the round barrier, the same on every shard. To each
 // other shard d it queues three frames on the link to d — the batch
-// staged for d, this shard's local tally, and the stream check — and
-// hands them to the link's writer goroutine (flushAsync), so every
-// shard writes before it reads without waiting on full socket
-// buffers. It then reads the same three frames from every d in shard
-// order and delivers the batches in origin order 0..P−1 (identical to
+// staged for d, this shard's local tally (its row's, billed at
+// staging), and the stream check — and hands them to the link's
+// writer goroutine (flushAsync), so every shard writes before it
+// reads without waiting on full socket buffers. It then reads the
+// same three frames from every d in shard order, parsing each batch
+// straight into the mailboxes in origin order 0..P−1 (identical to
 // ShardedTransport's drain order, so mailbox order — and with it every
 // decision — is transport-independent). It returns the sum of the P
 // local tallies, which every process computes alike.
 func (t *NetTransport) EndRound(round int) RoundTally {
 	t.mustReady()
 	self := t.self
-	tallies := make([]RoundTally, t.part.p)
-	tallies[self] = t.localTally()
+	total := t.x.takeTally(self)
 	tb := make([]byte, tallySize)
-	putTally(tb, tallies[self])
+	putTally(tb, total)
 	for d, pc := range t.links {
 		if pc == nil {
 			continue
@@ -1145,27 +1118,44 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 			t.fatal(fmt.Errorf("round %d: %w", round, t.linkFail(d, err)))
 		}
 	}
-	payloads := make([][]byte, t.part.p)
+	t.x.clearMailboxes(self)
 	for d, pc := range t.links {
+		if d == self {
+			t.x.deliver(t.x.takeRow(self, self))
+			continue
+		}
 		if pc == nil {
 			continue
 		}
-		var err error
-		if payloads[d], tallies[d], err = t.readRound(pc, d, round); err != nil {
+		payload, tally, err := t.readRound(pc, d, round)
+		if err != nil {
 			t.fatal(fmt.Errorf("round %d: %w", round, t.linkFail(d, err)))
 		}
-	}
-	t.x.clearMailboxes(self)
-	var discard RoundTally
-	for d, payload := range payloads {
-		if d == self {
-			t.x.deliverInto(&discard, t.x.takeRow(self, self))
-			continue
-		}
-		t.x.deliverInto(&discard, t.decodeEnvelopes(payload))
+		total.add(tally)
+		err = t.deliverBatch(d, payload)
 		t.putBuf(payload)
+		if err != nil {
+			t.fatal(fmt.Errorf("round %d: batch from shard %d: %w", round, d, err))
+		}
 	}
-	return mergeTallies(tallies)
+	return total
+}
+
+// deliverBatch parses shard d's verified batch straight into this
+// shard's mailboxes, rejecting any envelope shard d could not have
+// staged for it (only sender-staged kinds cross the wire).
+func (t *NetTransport) deliverBatch(d int, payload []byte) error {
+	lo, hi := int32(t.part.bounds[t.self]), int32(t.part.bounds[t.self+1])
+	flo, fhi := int32(t.part.bounds[d]), int32(t.part.bounds[d+1])
+	for off := 0; off < len(payload); off += envelopeSize {
+		env := parseEnvelope(payload[off:])
+		if env.to < lo || env.to >= hi || !env.m.Kind.senderStaged() || env.m.From < flo || env.m.From >= fhi {
+			return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind sender-staged",
+				off/envelopeSize, env.m.Kind, env.m.From, env.to, t.self, flo, fhi, lo, hi)
+		}
+		t.x.mailbox[env.to] = append(t.x.mailbox[env.to], env.m)
+	}
+	return nil
 }
 
 // readRound reads shard d's barrier frames off its link: the batch,

@@ -211,10 +211,11 @@ func collectVertices[T any](e *roundEngine, gen func(worker, lo, hi int) []T) []
 	return out
 }
 
-// EndRound closes the current synchronous round: staged messages are
-// billed to the ledger and become the mailboxes readable until the next
-// EndRound. Mailbox slices are recycled — callers must not retain them
-// across two EndRound calls.
+// EndRound closes the current synchronous round: the transport's
+// tally of the round's messages (billed as Deliver staged them) goes to
+// the ledger, and the messages become the mailboxes readable until the
+// next EndRound. Mailbox slices are recycled — callers must not retain
+// them across two EndRound calls.
 func (e *roundEngine) EndRound() {
 	if e.cur < 0 {
 		e.BeginPhase("main")

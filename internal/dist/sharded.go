@@ -57,10 +57,10 @@ func (t *ShardedTransport) ForWorkers(body func(worker, lo, hi int)) {
 	t.x.forWorkers(body)
 }
 
-// Send stages m under the exchange core's staging discipline: into the
-// row of the worker owning m.From for sender-staged kinds, into the
-// recipient owner's row otherwise. Rows are touched by no other
-// worker, so the append is race-free.
+// Send stages and bills m under the exchange core's staging
+// discipline: into the row of the worker owning m.From for
+// sender-staged kinds, into the recipient owner's row otherwise. Rows
+// are touched by no other worker, so the append is race-free.
 func (t *ShardedTransport) Send(to int32, m Message) {
 	t.x.send(to, m)
 }
@@ -70,9 +70,9 @@ func (t *ShardedTransport) Recv(v int32) []Message { return t.x.recv(v) }
 
 // EndRound is the round barrier: each shard, in parallel, clears the
 // mailboxes it owns and drains its incoming pair buckets (staging
-// shards in index order) into them, tallying local and cross-shard
-// traffic separately. Tallies merge in shard order, so the ledger is
-// deterministic.
+// shards in index order) into them. Send billed every message, local
+// and cross-shard separately, on its staging row; the row tallies
+// merge in row order, so the ledger is deterministic.
 func (t *ShardedTransport) EndRound(int) RoundTally {
 	return t.x.drainAll()
 }

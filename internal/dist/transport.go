@@ -59,10 +59,12 @@ type Transport interface {
 	// slice is recycled — callers must not retain it across two
 	// EndRound calls.
 	Recv(v int32) []Message
-	// EndRound closes round r: staged messages are tallied and become
-	// the mailboxes readable until the next EndRound. On the network
-	// transport the returned tally is the global one — every process
-	// sends every other its local tally and sums the P of them — so the
+	// EndRound closes round r: staged messages become the mailboxes
+	// readable until the next EndRound, and it returns their tally.
+	// Messages are billed when staged, on the staging worker's row, so
+	// the barrier only sums row tallies. On the network transport the
+	// returned tally is the global one — every process sends every
+	// other its local (own-row) tally and sums the P of them — so the
 	// ledger is identical on every process and to the in-memory
 	// transport's.
 	EndRound(round int) RoundTally

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -14,7 +16,7 @@ import (
 //
 // Layout: edges are stored DENSELY over local ids [0, localCount()),
 // with a sorted ids map translating local→global (globalOf) and
-// global→local (localOf, binary search). The CSR adjacency's EID slots
+// global→local (localOf, bucketed search). The CSR adjacency's EID slots
 // carry local ids, so every per-edge array the compute loops allocate
 // (masks, scratch, the edge table itself) is O(m_incident) words; the
 // global id space survives only at the wire boundary — message Port
@@ -49,6 +51,11 @@ type view struct {
 	// ids lists the incident global edge ids in increasing order,
 	// parallel to edges; nil means the view is full (local == global).
 	ids []int32
+	// dir is localOf's directory: dir[b] indexes the first id of
+	// bucket [b<<shift, (b+1)<<shift). shift is the least that leaves
+	// at most len(ids) buckets, under two ids each on average.
+	dir   []int32
+	shift uint
 }
 
 // newFullView wraps a whole graph (single-process transports).
@@ -73,13 +80,25 @@ func newPartView(n, m, lo, hi int, ids []int32, edges []graph.Edge) *view {
 	if len(ids) != len(edges) {
 		panic(fmt.Sprintf("dist: partition view has %d ids but %d edges", len(ids), len(edges)))
 	}
-	return &view{
+	w := &view{
 		n: n, m: m,
 		lo: lo, hi: hi,
 		edges: edges,
 		adj:   graph.NewAdjacencyDense(n, edges),
 		ids:   ids,
 	}
+	if w.ids == nil {
+		w.ids = []int32{} // a shard with no incident edge is still a partition view
+	}
+	if len(ids) > 0 {
+		w.shift = uint(bits.Len(uint((m - 1) / len(ids))))
+		w.dir = make([]int32, (m-1)>>w.shift+1)
+		for b := range w.dir {
+			k, _ := slices.BinarySearch(ids, int32(b<<w.shift))
+			w.dir[b] = int32(k)
+		}
+	}
+	return w
 }
 
 // full reports whether every edge is materialized (local ids == global
@@ -99,27 +118,29 @@ func (w *view) globalOf(lid int32) int32 {
 }
 
 // localOf translates a global edge id to the local id materializing
-// it. The id must be incident to this view: every caller translates an
-// id that arrived over an incident edge (a message Port or an
-// add/drop notice), so absence is a partition-protocol violation, not
-// a recoverable condition.
+// it: a binary search of the id's directory bucket. The id must be
+// incident to this view: every caller translates an id that arrived
+// over an incident edge (a message Port or an add/drop notice), so
+// absence is a partition-protocol violation, a *NetError panic.
 func (w *view) localOf(gid int32) int32 {
 	if w.ids == nil {
 		return gid
 	}
-	lo, hi := 0, len(w.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if w.ids[mid] < gid {
-			lo = mid + 1
-		} else {
-			hi = mid
+	if b := int(uint32(gid) >> w.shift); b < len(w.dir) {
+		lo, hi := int(w.dir[b]), len(w.ids)
+		if b+1 < len(w.dir) {
+			hi = int(w.dir[b+1])
+		}
+		for n := hi - lo; n > 1; n -= n / 2 { // gid, if present, is in [lo, lo+n)
+			if w.ids[lo+n/2] <= gid {
+				lo += n / 2
+			}
+		}
+		if lo < hi && w.ids[lo] == gid {
+			return int32(lo)
 		}
 	}
-	if lo >= len(w.ids) || w.ids[lo] != gid {
-		panic(fmt.Sprintf("dist: global edge id %d is not incident to this partition view", gid))
-	}
-	return int32(lo)
+	panic(&NetError{Err: fmt.Errorf("global edge id %d is not incident to this partition view", gid)})
 }
 
 // otherEnd returns the endpoint of local edge lid that is not v.
@@ -146,11 +167,12 @@ func (w *view) graph() *graph.Graph { return &graph.Graph{N: w.n, Edges: w.edges
 
 // tableWords returns the number of words held by the view's
 // edge-indexed tables: the dense edge table (3 words per edge), the
-// global-id map, and the CSR slot arrays (2 words per slot). This is
-// the O(m_incident) quantity the memory regression tests pin and the
-// per-worker footprint column of E13 reports; per-vertex O(n) arrays
+// global-id map and its directory (at most one word per id), and the
+// CSR slot arrays (2 words per slot). This is the O(m_incident)
+// quantity the memory regression tests pin and the per-worker
+// footprint column of E13 reports; per-vertex O(n) arrays
 // (CSR offsets, cluster state) are excluded, as the paper's model
 // grants every machine its O(n) share.
 func (w *view) tableWords() int {
-	return 3*len(w.edges) + len(w.ids) + 2*len(w.adj.Nbr)
+	return 3*len(w.edges) + len(w.ids) + len(w.dir) + 2*len(w.adj.Nbr)
 }
