@@ -126,6 +126,8 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 		{"unknown-kind", envelope{to: 10, m: Message{Kind: 200, From: 70}}},
 		{"sender-in-receiver-shard", envelope{to: 10, m: Message{Kind: MsgAdd, From: 20}}},
 		{"sender-missing", envelope{to: 10, m: Message{Kind: MsgDrop, From: -1}}},
+		{"cluster-out-of-range", envelope{to: 10, m: Message{Kind: MsgCenter, From: 70, A: n}}},
+		{"cluster-negative", envelope{to: 10, m: Message{Kind: MsgNewCenter, From: 70, A: -1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			done := make(chan error, 1)

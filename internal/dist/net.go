@@ -1143,7 +1143,8 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 
 // deliverBatch parses shard d's verified batch straight into this
 // shard's mailboxes, rejecting any envelope shard d could not have
-// staged for it (only sender-staged kinds cross the wire).
+// staged for it (only sender-staged kinds cross the wire) or whose
+// cluster id, an index of the spanner's accumulator, is not in [0, n).
 func (t *NetTransport) deliverBatch(d int, payload []byte) error {
 	lo, hi := int32(t.part.bounds[t.self]), int32(t.part.bounds[t.self+1])
 	flo, fhi := int32(t.part.bounds[d]), int32(t.part.bounds[d+1])
@@ -1152,6 +1153,9 @@ func (t *NetTransport) deliverBatch(d int, payload []byte) error {
 		if env.to < lo || env.to >= hi || !env.m.Kind.senderStaged() || env.m.From < flo || env.m.From >= fhi {
 			return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind sender-staged",
 				off/envelopeSize, env.m.Kind, env.m.From, env.to, t.self, flo, fhi, lo, hi)
+		}
+		if k := env.m.Kind; (k == MsgCenter || k == MsgNewCenter) && uint32(env.m.A) >= uint32(t.part.n) {
+			return fmt.Errorf("envelope %d (kind %d, from %d) names cluster %d outside [0, %d)", off/envelopeSize, k, env.m.From, env.m.A, t.part.n)
 		}
 		t.x.mailbox[env.to] = append(t.x.mailbox[env.to], env.m)
 	}

@@ -1,5 +1,7 @@
 package dist
 
+import "repro/internal/spanner"
+
 // The round engine: a simulated synchronous message-passing network
 // (the CONGEST-style model of the paper's Section on distributed
 // implementation). Vertices are the processors; each round every vertex
@@ -89,6 +91,21 @@ type roundEngine struct {
 	// a ForVertices body), so no locking is needed.
 	boolFree  [][]bool
 	int32Free [][]int32
+
+	// clusters holds each transport worker's Baswana–Sen grouping
+	// accumulator, reused across iterations, layers and rounds: O(n)
+	// words per worker, like the spanner's label arrays.
+	clusters []*spanner.Clusters
+}
+
+// clustersOf returns worker's cluster accumulator, making it on first
+// use. It is called inside ForWorkers bodies; each worker touches only
+// its own slot, which newRoundEngineOn sized.
+func (e *roundEngine) clustersOf(worker int) *spanner.Clusters {
+	if e.clusters[worker] == nil {
+		e.clusters[worker] = spanner.NewClusters(e.n)
+	}
+	return e.clusters[worker]
 }
 
 // scratchFreeDepth bounds how many scratch slices each freelist holds.
@@ -148,7 +165,7 @@ func newRoundEngine(n int) *roundEngine { return newRoundEngineOn(n, NewMemTrans
 
 // newRoundEngineOn returns an engine running over an explicit transport.
 func newRoundEngineOn(n int, tr Transport) *roundEngine {
-	e := &roundEngine{n: n, tr: tr, cur: -1}
+	e := &roundEngine{n: n, tr: tr, cur: -1, clusters: make([]*spanner.Clusters, tr.Workers())}
 	e.stats.Shards = tr.Shards()
 	return e
 }

@@ -336,18 +336,18 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		// --- Step 3: every vertex of an unsampled cluster decides from
 		// its mailbox alone, then notifies the other endpoint of each
 		// edge it added or discarded. The decision rule is verbatim
-		// Baswana–Sen cases (a)/(b), matching internal/spanner; all
-		// comparisons and tie-breaks use global edge ids, so two shards
-		// rank a boundary edge identically.
+		// Baswana–Sen cases (a)/(b), grouped by internal/spanner's
+		// Clusters accumulator (the worker's own, held on the engine);
+		// all comparisons and tie-breaks use global edge ids, so two
+		// shards rank a boundary edge identically.
 		e.BeginPhase("spanner/decide")
 		type vertexOut struct {
 			adds  []notice
 			kills []notice
 		}
-		outs := collectVertices(e, func(_ int, lo, hi int) []vertexOut {
+		outs := collectVertices(e, func(worker int, lo, hi int) []vertexOut {
 			var shardOuts []vertexOut
-			groups := make(map[int32]spanner.BestEdge)
-			removeCluster := make(map[int32]bool, 4)
+			acc := e.clustersOf(worker)
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
 				c := center[v]
@@ -362,41 +362,27 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					newCenter[v] = c
 					continue
 				}
-				for key := range groups {
-					delete(groups, key)
-				}
+				acc.Reset()
 				inbox := e.Mailbox(v)
 				for _, msg := range inbox {
 					if msg.Kind != MsgCenter || msg.A == c {
 						continue
 					}
-					spanner.UpdateBest(groups, msg.A, msg.Port, w.edges[w.localOf(msg.Port)].Resistance())
+					acc.Fold(msg.A, msg.Port, w.edges[w.localOf(msg.Port)].Resistance())
 				}
 				var out vertexOut
-				// The lightest edge into a *sampled* adjacent cluster.
-				best := spanner.BestEdge{Eid: -1}
-				var bestCluster int32
-				for _, msg := range inbox {
-					if msg.Kind != MsgCenter || msg.A == c {
-						continue
-					}
-					if msg.C == 0 {
-						continue // neighbor cluster not sampled
-					}
-					be := groups[msg.A]
-					if best.Eid < 0 || be.Len < best.Len || (be.Len == best.Len && be.Eid < best.Eid) {
-						best = be
-						bestCluster = msg.A
-					}
-				}
-				if best.Eid < 0 {
+				// The lightest edge into a *sampled* adjacent cluster. A
+				// cluster's sampled bit (MsgCenter's C) is a pure function
+				// of the seed, so it is re-derived from the cluster id.
+				bi := acc.Lightest(sampledBit)
+				if bi < 0 {
 					// Case (a): no sampled neighbor cluster. Certify the
 					// lightest edge to every adjacent cluster; v drops out
 					// and discards all its alive edges.
 					newCenter[v] = -1
 					newParent[v], newDepth[v] = -1, 0
-					for _, be := range groups {
-						out.adds = append(out.adds, notice{v, be.Eid})
+					for _, ce := range acc.Touched {
+						out.adds = append(out.adds, notice{v, ce.Best.Eid})
 					}
 					lo2, hi2 := adj.Range(v)
 					for slot := lo2; slot < hi2; slot++ {
@@ -409,26 +395,16 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					// Case (b): join the sampled cluster reached by the
 					// lightest such edge; certify lighter adjacent
 					// clusters; discard edges into all clusters handled.
-					newCenter[v] = bestCluster
-					out.adds = append(out.adds, notice{v, best.Eid})
-					for key := range removeCluster {
-						delete(removeCluster, key)
-					}
-					removeCluster[bestCluster] = true
-					for cu, be := range groups {
-						if cu == bestCluster {
-							continue
-						}
-						if be.Len < best.Len || (be.Len == best.Len && be.Eid < best.Eid) {
-							out.adds = append(out.adds, notice{v, be.Eid})
-							removeCluster[cu] = true
+					best := acc.Touched[bi].Best
+					newCenter[v] = acc.Touched[bi].C
+					acc.Join(bi)
+					for _, ce := range acc.Touched {
+						if ce.Remove {
+							out.adds = append(out.adds, notice{v, ce.Best.Eid})
 						}
 					}
 					for _, msg := range inbox {
-						if msg.Kind != MsgCenter {
-							continue
-						}
-						if removeCluster[msg.A] {
+						if msg.Kind == MsgCenter && acc.Removed(msg.A) {
 							out.kills = append(out.kills, notice{v, msg.Port})
 						}
 					}
@@ -541,22 +517,20 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		}
 	})
 	e.EndRound()
-	adds := collectVertices(e, func(_ int, lo, hi int) []notice {
+	adds := collectVertices(e, func(worker int, lo, hi int) []notice {
 		var shardAdds []notice
-		groups := make(map[int32]spanner.BestEdge)
+		acc := e.clustersOf(worker)
 		for vi := lo; vi < hi; vi++ {
 			v := int32(vi)
-			for key := range groups {
-				delete(groups, key)
-			}
+			acc.Reset()
 			for _, msg := range e.Mailbox(v) {
 				if msg.Kind != MsgNewCenter {
 					continue
 				}
-				spanner.UpdateBest(groups, msg.A, msg.Port, w.edges[w.localOf(msg.Port)].Resistance())
+				acc.Fold(msg.A, msg.Port, w.edges[w.localOf(msg.Port)].Resistance())
 			}
-			for _, be := range groups {
-				shardAdds = append(shardAdds, notice{v, be.Eid})
+			for _, ce := range acc.Touched {
+				shardAdds = append(shardAdds, notice{v, ce.Best.Eid})
 			}
 		}
 		return shardAdds

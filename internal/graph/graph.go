@@ -13,7 +13,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected weighted edge. Endpoints are vertex indices in
@@ -154,31 +154,53 @@ func Add(g, h *Graph) *Graph {
 // Canonical returns a simple graph spectrally identical to g: parallel
 // edges merged by weight summation (resistors in parallel under the
 // Laplacian view add conductances), self-loops dropped (a self-loop has
-// the zero Laplacian), endpoints ordered U < V, and edges sorted.
+// the zero Laplacian), endpoints ordered U < V, and edges sorted by
+// (U, V). It runs in O(n + m): two stable counting passes, by the
+// larger endpoint and then by the smaller, leave equal pairs in
+// edge-list order, so each merged weight is summed in that order.
 func (g *Graph) Canonical() *Graph {
-	type key struct{ u, v int32 }
-	acc := make(map[key]float64, len(g.Edges))
-	for _, e := range g.Edges {
-		if e.U == e.V {
-			continue
+	sorted := byEndpoint(g.N, byEndpoint(g.N, g.Edges, true), false)
+	merged := sorted[:0]
+	for _, e := range sorted {
+		if k := len(merged) - 1; k >= 0 && merged[k].U == e.U && merged[k].V == e.V {
+			merged[k].W += e.W
+		} else {
+			e.W = 0 + e.W // every sum starts from +0, so a lone −0 merges to +0
+			merged = append(merged, e)
 		}
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		acc[key{u, v}] += e.W
 	}
-	edges := make([]Edge, 0, len(acc))
-	for k, w := range acc {
-		edges = append(edges, Edge{U: k.u, V: k.v, W: w})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	return &Graph{N: g.N, Edges: slices.Clone(merged)}
+}
+
+// byEndpoint returns the non-loop edges of src, oriented U < V, in a
+// stable counting sort by V (larger) or by U: buildAdjacency's count,
+// prefix-sum and cursor idiom.
+func byEndpoint(n int, src []Edge, larger bool) []Edge {
+	key := func(e Edge) int32 {
+		if larger {
+			return max(e.U, e.V)
 		}
-		return edges[i].V < edges[j].V
-	})
-	return &Graph{N: g.N, Edges: edges}
+		return min(e.U, e.V)
+	}
+	start := make([]int32, n+1)
+	for _, e := range src {
+		if e.U != e.V {
+			start[key(e)+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	out := make([]Edge, start[n])
+	for _, e := range src {
+		if e.U != e.V {
+			k := key(e)
+			e.U, e.V = min(e.U, e.V), max(e.U, e.V)
+			out[start[k]] = e
+			start[k]++
+		}
+	}
+	return out
 }
 
 // Subgraph materializes the edges for which keep[i] is true.

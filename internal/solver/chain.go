@@ -178,29 +178,32 @@ func newLevel(g *graph.Graph) *Level {
 // to the component) — and two-step graphs of bipartite inputs are
 // disconnected, so deflating only the global D^½·1 would leave a
 // spurious σ = 1 and the chain would never detect convergence. The
-// deflation basis is therefore per-component.
+// deflation basis is therefore per-component. Its vectors have disjoint
+// supports, so they share one n-vector q, normalized per component, and
+// a deflation is two O(n) passes over the component labels: O(n +
+// components) time and memory, however many components there are.
 func estimateSigma2(g *graph.Graph, l *matrix.CSR, invDiag []float64) float64 {
 	n := l.N
 	if n == 1 {
 		return 0
 	}
 	labels, count := graph.Components(g, nil)
-	// Per-component Perron vectors D^½·1_C, orthonormal by disjoint
-	// support after normalization.
-	basis := make([][]float64, 0, count)
-	for c := 0; c < count; c++ {
-		v := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if int(labels[i]) == c && invDiag[i] > 0 {
-				v[i] = math.Sqrt(1 / invDiag[i])
-			}
-		}
-		if nrm := vec.Norm2(v); nrm > 0 {
-			vec.Scale(1/nrm, v)
-			basis = append(basis, v)
+	q := make([]float64, n)
+	dots := make([]float64, count) // per component: Σq² first, then each deflation's ⟨v, q⟩
+	for i, d := range invDiag {
+		if d > 0 {
+			q[i] = math.Sqrt(1 / d)
+			dots[labels[i]] += q[i] * q[i]
 		}
 	}
-	if len(basis) == 0 {
+	nonzero := false
+	for i := range q {
+		if q[i] > 0 {
+			q[i] *= 1 / math.Sqrt(dots[labels[i]])
+			nonzero = true
+		}
+	}
+	if !nonzero {
 		return 0
 	}
 	// Deterministic pseudo-random start.
@@ -211,9 +214,12 @@ func estimateSigma2(g *graph.Graph, l *matrix.CSR, invDiag []float64) float64 {
 		x[i] = float64(int64(state>>11))/(1<<52) - 1
 	}
 	deflate := func(v []float64) {
-		for _, q := range basis {
-			d := vec.Dot(v, q)
-			vec.Axpy(-d, q, v)
+		clear(dots)
+		for i, c := range labels {
+			dots[c] += v[i] * q[i]
+		}
+		for i, c := range labels {
+			v[i] -= dots[c] * q[i]
 		}
 	}
 	deflate(x)

@@ -12,6 +12,12 @@
 // The algorithm works on a subset of the edges of a host graph selected
 // by an "alive" mask, which is what lets bundle construction peel
 // spanners off G − ΣH_j without copying the graph.
+//
+// Every decision groups one vertex's candidate edges by adjacent
+// cluster and keeps the lightest per cluster. Clusters is that
+// grouping, dense over cluster ids and reset in O(degree), one per
+// worker, in this package and in internal/dist's message-passing
+// implementation alike, so the two rank candidates identically.
 package spanner
 
 import (
@@ -104,6 +110,10 @@ func Compute(g *graph.Graph, adj *graph.Adjacency, alive []bool, opt Options) *R
 	st := &state{
 		g: g, adj: adj, dead: dead, inSpanner: inSpanner,
 		center: center, seed: opt.Seed, sampleProb: p,
+		clusters: make([]*Clusters, parutil.Workers(n)),
+	}
+	for i := range st.clusters {
+		st.clusters[i] = NewClusters(n)
 	}
 	aliveCount := int64(0)
 	for _, d := range dead {
@@ -132,35 +142,99 @@ type state struct {
 	center     []int32 // cluster assignment at the start of the iteration
 	seed       uint64
 	sampleProb float64
+	clusters   []*Clusters // one per parutil worker, reused every iteration
 }
 
-// BestEdge tracks the lightest (in resistive length) alive edge from a
-// vertex to one adjacent cluster; ties break by edge id so the result
-// is independent of scan order. It is exported because the distributed
-// simulation (internal/dist) must apply the identical total order to
-// stay bit-compatible with this implementation.
+// BestEdge is the lightest (in resistive length) alive edge from a
+// vertex to one adjacent cluster; ties break by edge id, so the result
+// is independent of scan order. Clusters, the one grouping primitive
+// of both this package and the distributed implementation
+// (internal/dist), keeps one BestEdge per adjacent cluster, so the two
+// apply the identical total order and stay bit-compatible.
 type BestEdge struct {
 	Eid int32
 	Len float64
 }
 
-// Better folds candidate edge (eid, l) into a, keeping the lighter
-// (resistive length, then edge id) of the two.
-func Better(a BestEdge, eid int32, l float64) BestEdge {
-	if a.Eid < 0 || l < a.Len || (l == a.Len && eid < a.Eid) {
-		return BestEdge{Eid: eid, Len: l}
-	}
-	return a
+// less reports whether b precedes o in the (resistive length, edge id)
+// order: the one comparison every grouping and selection step uses.
+func (b BestEdge) less(o BestEdge) bool {
+	return b.Len < o.Len || (b.Len == o.Len && b.Eid < o.Eid)
 }
 
-// UpdateBest folds edge (eid, l) into the per-cluster minimum map,
-// treating a missing entry as "no edge yet" (the zero BestEdge would
-// otherwise masquerade as edge 0 with length 0).
-func UpdateBest(m map[int32]BestEdge, c int32, eid int32, l float64) {
-	if be, ok := m[c]; ok {
-		m[c] = Better(be, eid, l)
-	} else {
-		m[c] = BestEdge{Eid: eid, Len: l}
+// ClusterEdge is one adjacent cluster's entry in a Clusters
+// accumulator.
+type ClusterEdge struct {
+	C      int32    // the cluster id
+	Best   BestEdge // the lightest candidate edge into C folded so far
+	Remove bool     // set by Join: the vertex discards its edges into C
+}
+
+// Clusters groups one vertex's candidate edges by adjacent cluster,
+// keeping the lightest per cluster. Entries sit in Touched in the order
+// their clusters were first folded; callers iterate Touched directly.
+// pos is dense over the n cluster ids, so a fold is an array read and
+// Reset clears only the touched slots: O(degree) per vertex, never
+// O(n). One accumulator serves one worker, vertex after vertex.
+type Clusters struct {
+	pos     []int32 // pos[c] is 1 + c's index in Touched; 0 is absent
+	Touched []ClusterEdge
+}
+
+// NewClusters returns an empty accumulator over cluster ids [0, n).
+func NewClusters(n int) *Clusters { return &Clusters{pos: make([]int32, n)} }
+
+// Fold records candidate edge eid of length l into cluster c, keeping
+// the lesser of it and c's current best.
+func (a *Clusters) Fold(c, eid int32, l float64) {
+	be := BestEdge{Eid: eid, Len: l}
+	if i := a.pos[c]; i > 0 {
+		if be.less(a.Touched[i-1].Best) {
+			a.Touched[i-1].Best = be
+		}
+		return
+	}
+	a.Touched = append(a.Touched, ClusterEdge{C: c, Best: be})
+	a.pos[c] = int32(len(a.Touched))
+}
+
+// Removed reports whether cluster c was folded and marked Remove since
+// the last Reset.
+func (a *Clusters) Removed(c int32) bool {
+	i := a.pos[c]
+	return i > 0 && a.Touched[i-1].Remove
+}
+
+// Reset empties the accumulator, clearing only the touched slots.
+func (a *Clusters) Reset() {
+	for _, ce := range a.Touched {
+		a.pos[ce.C] = 0
+	}
+	a.Touched = a.Touched[:0]
+}
+
+// Lightest returns the index in Touched of the least entry whose
+// cluster keep accepts, or −1 when none does.
+func (a *Clusters) Lightest(keep func(c int32) bool) int {
+	bi := -1
+	for i, ce := range a.Touched {
+		if keep(ce.C) && (bi < 0 || ce.Best.less(a.Touched[bi].Best)) {
+			bi = i
+		}
+	}
+	return bi
+}
+
+// Join is case (b) of a Baswana–Sen decision: the vertex joins the
+// cluster of entry bi, so that cluster and every cluster whose best
+// edge is lighter than bi's are marked Remove. The marked entries' best
+// edges are the ones the vertex adds to the spanner.
+func (a *Clusters) Join(bi int) {
+	best := a.Touched[bi].Best
+	for i := range a.Touched {
+		if ce := &a.Touched[i]; i == bi || ce.Best.less(best) {
+			ce.Remove = true
+		}
 	}
 }
 
@@ -176,13 +250,15 @@ func (s *state) clusterIteration(iter int) {
 	})
 
 	newCenter := make([]int32, n)
-	type vertexOut struct {
+	// One flat decision list per shard: a pair of slices per vertex
+	// would be most of the iteration's allocation.
+	type decisions struct {
 		spannerAdd []int32
 		kill       []int32
 	}
-	outs := parutil.CollectShards(n, func(_ int, lo, hi int) []vertexOut {
-		var shardOuts []vertexOut
-		groups := make(map[int32]BestEdge)
+	outs := parutil.CollectShards(n, func(shard int, lo, hi int) []decisions {
+		var out decisions
+		acc := s.clusters[shard]
 		for vi := lo; vi < hi; vi++ {
 			v := int32(vi)
 			c := s.center[v]
@@ -196,9 +272,7 @@ func (s *state) clusterIteration(iter int) {
 				continue
 			}
 			// Group v's alive inter-cluster edges by neighbor cluster.
-			for key := range groups {
-				delete(groups, key)
-			}
+			acc.Reset()
 			loS, hiS := s.adj.Range(v)
 			for slot := loS; slot < hiS; slot++ {
 				eid := s.adj.EID[slot]
@@ -213,25 +287,17 @@ func (s *state) clusterIteration(iter int) {
 					// the end of the previous iteration. Skip defensively.
 					continue
 				}
-				UpdateBest(groups, cu, eid, s.g.Edges[eid].Resistance())
+				acc.Fold(cu, eid, s.g.Edges[eid].Resistance())
 			}
-			var out vertexOut
 			// Find the lightest edge into a *sampled* adjacent cluster.
-			best := BestEdge{Eid: -1}
-			for cu, be := range groups {
-				if sampled[cu] {
-					if best.Eid < 0 || be.Len < best.Len || (be.Len == best.Len && be.Eid < best.Eid) {
-						best = be
-					}
-				}
-			}
-			if best.Eid < 0 {
+			bi := acc.Lightest(func(cu int32) bool { return sampled[cu] })
+			if bi < 0 {
 				// Case (a): no sampled neighbor cluster. Add the lightest
 				// edge to every adjacent cluster; v drops out of the
 				// clustering and discards all its alive edges.
 				newCenter[v] = -1
-				for _, be := range groups {
-					out.spannerAdd = append(out.spannerAdd, be.Eid)
+				for _, ce := range acc.Touched {
+					out.spannerAdd = append(out.spannerAdd, ce.Best.Eid)
 				}
 				for slot := loS; slot < hiS; slot++ {
 					eid := s.adj.EID[slot]
@@ -242,22 +308,11 @@ func (s *state) clusterIteration(iter int) {
 			} else {
 				// Case (b): join the sampled cluster reached by the
 				// lightest such edge; certify lighter adjacent clusters.
-				joined := s.g.Edges[best.Eid]
-				jc := s.center[joined.U]
-				if joined.U == v {
-					jc = s.center[joined.V]
-				}
-				newCenter[v] = jc
-				out.spannerAdd = append(out.spannerAdd, best.Eid)
-				removeCluster := make(map[int32]bool, 4)
-				removeCluster[jc] = true
-				for cu, be := range groups {
-					if cu == jc {
-						continue
-					}
-					if be.Len < best.Len || (be.Len == best.Len && be.Eid < best.Eid) {
-						out.spannerAdd = append(out.spannerAdd, be.Eid)
-						removeCluster[cu] = true
+				newCenter[v] = acc.Touched[bi].C
+				acc.Join(bi)
+				for _, ce := range acc.Touched {
+					if ce.Remove {
+						out.spannerAdd = append(out.spannerAdd, ce.Best.Eid)
 					}
 				}
 				for slot := loS; slot < hiS; slot++ {
@@ -265,17 +320,13 @@ func (s *state) clusterIteration(iter int) {
 					if s.dead[eid] {
 						continue
 					}
-					u := s.adj.Nbr[slot]
-					if cu := s.center[u]; cu >= 0 && removeCluster[cu] {
+					if cu := s.center[s.adj.Nbr[slot]]; cu >= 0 && acc.Removed(cu) {
 						out.kill = append(out.kill, eid)
 					}
 				}
 			}
-			if len(out.spannerAdd) > 0 || len(out.kill) > 0 {
-				shardOuts = append(shardOuts, out)
-			}
 		}
-		return shardOuts
+		return []decisions{out}
 	})
 	// Apply the simultaneous decisions (idempotent set operations, so
 	// application order is irrelevant).
@@ -306,14 +357,12 @@ func (s *state) clusterIteration(iter int) {
 // E' is empty.
 func (s *state) vertexClusterJoin() {
 	n := s.g.N
-	adds := parutil.CollectShards(n, func(_ int, lo, hi int) []int32 {
+	adds := parutil.CollectShards(n, func(shard int, lo, hi int) []int32 {
 		var shardAdds []int32
-		groups := make(map[int32]BestEdge)
+		acc := s.clusters[shard]
 		for vi := lo; vi < hi; vi++ {
 			v := int32(vi)
-			for key := range groups {
-				delete(groups, key)
-			}
+			acc.Reset()
 			loS, hiS := s.adj.Range(v)
 			for slot := loS; slot < hiS; slot++ {
 				eid := s.adj.EID[slot]
@@ -325,10 +374,10 @@ func (s *state) vertexClusterJoin() {
 				if cu < 0 {
 					continue
 				}
-				UpdateBest(groups, cu, eid, s.g.Edges[eid].Resistance())
+				acc.Fold(cu, eid, s.g.Edges[eid].Resistance())
 			}
-			for _, be := range groups {
-				shardAdds = append(shardAdds, be.Eid)
+			for _, ce := range acc.Touched {
+				shardAdds = append(shardAdds, ce.Best.Eid)
 			}
 		}
 		return shardAdds
