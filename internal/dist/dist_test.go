@@ -27,6 +27,7 @@ func TestSpannerMatchesSharedMemory(t *testing.T) {
 		gen.Barbell(30, 4),
 		gen.Grid2D(20, 25),
 		gen.WithRandomWeights(gen.Gnp(150, 0.2, 5), 0.1, 10, 9),
+		shuffledMultigraph(400, 0.1, 3),
 	}
 	for gi, g := range cases {
 		for _, seed := range []uint64{1, 7, 42} {
@@ -130,15 +131,20 @@ func TestSpannerLedgerTheorem2(t *testing.T) {
 // and every spectral guarantee proven for the shared-memory path
 // transfers to the distributed one.
 func TestSparsifyMatchesCore(t *testing.T) {
-	cases := []*graph.Graph{
-		gen.Gnp(300, 0.15, 7),
-		gen.Complete(120),
-		gen.Grid2D(18, 18),
+	cases := []struct {
+		g     *graph.Graph
+		depth int // bundle depth; 0 is the default t
+	}{
+		{gen.Gnp(300, 0.15, 7), 0},
+		{gen.Complete(120), 0},
+		{gen.Grid2D(18, 18), 0},
+		{shuffledMultigraph(400, 0.1, 3), 2}, // depth 2 leaves edges to sample
 	}
-	for gi, g := range cases {
+	for gi, tc := range cases {
+		g := tc.g
 		for _, seed := range []uint64{1, 99} {
-			d := runSparsify(t, dist.Mem(), g, 0.75, 4, 0, seed)
-			c, _, err := core.ParallelSparsify(g, 0.75, 4, core.DefaultConfig(seed))
+			d := runSparsify(t, dist.Mem(), g, 0.75, 4, tc.depth, seed)
+			c, _, err := core.ParallelSparsify(g, 0.75, 4, sparsifyCfg(tc.depth, seed))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,12 +30,16 @@ func TestCrossTransportEquivalenceMatrix(t *testing.T) {
 	const eps, rho = 0.75, 4.0
 	seeds := []uint64{11, 42} // seed-derived state must agree at every seed, not one lucky one
 	graphs := []struct {
-		name string
-		g    *graph.Graph
+		name  string
+		g     *graph.Graph
+		depth int // the sparsifier's bundle depth; 0 is the default t
 	}{
-		{"gnp", gen.Gnp(240, 0.1, 7)},
-		{"weighted-grid", gen.WithRandomWeights(gen.Grid2D(12, 15), 0.1, 10, 9)},
-		{"barbell", gen.Barbell(25, 4)},
+		{"gnp", gen.Gnp(240, 0.1, 7), 0},
+		{"weighted-grid", gen.WithRandomWeights(gen.Grid2D(12, 15), 0.1, 10, 9), 0},
+		{"barbell", gen.Barbell(25, 4), 0},
+		// Depth 2 leaves edges outside the bundle, so the sampling
+		// round runs on an input whose fold order differs by view.
+		{"shuffled-multigraph", shuffledMultigraph(400, 0.1, 3), 2},
 	}
 	shardCounts := []int{1, 2, 3, 7}
 
@@ -99,7 +103,7 @@ func TestCrossTransportEquivalenceMatrix(t *testing.T) {
 		for _, seed := range seeds {
 			seed := seed
 			refSpanner := runSpanner(t, dist.Mem(), gc.g, 0, seed)
-			refSparsify := runSparsify(t, dist.Mem(), gc.g, eps, rho, 0, seed)
+			refSparsify := runSparsify(t, dist.Mem(), gc.g, eps, rho, gc.depth, seed)
 			for _, p := range shardCounts {
 				for _, column := range []string{"sharded", "net", "mesh"} {
 					column := column
@@ -107,7 +111,7 @@ func TestCrossTransportEquivalenceMatrix(t *testing.T) {
 						sameSpanner(t, runColumn(t, column, gc.g, p, dist.SpannerJob(0, seed)), refSpanner)
 					})
 					t.Run(fmt.Sprintf("%s/seed=%d/%s/P=%d/sparsify", gc.name, seed, column, p), func(t *testing.T) {
-						sameGraph(t, runColumn(t, column, gc.g, p, dist.SparsifyJob(eps, rho, sparsifyCfg(0, seed))), refSparsify)
+						sameGraph(t, runColumn(t, column, gc.g, p, dist.SparsifyJob(eps, rho, sparsifyCfg(gc.depth, seed))), refSparsify)
 					})
 				}
 			}
