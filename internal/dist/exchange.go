@@ -42,6 +42,19 @@ import (
 // shard order (0..P-1, own row in place), so mailbox order is
 // identical whether the rows were filled by goroutines or arrived as
 // network frames.
+//
+// Posts. The spanner's neighbour exchanges (MsgCenter, MsgNewCenter)
+// send one vertex's word to every live neighbour, so they skip the
+// rows and mailboxes: post stores the word once on the post board (one
+// entry per vertex, O(n) words beside the labels) and bills it on the
+// poster's row once per live edge of the poster in the board's view —
+// the same messages, words and cross-shard split the per-edge
+// envelopes were billed. After the barrier a recipient walks its own
+// live slots and reads each neighbour's entry (postBoard.heard). Posts
+// are sender-staged: only the poster's owner writes its entry. The
+// network transport carries a post across a link once, as one record
+// per (poster, destination shard holding one of its live edges), and
+// the receiver writes it onto its own board at the barrier.
 
 // partition is a balanced contiguous vertex partition (see
 // graph.ShardBounds; the formula lives in the leaf package so the
@@ -85,6 +98,10 @@ func (k MsgKind) senderStaged() bool {
 	return false
 }
 
+// posted reports whether messages of kind k are neighbour exchanges,
+// which travel as posts (Transport.Post) and carry a cluster id in A.
+func (k MsgKind) posted() bool { return k == MsgCenter || k == MsgNewCenter }
+
 // exchanger holds the staging rows and mailboxes of one transport.
 // exec is the execution partition (staging rows and drain columns);
 // owner is the ownership partition used for cross-shard billing — the
@@ -97,6 +114,7 @@ type exchanger struct {
 	owner   partition
 	rows    []stagingRow // rows[d]: worker d's staging, written by d alone
 	mailbox [][]Message  // per-vertex mailboxes rebuilt at each barrier
+	board   postBoard
 }
 
 // stagingRow is one worker's outgoing traffic: a bucket per recipient
@@ -112,6 +130,7 @@ func newExchanger(n, execP, ownerP int) *exchanger {
 		exec:    newPartition(n, execP),
 		owner:   newPartition(n, ownerP),
 		mailbox: make([][]Message, n),
+		board:   postBoard{posts: make([]posted, n), now: 1},
 	}
 	x.rows = make([]stagingRow, x.exec.p)
 	for d := range x.rows {
@@ -158,6 +177,41 @@ func (x *exchanger) send(to int32, m Message) {
 	x.stage(d, r, cross, to, m)
 }
 
+// post stores m on the board as the round's post of its poster
+// u = m.From and bills it on row d once per live slot of u in the
+// board's view, as cross-shard traffic where the other end has
+// another owner. When perShard is not nil, post also counts those
+// cross-shard slots by owner shard into it, for the network transport
+// to stage. It must be called by u's owner during a compute phase, or
+// by any single goroutine outside one.
+func (x *exchanger) post(d int, m Message, perShard []int32) {
+	b := &x.board
+	u := m.From
+	s := x.owner.shardOf(u)
+	olo, ohi := int32(x.owner.bounds[s]), int32(x.owner.bounds[s+1])
+	var live, cross int64
+	adj, dead := b.adj, b.dead
+	lo, hi := adj.Range(u)
+	nbrs := adj.Nbr[lo:hi]
+	for i, eid := range adj.EID[lo:hi] {
+		if dead[eid] {
+			continue
+		}
+		live++
+		if nbr := nbrs[i]; nbr < olo || nbr >= ohi {
+			cross++
+			if perShard != nil {
+				perShard[x.owner.shardOf(nbr)]++
+			}
+		}
+	}
+	b.put(m)
+	if live > 0 {
+		w := int64(m.Kind.Words())
+		x.rows[d].tally.add(RoundTally{Messages: live, Words: live * w, MaxMessageWords: int(w), CrossShardMessages: cross, CrossShardWords: cross * w})
+	}
+}
+
 // recv returns the messages delivered to v by the last drain.
 func (x *exchanger) recv(v int32) []Message { return x.mailbox[v] }
 
@@ -194,10 +248,12 @@ func (x *exchanger) forWorkers(body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// drainAll drains every column (one worker per recipient shard) and
-// sums the row tallies in row order — the whole in-process barrier.
+// drainAll drains every column (one worker per recipient shard), makes
+// the round's posts readable, and sums the row tallies in row order —
+// the whole in-process barrier.
 func (x *exchanger) drainAll() RoundTally {
 	x.forWorkers(func(r, _, _ int) { x.drainColumn(r) })
+	x.board.now++
 	var total RoundTally
 	for d := range x.rows {
 		total.add(x.takeTally(d))
@@ -244,3 +300,68 @@ func (t *RoundTally) add(u RoundTally) {
 	t.CrossShardWords += u.CrossShardWords
 	t.MaxMessageWords = max(t.MaxMessageWords, u.MaxMessageWords)
 }
+
+// postBoard holds the posts of the neighbour exchanges: per vertex the
+// last message it posted, stamped with the barrier count at which it is
+// readable, and the view whose live slots a post crosses. A post made
+// in round r is heard from the barrier that closes r until the next
+// one, so the board is never cleared between rounds.
+type postBoard struct {
+	// adj and dead are the view: a post by u crosses each slot of u in
+	// adj whose (local) edge id is not dead. The round engine sets them
+	// (roundEngine.PostView) for the rounds that post.
+	adj  *graph.Adjacency
+	dead []bool
+	// posts[v] is v's last post; now counts the barriers closed since
+	// the board was made or reset, from 1, so a zero stamp is never
+	// readable.
+	posts []posted
+	now   uint32
+}
+
+// posted is one vertex's post: the payload of a Message (its sender is
+// the board index, its port the edge a reader walks) and its stamp.
+type posted struct {
+	at      uint32 // the barrier count from which the post is heard
+	kind    MsgKind
+	a, b, c int32
+}
+
+// put stores m as its sender's post of the current round.
+func (b *postBoard) put(m Message) {
+	b.posts[m.From] = posted{at: b.now + 1, kind: m.Kind, a: m.A, b: m.B, c: m.C}
+}
+
+// heard returns the message v posted in the round the last barrier
+// closed, and whether v posted in it.
+func (b *postBoard) heard(v int32) (Message, bool) {
+	p := &b.posts[v]
+	if p.at != b.now {
+		return Message{}, false
+	}
+	return Message{From: v, Kind: p.kind, A: p.a, B: p.b, C: p.c}, true
+}
+
+// liveSlots returns the number of slots of u in the view whose edge is
+// not dead.
+func (b *postBoard) liveSlots(u int32) int32 {
+	live := int32(0)
+	lo, hi := b.adj.Range(u)
+	for _, eid := range b.adj.EID[lo:hi] {
+		if !b.dead[eid] {
+			live++
+		}
+	}
+	return live
+}
+
+// reset forgets every post and the view: what an aborted attempt
+// posted is never heard by its replay.
+func (b *postBoard) reset() {
+	clear(b.posts)
+	b.now = 1
+	b.adj, b.dead = nil, nil
+}
+
+// posts returns the transport's post board (Transport.posts).
+func (x *exchanger) posts() *postBoard { return &x.board }

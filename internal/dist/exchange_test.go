@@ -107,27 +107,49 @@ func TestLocalOfEnumeration(t *testing.T) {
 	}
 }
 
-// TestMalformedBatchIsTypedError forges one envelope into shard 1's
-// batch for shard 0, past Send's staging check, for each way a batch
-// can be malformed. Shard 0's barrier must reject it with a *NetError
-// naming shard 1 before anything reaches a mailbox, well within the
-// frame timeout — never deliver it to a mailbox shard 0 does not read,
-// and never panic with a runtime error.
+// TestMalformedBatchIsTypedError forges one record into shard 1's
+// batch for shard 0, past Send's and Post's staging checks, for each
+// way a batch can be malformed: an envelope, or post records (a post
+// carries the number of the poster's live edges into shard 0, which
+// shard 0 counts in its own view). Shard 0's barrier must reject it
+// with a *NetError naming shard 1 before anything reaches a mailbox or
+// the post board, well within the frame timeout — never deliver it to
+// a mailbox shard 0 does not read, and never panic with a runtime
+// error.
 func TestMalformedBatchIsTypedError(t *testing.T) {
 	const n, timeout = 100, 5 * time.Second // shard 0 owns [0, 50)
+	// The posting rounds' views: vertex 70 has three live edges into
+	// shard 0, vertex 80 none. Each shard's view holds the edges
+	// incident to it, as a partition view does.
+	edges := []graph.Edge{{U: 70, V: 10, W: 1}, {U: 11, V: 70, W: 1}, {U: 70, V: 12, W: 1}, {U: 80, V: 81, W: 1}}
+	views := [2][]graph.Edge{edges[:3], edges}
+	post := func(count int32, m Message) []postRecord { return []postRecord{{count: count, m: m}} }
 	for _, tc := range []struct {
-		name string
-		env  envelope
+		name  string
+		env   envelope
+		posts []postRecord // forged instead of env when set
 	}{
-		{"recipient-in-sender-shard", envelope{to: 60, m: Message{Kind: MsgCenter, From: 70}}},
-		{"recipient-out-of-range", envelope{to: 1000, m: Message{Kind: MsgCenter, From: 70}}},
-		{"recipient-negative", envelope{to: -1, m: Message{Kind: MsgCenter, From: 70}}},
-		{"receiver-staged-kind", envelope{to: 10, m: Message{Kind: MsgKeep, From: 70}}},
-		{"unknown-kind", envelope{to: 10, m: Message{Kind: 200, From: 70}}},
-		{"sender-in-receiver-shard", envelope{to: 10, m: Message{Kind: MsgAdd, From: 20}}},
-		{"sender-missing", envelope{to: 10, m: Message{Kind: MsgDrop, From: -1}}},
-		{"cluster-out-of-range", envelope{to: 10, m: Message{Kind: MsgCenter, From: 70, A: n}}},
-		{"cluster-negative", envelope{to: 10, m: Message{Kind: MsgNewCenter, From: 70, A: -1}}},
+		{"recipient-in-sender-shard", envelope{to: 60, m: Message{Kind: MsgCenter, From: 70}}, nil},
+		{"recipient-out-of-range", envelope{to: 1000, m: Message{Kind: MsgCenter, From: 70}}, nil},
+		{"recipient-negative", envelope{to: -1, m: Message{Kind: MsgCenter, From: 70}}, nil},
+		{"receiver-staged-kind", envelope{to: 10, m: Message{Kind: MsgKeep, From: 70}}, nil},
+		{"unknown-kind", envelope{to: 10, m: Message{Kind: 200, From: 70}}, nil},
+		{"sender-in-receiver-shard", envelope{to: 10, m: Message{Kind: MsgAdd, From: 20}}, nil},
+		{"sender-missing", envelope{to: 10, m: Message{Kind: MsgDrop, From: -1}}, nil},
+		{"cluster-out-of-range", envelope{to: 10, m: Message{Kind: MsgCenter, From: 70, A: n}}, nil},
+		{"cluster-negative", envelope{to: 10, m: Message{Kind: MsgNewCenter, From: 70, A: -1}}, nil},
+		{"post-count-above-live-slots", envelope{}, post(4, Message{Kind: MsgCenter, From: 70})},
+		{"post-count-below-live-slots", envelope{}, post(2, Message{Kind: MsgCenter, From: 70})},
+		{"post-count-zero", envelope{}, post(0, Message{Kind: MsgNewCenter, From: 70})},
+		{"post-count-negative", envelope{}, post(-3, Message{Kind: MsgCenter, From: 70})},
+		{"post-sender-in-receiver-shard", envelope{}, post(3, Message{Kind: MsgCenter, From: 20})},
+		{"post-sender-out-of-range", envelope{}, post(3, Message{Kind: MsgCenter, From: 1000})},
+		{"post-sender-without-edges-here", envelope{}, post(1, Message{Kind: MsgNewCenter, From: 80})},
+		{"post-notice-kind", envelope{}, post(3, Message{Kind: MsgAdd, From: 70})},
+		{"post-receiver-staged-kind", envelope{}, post(3, Message{Kind: MsgKeep, From: 70})},
+		{"post-cluster-out-of-range", envelope{}, post(3, Message{Kind: MsgCenter, From: 70, A: n})},
+		{"post-cluster-negative", envelope{}, post(3, Message{Kind: MsgNewCenter, From: 70, A: -1})},
+		{"post-twice-in-one-round", envelope{}, append(post(3, Message{Kind: MsgCenter, From: 70}), post(3, Message{Kind: MsgCenter, From: 70})...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			done := make(chan error, 1)
@@ -140,7 +162,11 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 					if err := tr.setupDataPlane(); err != nil {
 						return err
 					}
-					if tr.Shard() == 1 {
+					view := views[tr.Shard()]
+					tr.x.board.adj, tr.x.board.dead = graph.NewAdjacencyDense(n, view), make([]bool, len(view))
+					if tr.Shard() == 1 && tc.posts != nil {
+						tr.postTo[0] = append(tr.postTo[0], tc.posts...)
+					} else if tr.Shard() == 1 {
 						tr.x.rows[1].to[0] = append(tr.x.rows[1].to[0], tc.env)
 					}
 					tr.EndRound(0)
@@ -161,13 +187,22 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 	}
 }
 
-// TestRollbackDiscardsStagedTally: traffic staged before beginAttempt
-// belongs to an aborted attempt. The next EndRound must bill, and
-// deliver, only what was staged after it — on both shards, so the
-// summed tally is the replay's alone.
+// TestRollbackDiscardsStagedTally: traffic staged and posts made
+// before beginAttempt belong to an aborted attempt. The next EndRound
+// must bill, and deliver, only what was staged after it — on both
+// shards, so the summed tally is the replay's alone — and no post of
+// the aborted attempt may be heard, locally or by the peer, even though
+// the replay posts over the same view.
 func TestRollbackDiscardsStagedTally(t *testing.T) {
 	const n = 100
 	bounds := graph.ShardBounds(n, 2)
+	// The posting view: vertex i of each shard has one edge, to vertex
+	// i of the other, for i < 5.
+	var edges []graph.Edge
+	for i := 0; i < 5; i++ {
+		edges = append(edges, graph.Edge{U: int32(bounds[0] + i), V: int32(bounds[1] + i), W: 1})
+	}
+	adj := graph.NewAdjacency(graph.FromEdges(n, edges))
 	tallies := make([]RoundTally, 2)
 	err := runFleet(n, 2, 5*time.Second, func(tr *NetTransport) (err error) {
 		defer recoverNetError(&err)
@@ -179,14 +214,22 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 		}
 		s := tr.Shard()
 		lo, hi, peer := int32(bounds[s]), int32(bounds[s+1]), int32(bounds[1-s])
+		tr.x.board.adj, tr.x.board.dead = adj, make([]bool, len(edges))
 		for i := int32(0); i < 5; i++ {
 			tr.Send(peer+i, Message{Kind: MsgCenter, From: lo + i})
 			tr.Send(lo+i+1, Message{Kind: MsgCenter, From: lo + i})
+			tr.Post(Message{Kind: MsgCenter, From: lo + i, A: lo + i})
 		}
 		tr.beginAttempt()
+		tr.x.board.adj, tr.x.board.dead = adj, make([]bool, len(edges))
 		tr.Send(peer, Message{Kind: MsgDrop, From: lo, A: 7})
 		tr.Send(lo, Message{Kind: MsgKeep, From: lo + 1, A: 1})
 		tallies[s] = tr.EndRound(0)
+		for v := int32(0); v < n; v++ {
+			if m, ok := tr.x.board.heard(v); ok {
+				return fmt.Errorf("shard %d hears vertex %d's post %+v of the aborted attempt", s, v, m)
+			}
+		}
 		for v := lo; v < hi; v++ {
 			if box := tr.Recv(v); v != lo && len(box) != 0 {
 				return fmt.Errorf("shard %d: vertex %d holds %d messages of the aborted attempt", s, v, len(box))

@@ -24,14 +24,21 @@ const memTestTimeout = 30 * time.Second
 
 // TestRunAllocationBudget pins the buffer-reuse work of the round
 // loop at the allocator: one sparsification run's TotalAlloc must stay
-// under a budget set just below the pre-pooling numbers. Before the
+// under a budget set just above the current numbers. Before the
 // engine scratch freelists and the spanner's label ping-pong landed,
 // this workload allocated 25.89 MB (Mem) and 23.40 MB (Sharded 4) per
-// run; after, 24.07 MB and 21.57 MB — so budgets of 25.0/22.5 MB trip
-// if the pooling is reverted while leaving ~4% headroom for runtime
-// drift. Measurements are stable to ~0.03% across runs here; the
-// remaining traffic is append-growth of per-round collections, which
-// the pools deliberately do not chase.
+// run; after, 24.07 MB and 21.57 MB; with the grouping accumulator,
+// 22.37 MB and 20.99 MB; with the neighbour exchanges posted once per
+// vertex instead of staged and delivered once per edge, 17.04 MB and
+// 16.80 MB; and with the decision notices collected in one list per
+// worker that the engine reuses across rounds, 7.48 MB and 7.43 MB at
+// GOMAXPROCS=2 (6.81/6.76 MB at 4, 7.62/7.86 MB at 1, where the
+// grain-adaptive collections have fewer, longer-growing parts) — so
+// a budget of 8.2 MB trips if either is reverted while leaving ~4%
+// headroom over the worst of those for runtime drift. Measurements are
+// stable to ~0.03% across runs here; the remaining traffic is
+// append-growth of the other per-round collections, which the pools
+// deliberately do not chase.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short")
@@ -42,8 +49,8 @@ func TestRunAllocationBudget(t *testing.T) {
 		spec   TransportSpec
 		budget uint64
 	}{
-		{"mem", Mem(), 25_000_000},
-		{"sharded4", Sharded(4), 22_500_000},
+		{"mem", Mem(), 8_200_000},
+		{"sharded4", Sharded(4), 8_200_000},
 	} {
 		job := SparsifyJob(0.5, 4, core.DefaultConfig(11))
 		run := func() {

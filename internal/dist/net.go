@@ -38,8 +38,11 @@ import (
 // from every other shard — each inbound batch is held raw until the
 // stream checksum verifies, then parsed straight into the mailboxes,
 // and an envelope its sender could not have staged for this shard is
-// a *NetError naming the sender. Every process sums the P local tallies
-// itself, so Stats.Rounds, Words, and the CrossShard
+// a *NetError naming the sender. A post crosses a link once, as one
+// record per (poster, destination shard) counting the poster's live
+// edges into that shard; the receiver checks the count against its own
+// view and writes the post onto its board. Every process sums the P
+// local tallies itself, so Stats.Rounds, Words, and the CrossShard
 // split are identical on every process and to the single-process
 // transports, which the equivalence matrix pins. Everything a shard
 // owes a peer is queued before it reads that peer, and the writer
@@ -86,6 +89,13 @@ type NetTransport struct {
 	self    int
 	x       *exchanger
 	timeout time.Duration
+
+	// postTo stages this shard's post records by destination shard,
+	// encoded after the envelopes of the round's batch; postCount is
+	// Post's per-shard count of one poster's live cross-shard slots,
+	// zero between calls.
+	postTo    [][]postRecord
+	postCount []int32
 
 	ln net.Listener // coordinator only
 	// links holds this process's connection to every other shard,
@@ -743,11 +753,13 @@ func newNetTransport(n, shard, shards int, timeout time.Duration) (*NetTransport
 		timeout = DefaultNetTimeout
 	}
 	t := &NetTransport{
-		part:    newPartition(n, shards),
-		self:    shard,
-		x:       newExchanger(n, shards, shards),
-		timeout: timeout,
-		links:   make([]*peerConn, shards),
+		part:      newPartition(n, shards),
+		self:      shard,
+		x:         newExchanger(n, shards, shards),
+		timeout:   timeout,
+		postTo:    make([][]postRecord, shards),
+		postCount: make([]int32, shards),
+		links:     make([]*peerConn, shards),
 	}
 	t.ready = t.part.p == 1
 	return t, nil
@@ -887,9 +899,11 @@ func (t *NetTransport) beginAttempt() {
 	t.seq = 0
 	for r := 0; r < t.part.p; r++ {
 		_ = t.x.takeRow(t.self, r)
+		t.postTo[r] = t.postTo[r][:0]
 	}
 	_ = t.x.takeTally(t.self)
 	t.x.clearMailboxes(t.self)
+	t.x.board.reset()
 }
 
 // recoverWorkers restores the fleet after a worker failure: bump the
@@ -1067,30 +1081,57 @@ func (t *NetTransport) Send(to int32, m Message) {
 	t.x.stage(d, r, cross, to, m)
 }
 
+// Post stores m on this shard's board, bills it on this shard's row,
+// and stages one record for each other shard holding a live slot of
+// m.From, with the number of those slots. Like Send, it is a fatal
+// contract violation to post for a vertex this shard does not own.
+func (t *NetTransport) Post(m Message) {
+	if s := t.part.shardOf(m.From); s != t.self {
+		t.fatal(fmt.Errorf("post from vertex %d (shard %d) on shard %d (staging discipline violation)", m.From, s, t.self))
+	}
+	t.x.post(t.self, m, t.postCount)
+	for d, c := range t.postCount {
+		if c > 0 {
+			t.postTo[d] = append(t.postTo[d], postRecord{count: c, m: m})
+			t.postCount[d] = 0
+		}
+	}
+}
+
+func (t *NetTransport) posts() *postBoard { return t.x.posts() }
+
 // Recv returns the messages delivered to v by the last EndRound.
 func (t *NetTransport) Recv(v int32) []Message { return t.x.recv(v) }
 
-// encodeEnvelopes packs a staged batch into a pooled buffer; the
-// caller hands the buffer to writeFrame and retires it at flush.
-func (t *NetTransport) encodeEnvelopes(envs []envelope) []byte {
-	buf := t.getBuf(len(envs) * envelopeSize)
+// encodeBatch packs the envelopes and then the post records staged for
+// shard d into a pooled buffer, leaving both stages empty; the caller
+// hands the buffer to writeFrame and retires it at flush.
+func (t *NetTransport) encodeBatch(d int) []byte {
+	envs, posts := t.x.takeRow(t.self, d), t.postTo[d]
+	t.postTo[d] = posts[:0]
+	buf := t.getBuf((len(envs) + len(posts)) * envelopeSize)
 	for i, env := range envs {
 		putEnvelope(buf[i*envelopeSize:], env)
+	}
+	for i, p := range posts {
+		putPost(buf[(len(envs)+i)*envelopeSize:], p)
 	}
 	return buf
 }
 
 // EndRound is the round barrier, the same on every shard. To each
 // other shard d it queues three frames on the link to d — the batch
-// staged for d, this shard's local tally (its row's, billed at
-// staging), and the stream check — and hands them to the link's
-// writer goroutine (flushAsync), so every shard writes before it
-// reads without waiting on full socket buffers. It then reads the
-// same three frames from every d in shard order, parsing each batch
-// straight into the mailboxes in origin order 0..P−1 (identical to
-// ShardedTransport's drain order, so mailbox order — and with it every
-// decision — is transport-independent). It returns the sum of the P
-// local tallies, which every process computes alike.
+// staged for d (envelopes, then post records), this shard's local
+// tally (its row's, billed at staging), and the stream check — and
+// hands them to the link's writer goroutine (flushAsync), so every
+// shard writes before it reads without waiting on full socket
+// buffers. It then reads the same three frames from every d in shard
+// order, parsing each batch straight into the mailboxes in origin
+// order 0..P−1 (identical to ShardedTransport's drain order, so
+// mailbox order — and with it every decision — is
+// transport-independent) and its posts onto the board, and makes the
+// round's posts readable. It returns the sum of the P local tallies,
+// which every process computes alike.
 func (t *NetTransport) EndRound(round int) RoundTally {
 	t.mustReady()
 	self := t.self
@@ -1101,7 +1142,7 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 		if pc == nil {
 			continue
 		}
-		payload := t.encodeEnvelopes(t.x.takeRow(self, d))
+		payload := t.encodeBatch(d)
 		h := frameHeader{Type: frameRound, From: uint16(self), To: uint16(d), Round: uint32(round), Count: uint32(len(payload) / envelopeSize)}
 		err := pc.writeFrame(h, payload)
 		pc.retireBuf(payload)
@@ -1138,26 +1179,55 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 			t.fatal(fmt.Errorf("round %d: batch from shard %d: %w", round, d, err))
 		}
 	}
+	t.x.board.now++
 	return total
 }
 
 // deliverBatch parses shard d's verified batch straight into this
-// shard's mailboxes, rejecting any envelope shard d could not have
-// staged for it (only sender-staged kinds cross the wire) or whose
-// cluster id, an index of the spanner's accumulator, is not in [0, n).
+// shard's mailboxes and post board, rejecting any record shard d could
+// not have staged for it: an envelope whose recipient is not owned
+// here, whose kind is not sender-staged or whose From is not d's; a
+// post whose kind is not a neighbour exchange, whose From is not d's,
+// or whose count is not the number of the poster's live slots in this
+// shard's view; and a cluster id, an index of the spanner's
+// accumulator, outside [0, n).
 func (t *NetTransport) deliverBatch(d int, payload []byte) error {
 	lo, hi := int32(t.part.bounds[t.self]), int32(t.part.bounds[t.self+1])
 	flo, fhi := int32(t.part.bounds[d]), int32(t.part.bounds[d+1])
+	b := &t.x.board
 	for off := 0; off < len(payload); off += envelopeSize {
-		env := parseEnvelope(payload[off:])
-		if env.to < lo || env.to >= hi || !env.m.Kind.senderStaged() || env.m.From < flo || env.m.From >= fhi {
-			return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind sender-staged",
-				off/envelopeSize, env.m.Kind, env.m.From, env.to, t.self, flo, fhi, lo, hi)
+		i := off / envelopeSize
+		switch recordForm(payload[off:]) {
+		case recordEnvelope:
+			env := parseEnvelope(payload[off:])
+			if env.to < lo || env.to >= hi || !env.m.Kind.senderStaged() || env.m.From < flo || env.m.From >= fhi {
+				return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind sender-staged",
+					i, env.m.Kind, env.m.From, env.to, t.self, flo, fhi, lo, hi)
+			}
+			if k := env.m.Kind; k.posted() && uint32(env.m.A) >= uint32(t.part.n) {
+				return fmt.Errorf("envelope %d (kind %d, from %d) names cluster %d outside [0, %d)", i, k, env.m.From, env.m.A, t.part.n)
+			}
+			t.x.mailbox[env.to] = append(t.x.mailbox[env.to], env.m)
+		case recordPost:
+			p := parsePost(payload[off:])
+			u := p.m.From
+			switch {
+			case !p.m.Kind.posted() || u < flo || u >= fhi:
+				return fmt.Errorf("post %d (kind %d, from %d) is not one it can stage: From must be in [%d, %d) and the kind a neighbour exchange", i, p.m.Kind, u, flo, fhi)
+			case uint32(p.m.A) >= uint32(t.part.n):
+				return fmt.Errorf("post %d (kind %d, from %d) names cluster %d outside [0, %d)", i, p.m.Kind, u, p.m.A, t.part.n)
+			case b.adj == nil:
+				return fmt.Errorf("post %d (from %d) arrived in a round that does not post", i, u)
+			case b.posts[u].at == b.now+1:
+				return fmt.Errorf("post %d: vertex %d posted twice in one round", i, u)
+			}
+			if live := b.liveSlots(u); p.count <= 0 || p.count != live {
+				return fmt.Errorf("post %d from vertex %d counts %d edges, but shard %d holds %d live edges of it", i, u, p.count, t.self, live)
+			}
+			b.put(p.m)
+		default:
+			return fmt.Errorf("record %d has unknown form %d", i, recordForm(payload[off:]))
 		}
-		if k := env.m.Kind; (k == MsgCenter || k == MsgNewCenter) && uint32(env.m.A) >= uint32(t.part.n) {
-			return fmt.Errorf("envelope %d (kind %d, from %d) names cluster %d outside [0, %d)", off/envelopeSize, k, env.m.From, env.m.A, t.part.n)
-		}
-		t.x.mailbox[env.to] = append(t.x.mailbox[env.to], env.m)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package dist
 
-import "repro/internal/spanner"
+import (
+	"repro/internal/graph"
+	"repro/internal/spanner"
+)
 
 // The round engine: a simulated synchronous message-passing network
 // (the CONGEST-style model of the paper's Section on distributed
@@ -26,6 +29,13 @@ import "repro/internal/spanner"
 // while the ledger still counts every directed message exactly once.
 // Message payloads always carry snapshot state from the start of the
 // round, so the staging side is unobservable to the algorithm.
+//
+// The neighbour exchanges post instead (Post, Heard): a vertex that
+// sends the same word to every live neighbour posts it once, billed
+// once per live edge of the round's post view (PostView), and each
+// recipient reads it by walking its own live slots after the barrier.
+// The fold order is then the reader's slot order — ascending edge id
+// on every view — whatever transport carried the post.
 
 // MsgKind identifies the payload schema of a message.
 type MsgKind uint8
@@ -96,6 +106,14 @@ type roundEngine struct {
 	// accumulator, reused across iterations, layers and rounds: O(n)
 	// words per worker, like the spanner's label arrays.
 	clusters []*spanner.Clusters
+
+	// board is the transport's post board, read by Heard without a
+	// call through the Transport interface.
+	board *postBoard
+
+	// notes holds each worker's spanner decision notices (see
+	// collectNotices), reused across rounds like the accumulators.
+	notes [][]notice
 }
 
 // clustersOf returns worker's cluster accumulator, making it on first
@@ -165,7 +183,8 @@ func newRoundEngine(n int) *roundEngine { return newRoundEngineOn(n, NewMemTrans
 
 // newRoundEngineOn returns an engine running over an explicit transport.
 func newRoundEngineOn(n int, tr Transport) *roundEngine {
-	e := &roundEngine{n: n, tr: tr, cur: -1, clusters: make([]*spanner.Clusters, tr.Workers())}
+	e := &roundEngine{n: n, tr: tr, cur: -1, clusters: make([]*spanner.Clusters, tr.Workers()), board: tr.posts(),
+		notes: make([][]notice, tr.Workers())}
 	e.stats.Shards = tr.Shards()
 	return e
 }
@@ -193,6 +212,26 @@ func (e *roundEngine) BeginPhase(name string) {
 func (e *roundEngine) Deliver(to int32, m Message) {
 	e.tr.Send(to, m)
 }
+
+// PostView sets the view later posts cross: the live slots of adj,
+// whose EID slots index dead. Call it outside a compute phase; nil, nil
+// clears it once the posting rounds are over.
+func (e *roundEngine) PostView(adj *graph.Adjacency, dead []bool) {
+	e.board.adj, e.board.dead = adj, dead
+}
+
+// Post sends m from u over every live slot of u in the post view: one
+// message per slot on the ledger, one word stored. It must be called
+// from u's owner (a sender-staged post), like Deliver.
+func (e *roundEngine) Post(u int32, m Message) {
+	m.From = u
+	e.tr.Post(m)
+}
+
+// Heard returns the message v posted in the round the last EndRound
+// closed, and whether v posted in it. A reader calls it for the
+// neighbour at each of its own live slots; the slot is the port.
+func (e *roundEngine) Heard(v int32) (Message, bool) { return e.board.heard(v) }
 
 // ForVertices runs body(v) for every vertex, partitioned across the
 // transport's workers so each vertex is visited by its owner — the
@@ -226,6 +265,21 @@ func collectVertices[T any](e *roundEngine, gen func(worker, lo, hi int) []T) []
 		out = append(out, part...)
 	}
 	return out
+}
+
+// collectNotices runs gen once per transport worker over the worker's
+// vertex range, gen appending to the worker's emptied notice list, and
+// returns the lists in worker order. The lists are the engine's, reused
+// by the next call: a round's notices cost no allocation once the lists
+// have grown to the round's size.
+func (e *roundEngine) collectNotices(gen func(worker, lo, hi int, out []notice) []notice) [][]notice {
+	for i := range e.notes {
+		e.notes[i] = e.notes[i][:0]
+	}
+	e.tr.ForWorkers(func(worker, lo, hi int) {
+		e.notes[worker] = gen(worker, lo, hi, e.notes[worker])
+	})
+	return e.notes
 }
 
 // EndRound closes the current synchronous round: the transport's

@@ -65,6 +65,15 @@ func (t *ShardedTransport) Send(to int32, m Message) {
 	t.x.send(to, m)
 }
 
+// Post stores m on the post board and bills it on the row of the
+// worker owning m.From. The board is shared memory, so nothing moves
+// at the barrier.
+func (t *ShardedTransport) Post(m Message) {
+	t.x.post(t.x.exec.shardOf(m.From), m, nil)
+}
+
+func (t *ShardedTransport) posts() *postBoard { return t.x.posts() }
+
 // Recv returns the messages delivered to v by the last EndRound.
 func (t *ShardedTransport) Recv(v int32) []Message { return t.x.recv(v) }
 

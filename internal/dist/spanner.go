@@ -179,12 +179,13 @@ func (j spannerImpl) assemble(tr *NetTransport, part *graph.Partition, po partOu
 	return &SpannerOutput{InSpanner: in, G: sub, Center: center, K: sp.k}, nil
 }
 
-// notice is a spanner-add or edge-drop decision queued for delivery to
-// the other endpoint at the end of the decision round. eid is the
-// GLOBAL edge id — notices cross the wire.
+// notice is a spanner-add (MsgAdd) or edge-drop (MsgDrop) decision
+// queued for delivery to the other endpoint at the end of a decision
+// round. eid is the GLOBAL edge id — notices cross the wire.
 type notice struct {
-	v   int32 // the deciding vertex (sender)
-	eid int32
+	v    int32 // the deciding vertex (sender)
+	eid  int32
+	kind MsgKind
 }
 
 // runBaswanaSen executes the clustering over the alive edges of w,
@@ -197,14 +198,16 @@ type notice struct {
 //
 // Partition discipline: every per-vertex array (center, parent, depth)
 // is read only for vertices the local workers own, remote cluster
-// state travels in MsgCenter/MsgNewCenter payloads, and the only
+// state travels in MsgCenter/MsgNewCenter posts, and the only
 // shared-memory shortcut left is for values that are pure functions of
 // the seed (a cluster's sampled bit), which any process re-derives
-// locally. Message ports and notice payloads carry GLOBAL edge ids —
-// the two processes sharing a boundary edge materialize it at
-// different local ids — and are translated back through the view's id
-// map on receipt. That is what lets the network transport run this
-// function unchanged with each process holding only its shard, at
+// locally. A post names no edge: each recipient reads it at its own
+// slot of the edge, so the comparisons and tie-breaks use the slot's
+// GLOBAL edge id — the two processes sharing a boundary edge
+// materialize it at different local ids — and the decision notices
+// carry global ids, translated back through the view's id map on
+// receipt. That is what lets the network transport run this function
+// unchanged with each process holding only its shard, at
 // O(n + m_incident) words per process.
 func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([]bool, []int32, int) {
 	adj := w.adj
@@ -248,6 +251,9 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 			dead[lid] = true
 		}
 	}
+	// Every post of this run crosses the live (not dead) slots of the
+	// view: E', the working edge set.
+	e.PostView(adj, dead)
 	// The decision step's next-iteration labels, double-buffered: every
 	// owned index is rewritten each iteration before the swap, and
 	// unowned indices are never read (the partition discipline above),
@@ -306,11 +312,10 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 
 		// --- Step 2: neighbor exchange — every clustered vertex
 		// announces (cluster id, depth, sampled bit) over each alive
-		// incident edge. One round, 3-word messages. Sender-iterated:
-		// the announcement carries the sender's own state, so its owner
-		// stages it — on the network transport this is traffic that
-		// genuinely crosses the wire for boundary edges. The Port is the
-		// GLOBAL edge id, so both endpoints name the edge identically.
+		// incident edge. One round, 3-word messages, posted once per
+		// vertex: the announcement carries the sender's own state, so
+		// its owner posts it — on the network transport this is traffic
+		// that genuinely crosses the wire for boundary edges.
 		e.BeginPhase("spanner/exchange")
 		e.ForVertices(func(u int32) {
 			cu := center[u]
@@ -321,32 +326,22 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 			if sampledBit(cu) {
 				bit = 1
 			}
-			du := depth[u]
-			lo, hi := adj.Range(u)
-			for slot := lo; slot < hi; slot++ {
-				eid := adj.EID[slot]
-				if dead[eid] {
-					continue
-				}
-				e.Deliver(adj.Nbr[slot], Message{From: u, Port: w.globalOf(eid), Kind: MsgCenter, A: cu, B: du, C: bit})
-			}
+			e.Post(u, Message{Kind: MsgCenter, A: cu, B: depth[u], C: bit})
 		})
 		e.EndRound()
 
 		// --- Step 3: every vertex of an unsampled cluster decides from
-		// its mailbox alone, then notifies the other endpoint of each
-		// edge it added or discarded. The decision rule is verbatim
-		// Baswana–Sen cases (a)/(b), grouped by internal/spanner's
-		// Clusters accumulator (the worker's own, held on the engine);
-		// all comparisons and tie-breaks use global edge ids, so two
-		// shards rank a boundary edge identically.
+		// what its alive edges carried, then notifies the other endpoint
+		// of each edge it added or discarded. The decision rule is
+		// verbatim Baswana–Sen cases (a)/(b), grouped by
+		// internal/spanner's Clusters accumulator (the worker's own,
+		// held on the engine) in slot order, as spanner.Compute groups
+		// them; all comparisons and tie-breaks use global edge ids, so
+		// two shards rank a boundary edge identically. Each worker
+		// collects its notices in one flat list, a vertex's adds before
+		// its drops.
 		e.BeginPhase("spanner/decide")
-		type vertexOut struct {
-			adds  []notice
-			kills []notice
-		}
-		outs := collectVertices(e, func(worker int, lo, hi int) []vertexOut {
-			var shardOuts []vertexOut
+		notices := e.collectNotices(func(worker, lo, hi int, out []notice) []notice {
 			acc := e.clustersOf(worker)
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
@@ -363,14 +358,16 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					continue
 				}
 				acc.Reset()
-				inbox := e.Mailbox(v)
-				for _, msg := range inbox {
-					if msg.Kind != MsgCenter || msg.A == c {
+				slo, shi := adj.Range(v)
+				for slot := slo; slot < shi; slot++ {
+					eid := adj.EID[slot]
+					if dead[eid] {
 						continue
 					}
-					acc.Fold(msg.A, msg.Port, w.edges[w.localOf(msg.Port)].Resistance())
+					if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.Kind == MsgCenter && msg.A != c {
+						acc.Fold(msg.A, w.globalOf(eid), w.edges[eid].Resistance())
+					}
 				}
-				var out vertexOut
 				// The lightest edge into a *sampled* adjacent cluster. A
 				// cluster's sampled bit (MsgCenter's C) is a pure function
 				// of the seed, so it is re-derived from the cluster id.
@@ -382,72 +379,53 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					newCenter[v] = -1
 					newParent[v], newDepth[v] = -1, 0
 					for _, ce := range acc.Touched {
-						out.adds = append(out.adds, notice{v, ce.Best.Eid})
+						out = append(out, notice{v, ce.Best.Eid, MsgAdd})
 					}
-					lo2, hi2 := adj.Range(v)
-					for slot := lo2; slot < hi2; slot++ {
-						eid := adj.EID[slot]
-						if !dead[eid] {
-							out.kills = append(out.kills, notice{v, w.globalOf(eid)})
+					for slot := slo; slot < shi; slot++ {
+						if eid := adj.EID[slot]; !dead[eid] {
+							out = append(out, notice{v, w.globalOf(eid), MsgDrop})
 						}
 					}
-				} else {
-					// Case (b): join the sampled cluster reached by the
-					// lightest such edge; certify lighter adjacent
-					// clusters; discard edges into all clusters handled.
-					best := acc.Touched[bi].Best
-					newCenter[v] = acc.Touched[bi].C
-					acc.Join(bi)
-					for _, ce := range acc.Touched {
-						if ce.Remove {
-							out.adds = append(out.adds, notice{v, ce.Best.Eid})
-						}
-					}
-					for _, msg := range inbox {
-						if msg.Kind == MsgCenter && acc.Removed(msg.A) {
-							out.kills = append(out.kills, notice{v, msg.Port})
-						}
-					}
-					// The tree edge toward the new center is the edge
-					// just joined over; depth grows by one hop.
-					for _, msg := range inbox {
-						if msg.Kind == MsgCenter && msg.Port == best.Eid {
-							newParent[v] = msg.From
-							newDepth[v] = msg.B + 1
-							break
-						}
+					continue
+				}
+				// Case (b): join the sampled cluster reached by the
+				// lightest such edge; certify lighter adjacent clusters;
+				// discard edges into all clusters handled. The tree edge
+				// toward the new center is the edge just joined over;
+				// depth grows by one hop.
+				best := acc.Touched[bi].Best
+				newCenter[v] = acc.Touched[bi].C
+				acc.Join(bi)
+				for _, ce := range acc.Touched {
+					if ce.Remove {
+						out = append(out, notice{v, ce.Best.Eid, MsgAdd})
 					}
 				}
-				if len(out.adds) > 0 || len(out.kills) > 0 {
-					shardOuts = append(shardOuts, out)
+				for slot := slo; slot < shi; slot++ {
+					eid := adj.EID[slot]
+					if dead[eid] {
+						continue
+					}
+					msg, ok := e.Heard(adj.Nbr[slot])
+					if !ok || msg.Kind != MsgCenter {
+						continue
+					}
+					gid := w.globalOf(eid)
+					if acc.Removed(msg.A) {
+						out = append(out, notice{v, gid, MsgDrop})
+					}
+					if gid == best.Eid {
+						newParent[v], newDepth[v] = msg.From, msg.B+1
+					}
 				}
 			}
-			return shardOuts
+			return out
 		})
-		// Apply the local decisions, then deliver the add/drop
-		// notifications (one round; delivery order is shard order, which
-		// is deterministic). On a partition view `outs` holds only this
-		// process's decisions — the rest arrive as notices below.
-		for _, out := range outs {
-			for _, a := range out.adds {
-				inSpanner[w.localOf(a.eid)] = true
-			}
-			for _, kn := range out.kills {
-				dead[w.localOf(kn.eid)] = true
-			}
-		}
-		for _, out := range outs {
-			for _, a := range out.adds {
-				if o := w.otherEnd(w.localOf(a.eid), a.v); o != a.v {
-					e.Deliver(o, Message{From: a.v, Port: a.eid, Kind: MsgAdd, A: a.eid})
-				}
-			}
-			for _, kn := range out.kills {
-				if o := w.otherEnd(w.localOf(kn.eid), kn.v); o != kn.v {
-					e.Deliver(o, Message{From: kn.v, Port: kn.eid, Kind: MsgDrop, A: kn.eid})
-				}
-			}
-		}
+		// Apply the local decisions and deliver the add/drop
+		// notifications (one round; delivery order is worker order,
+		// which is deterministic). On a partition view `notices` holds
+		// only this process's decisions — the rest arrive below.
+		sendNotices(e, w, notices, inSpanner, dead)
 		e.EndRound()
 		center, newCenter = newCenter, center
 		parent, newParent = newParent, parent
@@ -459,17 +437,8 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		// verdict from symmetric knowledge). One round, 1-word messages.
 		e.BeginPhase("spanner/update")
 		e.ForVertices(func(u int32) {
-			cu := center[u]
-			if cu < 0 {
-				return
-			}
-			lo, hi := adj.Range(u)
-			for slot := lo; slot < hi; slot++ {
-				eid := adj.EID[slot]
-				if dead[eid] {
-					continue
-				}
-				e.Deliver(adj.Nbr[slot], Message{From: u, Port: w.globalOf(eid), Kind: MsgNewCenter, A: cu})
+			if cu := center[u]; cu >= 0 {
+				e.Post(u, Message{Kind: MsgNewCenter, A: cu})
 			}
 		})
 		e.EndRound()
@@ -485,16 +454,21 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 				if c < 0 {
 					continue
 				}
-				for _, msg := range e.Mailbox(v) {
-					if msg.Kind == MsgNewCenter && msg.A == c {
-						shardKills = append(shardKills, msg.Port)
+				slo, shi := adj.Range(v)
+				for slot := slo; slot < shi; slot++ {
+					eid := adj.EID[slot]
+					if dead[eid] {
+						continue
+					}
+					if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.Kind == MsgNewCenter && msg.A == c {
+						shardKills = append(shardKills, eid)
 					}
 				}
 			}
 			return shardKills
 		})
-		for _, gid := range kills {
-			dead[w.localOf(gid)] = true
+		for _, lid := range kills {
+			dead[lid] = true
 		}
 	}
 
@@ -503,48 +477,36 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 	// adjacent surviving cluster, one notification round.
 	e.BeginPhase("spanner/join")
 	e.ForVertices(func(u int32) {
-		cu := center[u]
-		if cu < 0 {
-			return
-		}
-		lo, hi := adj.Range(u)
-		for slot := lo; slot < hi; slot++ {
-			eid := adj.EID[slot]
-			if dead[eid] {
-				continue
-			}
-			e.Deliver(adj.Nbr[slot], Message{From: u, Port: w.globalOf(eid), Kind: MsgNewCenter, A: cu})
+		if cu := center[u]; cu >= 0 {
+			e.Post(u, Message{Kind: MsgNewCenter, A: cu})
 		}
 	})
 	e.EndRound()
-	adds := collectVertices(e, func(worker int, lo, hi int) []notice {
-		var shardAdds []notice
+	adds := e.collectNotices(func(worker, lo, hi int, out []notice) []notice {
 		acc := e.clustersOf(worker)
 		for vi := lo; vi < hi; vi++ {
 			v := int32(vi)
 			acc.Reset()
-			for _, msg := range e.Mailbox(v) {
-				if msg.Kind != MsgNewCenter {
+			slo, shi := adj.Range(v)
+			for slot := slo; slot < shi; slot++ {
+				eid := adj.EID[slot]
+				if dead[eid] {
 					continue
 				}
-				acc.Fold(msg.A, msg.Port, w.edges[w.localOf(msg.Port)].Resistance())
+				if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.Kind == MsgNewCenter {
+					acc.Fold(msg.A, w.globalOf(eid), w.edges[eid].Resistance())
+				}
 			}
 			for _, ce := range acc.Touched {
-				shardAdds = append(shardAdds, notice{v, ce.Best.Eid})
+				out = append(out, notice{v, ce.Best.Eid, MsgAdd})
 			}
 		}
-		return shardAdds
+		return out
 	})
-	for _, a := range adds {
-		inSpanner[w.localOf(a.eid)] = true
-	}
-	for _, a := range adds {
-		if o := w.otherEnd(w.localOf(a.eid), a.v); o != a.v {
-			e.Deliver(o, Message{From: a.v, Port: a.eid, Kind: MsgAdd, A: a.eid})
-		}
-	}
+	sendNotices(e, w, adds, inSpanner, dead)
 	e.EndRound()
 	applyNotices(e, w, inSpanner, dead)
+	e.PostView(nil, nil)
 	e.putBools(dead)
 	e.putInt32s(parent)
 	e.putInt32s(depth)
@@ -552,6 +514,25 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 	e.putInt32s(newParent)
 	e.putInt32s(newDepth)
 	return inSpanner, center, k
+}
+
+// sendNotices applies the local decisions to the edge masks and
+// delivers each to the other endpoint of its edge, in worker order and
+// list order within a worker.
+func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner, dead []bool) {
+	for _, notices := range lists {
+		for _, nt := range notices {
+			lid := w.localOf(nt.eid)
+			if nt.kind == MsgAdd {
+				inSpanner[lid] = true
+			} else {
+				dead[lid] = true
+			}
+			if o := w.otherEnd(lid, nt.v); o != nt.v {
+				e.Deliver(o, Message{From: nt.v, Port: nt.eid, Kind: nt.kind, A: nt.eid})
+			}
+		}
+	}
 }
 
 // applyNotices folds the MsgAdd/MsgDrop notices delivered by the last
@@ -563,29 +544,23 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 // so that two endpoints of one edge never write the same mask slot
 // concurrently.
 func applyNotices(e *roundEngine, w *view, inSpanner, dead []bool) {
-	type appliedNote struct {
-		eid int32
-		add bool
-	}
-	notes := collectVertices(e, func(_ int, lo, hi int) []appliedNote {
-		var shardNotes []appliedNote
+	lists := e.collectNotices(func(_, lo, hi int, out []notice) []notice {
 		for vi := lo; vi < hi; vi++ {
 			for _, msg := range e.Mailbox(int32(vi)) {
-				switch msg.Kind {
-				case MsgAdd:
-					shardNotes = append(shardNotes, appliedNote{msg.A, true})
-				case MsgDrop:
-					shardNotes = append(shardNotes, appliedNote{msg.A, false})
+				if msg.Kind == MsgAdd || msg.Kind == MsgDrop {
+					out = append(out, notice{int32(vi), msg.A, msg.Kind})
 				}
 			}
 		}
-		return shardNotes
+		return out
 	})
-	for _, nt := range notes {
-		if nt.add {
-			inSpanner[w.localOf(nt.eid)] = true
-		} else {
-			dead[w.localOf(nt.eid)] = true
+	for _, notes := range lists {
+		for _, nt := range notes {
+			if nt.kind == MsgAdd {
+				inSpanner[w.localOf(nt.eid)] = true
+			} else {
+				dead[w.localOf(nt.eid)] = true
+			}
 		}
 	}
 }

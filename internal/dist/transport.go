@@ -15,6 +15,9 @@ package dist
 //     mailbox delivered by the previous EndRound, and EndRound is the
 //     round barrier that flips staged traffic into readable mailboxes
 //     and returns the round's traffic tally for the engine's ledger.
+//     Post is the neighbour-exchange form of Send: one call per sending
+//     vertex, stored on the transport's post board instead of staged
+//     per edge, and read after the barrier off the board itself.
 //
 //   - Execution: ForWorkers partitions a round's compute phase over the
 //     transport's workers so that every vertex is visited by the worker
@@ -30,7 +33,8 @@ package dist
 // Concurrency contract: Send may be called only from the worker the
 // staging discipline assigns (the owner of Message.From for
 // sender-staged kinds, the owner of `to` otherwise) during a
-// ForWorkers compute phase, or from any single goroutine outside one.
+// ForWorkers compute phase, or from any single goroutine outside one;
+// Post likewise, by the owner of Message.From.
 // Recv(v) may be called only by v's owner during a compute phase, or
 // from any single goroutine outside one. EndRound must be called with
 // no compute phase in flight.
@@ -54,13 +58,26 @@ type Transport interface {
 	// Send stages m for vertex `to` in the current round; it becomes
 	// readable via Recv after the round's EndRound barrier.
 	Send(to int32, m Message)
+	// Post sends m from vertex m.From over every live slot of m.From in
+	// the post board's view: it stores m once as m.From's post and
+	// bills one message per such slot on the poster's staging row,
+	// exactly what Send would bill for one envelope per slot. After the
+	// round's EndRound every recipient reads it off the board
+	// (postBoard.heard). The network transport also carries it to every
+	// other shard holding one of those slots, once per shard.
+	Post(m Message)
+	// posts returns the post board. The round engine reads posts off it
+	// directly: a read is one array access per live slot, where a call
+	// through this interface would cost more than the read.
+	posts() *postBoard
 	// Recv returns the messages delivered to v by the last EndRound,
 	// i.e. the traffic sent during the previous round. The returned
 	// slice is recycled — callers must not retain it across two
 	// EndRound calls.
 	Recv(v int32) []Message
 	// EndRound closes round r: staged messages become the mailboxes
-	// readable until the next EndRound, and it returns their tally.
+	// and the round's posts the board entries readable until the next
+	// EndRound, and it returns their tally.
 	// Messages are billed when staged, on the staging worker's row, so
 	// the barrier only sums row tallies. On the network transport the
 	// returned tally is the global one — every process sends every

@@ -12,6 +12,23 @@ import (
 // followed by `count` fixed-size records (or `count` raw bytes for blob
 // frames), so a reader knows every payload's length from the header
 // alone and a fuzzer can exercise the codec record by record.
+//
+// A round batch holds 28-byte records of two forms, told apart by
+// byte 25:
+//
+//	[0:4)   recipient vertex (envelope) | live-edge count (post)
+//	[4:8)   From: the sending vertex
+//	[8:12)  Port: the edge's global id (envelope) | 0 (post)
+//	[12:24) payload words A, B, C
+//	[24]    kind
+//	[25]    form: recordEnvelope or recordPost
+//	[26:28) zero
+//
+// An envelope is one message over one edge. A post is one vertex's
+// neighbour-exchange word (MsgCenter, MsgNewCenter) for every live
+// edge it has into the destination shard, and its count is the number
+// of those edges, which the receiver checks against its own view. A
+// batch lists its envelopes, then its posts.
 
 const (
 	wireMagic = uint32(0x44573031) // "DW01": distworker wire
@@ -31,11 +48,15 @@ const (
 	// barrier symmetric — every shard sends every other its LOCAL tally
 	// and sums them itself, so a coordinator's tally frame no longer
 	// carries the global tally a v6 worker would bill, and the direct
-	// worker links carry tally frames too. Existing frame encodings are
-	// never mutated — new types are appended and the version is bumped,
-	// so a mixed-version fleet fails loudly at the hello handshake
-	// instead of desynchronizing mid-run.
-	wireVersion = uint32(7)
+	// worker links carry tally frames too; version 8 adds the post form
+	// of a round-batch record (byte 25, see above): the neighbour
+	// exchanges cross each link once per (poster, destination shard)
+	// instead of once per edge, and a v7 process would read a post as
+	// an envelope. Existing frame encodings are never mutated — new
+	// types are appended and the version is bumped, so a mixed-version
+	// fleet fails loudly at the hello handshake instead of
+	// desynchronizing mid-run.
+	wireVersion = uint32(8)
 
 	headerSize   = 20
 	envelopeSize = 28
@@ -117,17 +138,46 @@ func parseHeader(b []byte) (frameHeader, error) {
 	}, nil
 }
 
+// Round-batch record forms (byte 25 of a record).
+const (
+	recordEnvelope uint8 = iota // one message for one vertex over one edge
+	recordPost                  // one vertex's post, for count live edges (v8)
+)
+
+// postRecord is a post on the wire: the poster's message (From, Kind,
+// A, B, C; no Port) and the number of the poster's live edges into the
+// destination shard.
+type postRecord struct {
+	count int32
+	m     Message
+}
+
 // putEnvelope encodes one addressed message into b (len ≥ envelopeSize).
 func putEnvelope(b []byte, env envelope) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(env.to))
-	binary.LittleEndian.PutUint32(b[4:], uint32(env.m.From))
-	binary.LittleEndian.PutUint32(b[8:], uint32(env.m.Port))
-	binary.LittleEndian.PutUint32(b[12:], uint32(env.m.A))
-	binary.LittleEndian.PutUint32(b[16:], uint32(env.m.B))
-	binary.LittleEndian.PutUint32(b[20:], uint32(env.m.C))
-	b[24] = byte(env.m.Kind)
-	b[25], b[26], b[27] = 0, 0, 0
+	putRecord(b, env.to, env.m, recordEnvelope)
 }
+
+// putPost encodes one post record into b (len ≥ envelopeSize); the
+// message's Port is not sent.
+func putPost(b []byte, p postRecord) {
+	m := p.m
+	m.Port = 0
+	putRecord(b, p.count, m, recordPost)
+}
+
+func putRecord(b []byte, to int32, m Message, form uint8) {
+	binary.LittleEndian.PutUint32(b[0:], uint32(to))
+	binary.LittleEndian.PutUint32(b[4:], uint32(m.From))
+	binary.LittleEndian.PutUint32(b[8:], uint32(m.Port))
+	binary.LittleEndian.PutUint32(b[12:], uint32(m.A))
+	binary.LittleEndian.PutUint32(b[16:], uint32(m.B))
+	binary.LittleEndian.PutUint32(b[20:], uint32(m.C))
+	b[24] = byte(m.Kind)
+	b[25], b[26], b[27] = form, 0, 0
+}
+
+// recordForm returns the form byte of the record at b.
+func recordForm(b []byte) uint8 { return b[25] }
 
 // parseEnvelope decodes one addressed message from b (len ≥ envelopeSize).
 func parseEnvelope(b []byte) envelope {
@@ -142,6 +192,12 @@ func parseEnvelope(b []byte) envelope {
 			Kind: MsgKind(b[24]),
 		},
 	}
+}
+
+// parsePost decodes one post record from b (len ≥ envelopeSize).
+func parsePost(b []byte) postRecord {
+	env := parseEnvelope(b)
+	return postRecord{count: env.to, m: env.m}
 }
 
 // putTally / parseTally encode a RoundTally (tallySize bytes).

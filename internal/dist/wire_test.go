@@ -52,30 +52,46 @@ func TestTallyCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzMessageCodec: the envelope record codec is a bijection between
-// its struct and its canonical byte form — decode(encode(x)) == x for
-// any field values, and encode(decode(b)) is stable for any bytes.
+// FuzzMessageCodec: both forms of the round-batch record codec are
+// bijections between their struct and their canonical byte form —
+// decode(encode(x)) == x for any field values (a post sends no Port),
+// encode(decode(b)) is stable, and the form byte tells the two apart.
 func FuzzMessageCodec(f *testing.F) {
-	f.Add(int32(0), int32(-1), int32(0), uint8(0), int32(1), int32(0), int32(0))
-	f.Add(int32(99), int32(3), int32(12), uint8(1), int32(-5), int32(7), int32(1))
-	f.Add(int32(-8), int32(1<<30), int32(-1<<30), uint8(255), int32(0), int32(0), int32(-1))
+	f.Add(int32(0), int32(-1), int32(0), uint8(0), int32(1), int32(0), int32(0), false)
+	f.Add(int32(99), int32(3), int32(12), uint8(1), int32(-5), int32(7), int32(1), false)
+	f.Add(int32(-8), int32(1<<30), int32(-1<<30), uint8(255), int32(0), int32(0), int32(-1), false)
 	// Batched writes concatenate frames, so envelope payload bytes sit
 	// directly against the next frame's header on the wire. These seeds
 	// put the frame magic ("DW01") and a heartbeat-header prefix INSIDE
 	// envelope fields: a decoder that resynchronized on magic instead of
 	// trusting frame lengths would split such a batch mid-record.
-	f.Add(int32(wireMagic), int32(wireMagic), int32(0), uint8(frameRound), int32(wireMagic), int32(0), int32(wireMagic))
-	f.Add(int32(wireMagic), int32(frameHeartbeat), int32(wireMagic), uint8(frameHeartbeat), int32(0), int32(wireMagic), int32(-1))
-	f.Fuzz(func(t *testing.T, to, from, port int32, kind uint8, a, b, c int32) {
-		env := envelope{to: to, m: Message{From: from, Port: port, Kind: MsgKind(kind), A: a, B: b, C: c}}
-		var buf [envelopeSize]byte
-		putEnvelope(buf[:], env)
-		got := parseEnvelope(buf[:])
-		if got != env {
-			t.Fatalf("decode(encode(%+v)) = %+v", env, got)
+	f.Add(int32(wireMagic), int32(wireMagic), int32(0), uint8(frameRound), int32(wireMagic), int32(0), int32(wireMagic), false)
+	f.Add(int32(wireMagic), int32(frameHeartbeat), int32(wireMagic), uint8(frameHeartbeat), int32(0), int32(wireMagic), int32(-1), false)
+	// Post records: a MsgCenter post counting 3 live edges, a
+	// MsgNewCenter post, and one with the frame magic in its count and
+	// payload.
+	f.Add(int32(3), int32(70), int32(0), uint8(MsgCenter), int32(5), int32(2), int32(1), true)
+	f.Add(int32(1), int32(4095), int32(0), uint8(MsgNewCenter), int32(17), int32(0), int32(0), true)
+	f.Add(int32(wireMagic), int32(wireMagic), int32(wireMagic), uint8(frameRound), int32(wireMagic), int32(0), int32(wireMagic), true)
+	f.Fuzz(func(t *testing.T, to, from, port int32, kind uint8, a, b, c int32, post bool) {
+		var buf, buf2 [envelopeSize]byte
+		if post {
+			p := postRecord{count: to, m: Message{From: from, Kind: MsgKind(kind), A: a, B: b, C: c}}
+			putPost(buf[:], p)
+			got := parsePost(buf[:])
+			if recordForm(buf[:]) != recordPost || got != p {
+				t.Fatalf("decode(encode(%+v)) = %+v, form %d", p, got, recordForm(buf[:]))
+			}
+			putPost(buf2[:], got)
+		} else {
+			env := envelope{to: to, m: Message{From: from, Port: port, Kind: MsgKind(kind), A: a, B: b, C: c}}
+			putEnvelope(buf[:], env)
+			got := parseEnvelope(buf[:])
+			if recordForm(buf[:]) != recordEnvelope || got != env {
+				t.Fatalf("decode(encode(%+v)) = %+v, form %d", env, got, recordForm(buf[:]))
+			}
+			putEnvelope(buf2[:], got)
 		}
-		var buf2 [envelopeSize]byte
-		putEnvelope(buf2[:], got)
 		if !bytes.Equal(buf[:], buf2[:]) {
 			t.Fatalf("re-encoding unstable: %x vs %x", buf, buf2)
 		}

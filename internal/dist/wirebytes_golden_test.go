@@ -25,14 +25,26 @@ import (
 // batch written exactly once, beside one 60-byte tally frame each way
 // per round. The absolute totals are pinned so the handshake and mesh
 // bring-up overhead cannot silently grow.
+//
+// Wire version 8 moved every pin by counts alone: the neighbour
+// exchanges' per-edge envelopes left the batches and one post record
+// per (poster, destination shard) joined them, both 28 bytes, in the
+// same frames. At P = 2 (the hub link) the sparsify run dropped 71,756
+// envelopes for 11,335 records (2,360,192 − 28·60,421 = 668,404) and
+// the spanner run 20,184 for 2,711 (637,284 − 28·17,473 = 148,040). At
+// P = 3 the sparsify run dropped 97,924 for 20,609 (3,349,486 −
+// 28·77,315 = 1,184,666), 49,500 for 9,470 of them on the worker link
+// (1,522,060 − 28·40,030 = 401,220), and the spanner run 27,392 for
+// 5,038 (879,938 − 28·22,354 = 254,026), 11,292 for 1,886 on the worker
+// link (338,592 − 28·9,406 = 75,224).
 var (
 	goldenWire = map[int][2]int64{
-		2: {2360192, 637284},
-		3: {3349486, 879938},
+		2: {668404, 148040},
+		3: {1184666, 254026},
 	}
 	goldenData = map[int][2]int64{
 		2: {0, 0}, // no worker↔worker traffic at P=2
-		3: {1522060, 338592},
+		3: {401220, 75224},
 	}
 )
 
