@@ -107,6 +107,17 @@
 // each barrier: a no-op re-application in one process, the
 // boundary-edge knowledge transfer across processes.
 //
+// The spanner's neighbour exchanges, where a vertex sends one word to
+// every live neighbour, skip the mailboxes: the vertex posts the word
+// once (roundEngine.Post), it is stored on the transport's O(n) post
+// board and billed on the poster's row once per live edge of its row
+// in the round's view, so the ledger is the per-edge one, and after
+// the barrier each recipient walks its own live slots and reads the
+// neighbour's post off the board (Heard). The network transport
+// carries a post across a link once, as one record per (poster,
+// destination shard holding one of its live edges) counting those
+// edges, which the receiver checks against its own view.
+//
 // # Topology: one full-mesh data plane
 //
 // On the network path (net.go, wire.go, mesh.go) each shard is an OS
@@ -141,12 +152,14 @@
 // Every shard runs the same barrier, over every link alike: it sends
 // each other shard the batch staged for it, its own local tally (its
 // staging row's), and a stream check, then reads the same from each,
-// parses each verified batch into its mailboxes (an envelope the
-// sender could not have staged is a *NetError), and returns the sum of
-// the P local tallies — so the ledger is identical on every process
-// without a second hop through the coordinator. Loop-control values a
-// single process reads off shared memory travel as small unbilled
-// collectives (AllMaxInt32/AllOrWord/AllGatherInt32s) on the hub.
+// parses each verified batch into its mailboxes and post board (an
+// envelope the sender could not have staged, or a post whose count is
+// not the poster's live edges into this shard, is a *NetError), and
+// returns the sum of the P local tallies — so the ledger is identical
+// on every process without a second hop through the coordinator.
+// Loop-control values a single process reads off shared memory travel
+// as small unbilled collectives (AllMaxInt32/AllOrWord/AllGatherInt32s)
+// on the hub.
 //
 // # Wire batching and buffer reuse
 //

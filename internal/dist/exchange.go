@@ -25,7 +25,8 @@ import (
 //   - sender-staged kinds (MsgCenter, MsgNewCenter, MsgAdd, MsgDrop)
 //     carry real remote state and are staged by the worker that owns
 //     the sender From — on the network transport these are the only
-//     payloads that can cross the wire;
+//     payloads that can cross the wire (the spanner sends the first
+//     two, its neighbour exchanges, as posts; see below);
 //
 //   - receiver-staged kinds (MsgSampled, MsgKeep) carry payloads that
 //     are pure functions of the seed, which the recipient's owner
@@ -130,7 +131,7 @@ func newExchanger(n, execP, ownerP int) *exchanger {
 		exec:    newPartition(n, execP),
 		owner:   newPartition(n, ownerP),
 		mailbox: make([][]Message, n),
-		board:   postBoard{posts: make([]posted, n), now: 1},
+		board:   postBoard{posts: make([]postEntry, n), now: 1},
 	}
 	x.rows = make([]stagingRow, x.exec.p)
 	for d := range x.rows {
@@ -315,13 +316,13 @@ type postBoard struct {
 	// posts[v] is v's last post; now counts the barriers closed since
 	// the board was made or reset, from 1, so a zero stamp is never
 	// readable.
-	posts []posted
+	posts []postEntry
 	now   uint32
 }
 
-// posted is one vertex's post: the payload of a Message (its sender is
-// the board index, its port the edge a reader walks) and its stamp.
-type posted struct {
+// postEntry is one vertex's post: the payload of a Message (its sender
+// is the board index, its port the edge a reader walks) and its stamp.
+type postEntry struct {
 	at      uint32 // the barrier count from which the post is heard
 	kind    MsgKind
 	a, b, c int32
@@ -329,7 +330,7 @@ type posted struct {
 
 // put stores m as its sender's post of the current round.
 func (b *postBoard) put(m Message) {
-	b.posts[m.From] = posted{at: b.now + 1, kind: m.Kind, a: m.A, b: m.B, c: m.C}
+	b.posts[m.From] = postEntry{at: b.now + 1, kind: m.Kind, a: m.A, b: m.B, c: m.C}
 }
 
 // heard returns the message v posted in the round the last barrier
@@ -362,6 +363,3 @@ func (b *postBoard) reset() {
 	b.now = 1
 	b.adj, b.dead = nil, nil
 }
-
-// posts returns the transport's post board (Transport.posts).
-func (x *exchanger) posts() *postBoard { return &x.board }

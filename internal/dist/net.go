@@ -1098,7 +1098,7 @@ func (t *NetTransport) Post(m Message) {
 	}
 }
 
-func (t *NetTransport) posts() *postBoard { return t.x.posts() }
+func (t *NetTransport) board() *postBoard { return &t.x.board }
 
 // Recv returns the messages delivered to v by the last EndRound.
 func (t *NetTransport) Recv(v int32) []Message { return t.x.recv(v) }

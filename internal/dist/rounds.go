@@ -183,7 +183,7 @@ func newRoundEngine(n int) *roundEngine { return newRoundEngineOn(n, NewMemTrans
 
 // newRoundEngineOn returns an engine running over an explicit transport.
 func newRoundEngineOn(n int, tr Transport) *roundEngine {
-	e := &roundEngine{n: n, tr: tr, cur: -1, clusters: make([]*spanner.Clusters, tr.Workers()), board: tr.posts(),
+	e := &roundEngine{n: n, tr: tr, cur: -1, clusters: make([]*spanner.Clusters, tr.Workers()), board: tr.board(),
 		notes: make([][]notice, tr.Workers())}
 	e.stats.Shards = tr.Shards()
 	return e
@@ -205,10 +205,10 @@ func (e *roundEngine) BeginPhase(name string) {
 
 // Deliver stages a message for vertex `to` in the current round. It
 // must be called only from the worker the staging discipline assigns —
-// the owner of m.From for sender-staged kinds (MsgCenter,
-// MsgNewCenter, MsgAdd, MsgDrop), the owner of `to` for the pure
-// seed-derived kinds (MsgSampled, MsgKeep) — or from a single
-// goroutine outside a compute phase.
+// the owner of m.From for sender-staged kinds (MsgAdd, MsgDrop, and
+// MsgCenter/MsgNewCenter, which the spanner posts instead), the owner
+// of `to` for the pure seed-derived kinds (MsgSampled, MsgKeep) — or
+// from a single goroutine outside a compute phase.
 func (e *roundEngine) Deliver(to int32, m Message) {
 	e.tr.Send(to, m)
 }

@@ -21,10 +21,10 @@ import "repro/internal/parutil"
 //     cross-shard traffic.
 //
 // Determinism: both partitions are pure functions of their sizes, all
-// buckets are drained in staging-shard order at the barrier, and the
-// algorithms above fold their mailboxes with order-independent
-// reductions — so the outputs are bit-identical for equal seeds at any
-// P and any GOMAXPROCS. The ledger's Rounds and per-phase Words are
+// buckets are drained in staging-shard order at the barrier, posts are
+// read in the reader's slot order, and the algorithms above fold their
+// mailboxes with order-independent reductions — so the outputs are
+// bit-identical for equal seeds at any P and any GOMAXPROCS. The ledger's Rounds and per-phase Words are
 // identical too; only the CrossShard split (zero in memory) differs.
 type ShardedTransport struct {
 	x *exchanger
@@ -72,7 +72,7 @@ func (t *ShardedTransport) Post(m Message) {
 	t.x.post(t.x.exec.shardOf(m.From), m, nil)
 }
 
-func (t *ShardedTransport) posts() *postBoard { return t.x.posts() }
+func (t *ShardedTransport) board() *postBoard { return &t.x.board }
 
 // Recv returns the messages delivered to v by the last EndRound.
 func (t *ShardedTransport) Recv(v int32) []Message { return t.x.recv(v) }

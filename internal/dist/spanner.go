@@ -364,7 +364,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					if dead[eid] {
 						continue
 					}
-					if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.Kind == MsgCenter && msg.A != c {
+					if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.A != c {
 						acc.Fold(msg.A, w.globalOf(eid), w.edges[eid].Resistance())
 					}
 				}
@@ -407,7 +407,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 						continue
 					}
 					msg, ok := e.Heard(adj.Nbr[slot])
-					if !ok || msg.Kind != MsgCenter {
+					if !ok {
 						continue
 					}
 					gid := w.globalOf(eid)
@@ -460,7 +460,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					if dead[eid] {
 						continue
 					}
-					if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.Kind == MsgNewCenter && msg.A == c {
+					if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.A == c {
 						shardKills = append(shardKills, eid)
 					}
 				}
@@ -493,7 +493,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 				if dead[eid] {
 					continue
 				}
-				if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.Kind == MsgNewCenter {
+				if msg, ok := e.Heard(adj.Nbr[slot]); ok {
 					acc.Fold(msg.A, w.globalOf(eid), w.edges[eid].Resistance())
 				}
 			}

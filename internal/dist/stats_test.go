@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -180,6 +181,70 @@ func TestMailboxRecycling(t *testing.T) {
 		e.EndRound() // nothing staged: mailbox must come back empty
 		if len(e.Mailbox(0)) != 0 {
 			t.Fatalf("%s: stale mailbox survived a round: %+v", name, e.Mailbox(0))
+		}
+	}
+}
+
+// TestPostBillsLikeOneEnvelopePerLiveEdge: a post bills exactly what
+// Deliver bills for one envelope over each live slot of the poster —
+// messages, words, width and the cross-shard split, per phase too —
+// and the other end of each of those slots hears it after the barrier
+// that closes its round, not before it and not after the next one.
+// The view has a dead edge, a self-loop (dead, as the spanner marks
+// it), a reversed parallel pair across the shard cut, and a vertex
+// whose only edge is dead.
+func TestPostBillsLikeOneEnvelopePerLiveEdge(t *testing.T) {
+	const n = 6 // on two shards: {0, 1, 2} and {3, 4, 5}
+	g := graph.FromEdges(n, []graph.Edge{
+		{U: 0, V: 1, W: 1}, {U: 0, V: 3, W: 1}, {U: 3, V: 0, W: 2}, {U: 1, V: 4, W: 1},
+		{U: 2, V: 1, W: 1}, {U: 3, V: 3, W: 1}, {U: 4, V: 5, W: 1}, {U: 2, V: 5, W: 1},
+	})
+	dead := []bool{false, false, false, true, false, true, false, true}
+	adj := graph.NewAdjacency(g)
+	for name, mk := range map[string]func() Transport{
+		"mem":     func() Transport { return NewMemTransport(n) },
+		"sharded": func() Transport { return NewShardedTransport(n, 2) },
+	} {
+		post, send := newRoundEngineOn(n, mk()), newRoundEngineOn(n, mk())
+		post.BeginPhase("x")
+		send.BeginPhase("x")
+		post.PostView(adj, dead)
+		for u := int32(0); u < n; u++ {
+			m := Message{Kind: MsgCenter, A: 10 + u, B: u, C: 1}
+			post.Post(u, m)
+			lo, hi := adj.Range(u)
+			for slot := lo; slot < hi; slot++ {
+				if !dead[adj.EID[slot]] {
+					m.From, m.Port = u, adj.EID[slot]
+					send.Deliver(adj.Nbr[slot], m)
+				}
+			}
+		}
+		if _, ok := post.Heard(0); ok {
+			t.Fatalf("%s: a post is heard before its round's barrier", name)
+		}
+		post.EndRound()
+		send.EndRound()
+		if got, want := post.Stats(), send.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: posts billed %+v, one envelope per live edge %+v", name, got, want)
+		}
+		for v := int32(0); v < n; v++ {
+			lo, hi := adj.Range(v)
+			for slot := lo; slot < hi; slot++ {
+				if dead[adj.EID[slot]] {
+					continue
+				}
+				u := adj.Nbr[slot]
+				if m, ok := post.Heard(u); !ok || m != (Message{From: u, Kind: MsgCenter, A: 10 + u, B: u, C: 1}) {
+					t.Fatalf("%s: vertex %d hears %+v (%v) from %d", name, v, m, ok, u)
+				}
+			}
+		}
+		post.EndRound()
+		for u := int32(0); u < n; u++ {
+			if m, ok := post.Heard(u); ok {
+				t.Fatalf("%s: vertex %d's post %+v is still heard a round later", name, u, m)
+			}
 		}
 	}
 }

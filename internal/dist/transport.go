@@ -66,10 +66,10 @@ type Transport interface {
 	// (postBoard.heard). The network transport also carries it to every
 	// other shard holding one of those slots, once per shard.
 	Post(m Message)
-	// posts returns the post board. The round engine reads posts off it
+	// board returns the post board. The round engine reads posts off it
 	// directly: a read is one array access per live slot, where a call
 	// through this interface would cost more than the read.
-	posts() *postBoard
+	board() *postBoard
 	// Recv returns the messages delivered to v by the last EndRound,
 	// i.e. the traffic sent during the previous round. The returned
 	// slice is recycled — callers must not retain it across two
