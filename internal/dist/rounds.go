@@ -221,8 +221,8 @@ func (e *roundEngine) PostView(adj *graph.Adjacency, dead []bool) {
 }
 
 // Post sends m from u over every live slot of u in the post view: one
-// message per slot on the ledger, one word stored. It must be called
-// from u's owner (a sender-staged post), like Deliver.
+// message per slot on the ledger, one entry on the board. It must be
+// called from u's owner (a sender-staged post), like Deliver.
 func (e *roundEngine) Post(u int32, m Message) {
 	m.From = u
 	e.tr.Post(m)

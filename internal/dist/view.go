@@ -29,12 +29,12 @@ import (
 // Memory accounting (the bound the regression tests in memory_test.go
 // pin, and E13 reports per worker): a view's edge-indexed tables cost
 // tableWords() = O(m_incident) words, per-vertex arrays cost O(n)
-// words (the spanner's labels, and the round engine's cluster
-// accumulator, one per worker; neither counts in tableWords()), and no
-// per-round allocation anywhere in spanner.go/sparsify.go exceeds
-// O(n + m_incident) — a worker holding shard s of a P-way split pays
-// for its incident edges (own share plus boundary), never for the
-// global edge count. The one global-sized quantity left is time, not
+// words (the spanner's labels, the round engine's cluster accumulator,
+// one per worker, and the transport's post board; none counts in
+// tableWords()), and no per-round allocation anywhere in
+// spanner.go/sparsify.go exceeds O(n + m_incident) — a worker holding
+// shard s of a P-way split pays for its incident edges (own share plus
+// boundary), never for the global edge count. The one global-sized quantity left is time, not
 // memory: the renumbering walk at the end of a sampling round scans
 // the global id space with O(1) state plus the gathered bundle-id list
 // (O(bundle size) words, transient).
