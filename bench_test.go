@@ -162,6 +162,32 @@ func BenchmarkDistributedSparsifyOnShards(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineGap measures the distance between the two
+// implementations of Algorithm 2 (ROADMAP.md, item 8) on perfbench's
+// gnp-sparsify input and configuration: the shared-memory
+// core.ParallelSparsify against the round engine on the in-memory
+// transport, which return the same edges.
+func BenchmarkEngineGap(b *testing.B) {
+	g := gen.WithRandomWeights(gen.Gnp(4096, 100.0/4095, 41), 0.5, 1.5, 42)
+	cfg := dist.SparsifyDefaults(2, 41)
+	b.Run("core", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.ParallelSparsify(g, 0.5, 4, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Mem", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := dist.Run(dist.NewEngine(dist.Mem(), g), dist.SparsifyJob(0.5, 4, cfg)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkEffectiveResistanceSketch(b *testing.B) {
 	g := gen.Gnp(500, 0.1, 11)
 	b.ReportAllocs()

@@ -50,12 +50,17 @@ import (
 // entry per vertex, O(n) words beside the labels) and bills it on the
 // poster's row once per live edge of the poster in the board's view —
 // the same messages, words and cross-shard split the per-edge
-// envelopes were billed. After the barrier a recipient walks its own
-// live slots and reads each neighbour's entry (postBoard.heard). Posts
-// are sender-staged: only the poster's owner writes its entry. The
-// network transport carries a post across a link once, as one record
-// per (poster, destination shard holding one of its live edges), and
-// the receiver writes it onto its own board at the barrier.
+// envelopes were billed. The bill is read, not found by a walk: the
+// board keeps each vertex's live and cross-shard slot counts, counted
+// once when the view is set (setView) and kept at every drop of an
+// edge (drop, the only writer of the view's dead mask while it is
+// set). After the barrier a recipient walks its own live slots and
+// reads each neighbour's entry (postBoard.heard). Posts are
+// sender-staged: only the poster's owner writes its entry. The network
+// transport carries a post across a link once, as one record per
+// (poster, destination shard holding one of its live edges), and the
+// receiver checks its count against its own view's and writes it onto
+// its own board at the barrier.
 
 // partition is a balanced contiguous vertex partition (see
 // graph.ShardBounds; the formula lives in the leaf package so the
@@ -131,8 +136,8 @@ func newExchanger(n, execP, ownerP int) *exchanger {
 		exec:    newPartition(n, execP),
 		owner:   newPartition(n, ownerP),
 		mailbox: make([][]Message, n),
-		board:   postBoard{posts: make([]postEntry, n), now: 1},
 	}
+	x.board = postBoard{owner: x.owner, posts: make([]postEntry, n), now: 1}
 	x.rows = make([]stagingRow, x.exec.p)
 	for d := range x.rows {
 		x.rows[d].to = make([][]envelope, x.exec.p)
@@ -181,33 +186,17 @@ func (x *exchanger) send(to int32, m Message) {
 // post stores m on the board as the round's post of its poster
 // u = m.From and bills it on row d once per live slot of u in the
 // board's view, as cross-shard traffic where the other end has
-// another owner. When perShard is not nil, post also counts those
-// cross-shard slots by owner shard into it, for the network transport
-// to stage. It must be called by u's owner during a compute phase, or
-// by any single goroutine outside one.
-func (x *exchanger) post(d int, m Message, perShard []int32) {
+// another owner: both counts are the board's, so no slot is walked.
+// It must be called by u's owner during a compute phase, or by any
+// single goroutine outside one.
+func (x *exchanger) post(d int, m Message) {
 	b := &x.board
-	u := m.From
-	s := x.owner.shardOf(u)
-	olo, ohi := int32(x.owner.bounds[s]), int32(x.owner.bounds[s+1])
-	var live, cross int64
-	adj, dead := b.adj, b.dead
-	lo, hi := adj.Range(u)
-	nbrs := adj.Nbr[lo:hi]
-	for i, eid := range adj.EID[lo:hi] {
-		if dead[eid] {
-			continue
-		}
-		live++
-		if nbr := nbrs[i]; nbr < olo || nbr >= ohi {
-			cross++
-			if perShard != nil {
-				perShard[x.owner.shardOf(nbr)]++
-			}
-		}
-	}
 	b.put(m)
-	if live > 0 {
+	if live := int64(b.liveSlots(m.From)); live > 0 {
+		cross := int64(0)
+		if b.cross != nil {
+			cross = int64(b.cross[m.From])
+		}
 		w := int64(m.Kind.Words())
 		x.rows[d].tally.add(RoundTally{Messages: live, Words: live * w, MaxMessageWords: int(w), CrossShardMessages: cross, CrossShardWords: cross * w})
 	}
@@ -304,15 +293,23 @@ func (t *RoundTally) add(u RoundTally) {
 
 // postBoard holds the posts of the neighbour exchanges: per vertex the
 // last message it posted, stamped with the barrier count at which it is
-// readable, and the view whose live slots a post crosses. A post made
-// in round r is heard from the barrier that closes r until the next
-// one, so the board is never cleared between rounds.
+// readable, and the view whose live slots a post crosses, with each
+// vertex's live-slot counts. A post made in round r is heard from the
+// barrier that closes r until the next one, so the board is never
+// cleared between rounds.
 type postBoard struct {
-	// adj and dead are the view: a post by u crosses each slot of u in
-	// adj whose (local) edge id is not dead. The round engine sets them
-	// (roundEngine.PostView) for the rounds that post.
-	adj  *graph.Adjacency
-	dead []bool
+	// adj, edges and dead are the view: a post by u crosses each slot
+	// of u in adj whose (local) edge id is not dead, and edges holds
+	// each local id's endpoints. The round engine sets them
+	// (roundEngine.PostView, through setView) for the rounds that post.
+	adj   *graph.Adjacency
+	edges []graph.Edge
+	dead  []bool
+	// live[v] counts v's live slots in the view and cross[v] those
+	// whose other end another owner shard holds (cross is nil with one
+	// owner shard). setView counts them; drop keeps them.
+	live, cross []int32
+	owner       partition
 	// posts[v] is v's last post; now counts the barriers closed since
 	// the board was made or reset, from 1, so a zero stamp is never
 	// readable.
@@ -326,6 +323,65 @@ type postEntry struct {
 	at      uint32 // the barrier count from which the post is heard
 	kind    MsgKind
 	a, b, c int32
+}
+
+// setView sets the view posts cross and counts every vertex's live and
+// cross-shard slots in it: one walk of the view, made once per view.
+// From then on the dead mask must change only through drop, which
+// keeps the counts. A nil adj clears the view.
+func (b *postBoard) setView(adj *graph.Adjacency, edges []graph.Edge, dead []bool) {
+	b.adj, b.edges, b.dead = adj, edges, dead
+	if adj == nil {
+		return
+	}
+	if b.live == nil {
+		b.live = make([]int32, len(b.posts))
+		if b.owner.p > 1 {
+			b.cross = make([]int32, len(b.posts))
+		}
+	}
+	clear(b.live)
+	clear(b.cross)
+	for u := int32(0); u < int32(adj.N); u++ {
+		s := b.owner.shardOf(u)
+		olo, ohi := int32(b.owner.bounds[s]), int32(b.owner.bounds[s+1])
+		lo, hi := adj.Range(u)
+		nbrs := adj.Nbr[lo:hi]
+		var live, cross int32
+		for i, eid := range adj.EID[lo:hi] {
+			if dead[eid] {
+				continue
+			}
+			live++
+			if nbr := nbrs[i]; nbr < olo || nbr >= ohi {
+				cross++
+			}
+		}
+		b.live[u] = live
+		if b.cross != nil {
+			b.cross[u] = cross
+		}
+	}
+}
+
+// drop marks local edge lid dead and takes it off the live (and,
+// across owner shards, the cross-shard) counts of both endpoints; an
+// edge already dead is left as it is.
+func (b *postBoard) drop(lid int32) {
+	if b.dead[lid] {
+		return
+	}
+	b.dead[lid] = true
+	e := b.edges[lid]
+	b.live[e.U]--
+	if e.V == e.U {
+		return // a self-loop holds one slot
+	}
+	b.live[e.V]--
+	if b.cross != nil && b.owner.shardOf(e.U) != b.owner.shardOf(e.V) {
+		b.cross[e.U]--
+		b.cross[e.V]--
+	}
 }
 
 // put stores m as its sender's post of the current round.
@@ -345,21 +401,13 @@ func (b *postBoard) heard(v int32) (Message, bool) {
 
 // liveSlots returns the number of slots of u in the view whose edge is
 // not dead.
-func (b *postBoard) liveSlots(u int32) int32 {
-	live := int32(0)
-	lo, hi := b.adj.Range(u)
-	for _, eid := range b.adj.EID[lo:hi] {
-		if !b.dead[eid] {
-			live++
-		}
-	}
-	return live
-}
+func (b *postBoard) liveSlots(u int32) int32 { return b.live[u] }
 
 // reset forgets every post and the view: what an aborted attempt
-// posted is never heard by its replay.
+// posted is never heard by its replay, and the replay's view is
+// counted afresh.
 func (b *postBoard) reset() {
 	clear(b.posts)
 	b.now = 1
-	b.adj, b.dead = nil, nil
+	b.setView(nil, nil, nil)
 }

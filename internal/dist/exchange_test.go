@@ -115,7 +115,9 @@ func TestLocalOfEnumeration(t *testing.T) {
 // with a *NetError naming shard 1 before anything reaches a mailbox or
 // the post board, well within the frame timeout — never deliver it to
 // a mailbox shard 0 does not read, and never panic with a runtime
-// error.
+// error. A positive control forges the one well-formed post, vertex
+// 70's with its true count: shard 0 must accept and hear it, so the
+// count cases fail on the count, not on a view that counted nothing.
 func TestMalformedBatchIsTypedError(t *testing.T) {
 	const n, timeout = 100, 5 * time.Second // shard 0 owns [0, 50)
 	// The posting rounds' views: vertex 70 has three live edges into
@@ -125,31 +127,33 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 	views := [2][]graph.Edge{edges[:3], edges}
 	post := func(count int32, m Message) []postRecord { return []postRecord{{count: count, m: m}} }
 	for _, tc := range []struct {
-		name  string
-		env   envelope
-		posts []postRecord // forged instead of env when set
+		name   string
+		env    envelope
+		posts  []postRecord // forged instead of env when set
+		accept bool         // the positive control: shard 0 hears the post
 	}{
-		{"recipient-in-sender-shard", envelope{to: 60, m: Message{Kind: MsgCenter, From: 70}}, nil},
-		{"recipient-out-of-range", envelope{to: 1000, m: Message{Kind: MsgCenter, From: 70}}, nil},
-		{"recipient-negative", envelope{to: -1, m: Message{Kind: MsgCenter, From: 70}}, nil},
-		{"receiver-staged-kind", envelope{to: 10, m: Message{Kind: MsgKeep, From: 70}}, nil},
-		{"unknown-kind", envelope{to: 10, m: Message{Kind: 200, From: 70}}, nil},
-		{"sender-in-receiver-shard", envelope{to: 10, m: Message{Kind: MsgAdd, From: 20}}, nil},
-		{"sender-missing", envelope{to: 10, m: Message{Kind: MsgDrop, From: -1}}, nil},
-		{"cluster-out-of-range", envelope{to: 10, m: Message{Kind: MsgCenter, From: 70, A: n}}, nil},
-		{"cluster-negative", envelope{to: 10, m: Message{Kind: MsgNewCenter, From: 70, A: -1}}, nil},
-		{"post-count-above-live-slots", envelope{}, post(4, Message{Kind: MsgCenter, From: 70})},
-		{"post-count-below-live-slots", envelope{}, post(2, Message{Kind: MsgCenter, From: 70})},
-		{"post-count-zero", envelope{}, post(0, Message{Kind: MsgNewCenter, From: 70})},
-		{"post-count-negative", envelope{}, post(-3, Message{Kind: MsgCenter, From: 70})},
-		{"post-sender-in-receiver-shard", envelope{}, post(3, Message{Kind: MsgCenter, From: 20})},
-		{"post-sender-out-of-range", envelope{}, post(3, Message{Kind: MsgCenter, From: 1000})},
-		{"post-sender-without-edges-here", envelope{}, post(1, Message{Kind: MsgNewCenter, From: 80})},
-		{"post-notice-kind", envelope{}, post(3, Message{Kind: MsgAdd, From: 70})},
-		{"post-receiver-staged-kind", envelope{}, post(3, Message{Kind: MsgKeep, From: 70})},
-		{"post-cluster-out-of-range", envelope{}, post(3, Message{Kind: MsgCenter, From: 70, A: n})},
-		{"post-cluster-negative", envelope{}, post(3, Message{Kind: MsgNewCenter, From: 70, A: -1})},
-		{"post-twice-in-one-round", envelope{}, append(post(3, Message{Kind: MsgCenter, From: 70}), post(3, Message{Kind: MsgCenter, From: 70})...)},
+		{"post-counted-in-receiver-view", envelope{}, post(3, Message{Kind: MsgCenter, From: 70, A: 7, B: 2, C: 1}), true},
+		{"recipient-in-sender-shard", envelope{to: 60, m: Message{Kind: MsgCenter, From: 70}}, nil, false},
+		{"recipient-out-of-range", envelope{to: 1000, m: Message{Kind: MsgCenter, From: 70}}, nil, false},
+		{"recipient-negative", envelope{to: -1, m: Message{Kind: MsgCenter, From: 70}}, nil, false},
+		{"receiver-staged-kind", envelope{to: 10, m: Message{Kind: MsgKeep, From: 70}}, nil, false},
+		{"unknown-kind", envelope{to: 10, m: Message{Kind: 200, From: 70}}, nil, false},
+		{"sender-in-receiver-shard", envelope{to: 10, m: Message{Kind: MsgAdd, From: 20}}, nil, false},
+		{"sender-missing", envelope{to: 10, m: Message{Kind: MsgDrop, From: -1}}, nil, false},
+		{"cluster-out-of-range", envelope{to: 10, m: Message{Kind: MsgCenter, From: 70, A: n}}, nil, false},
+		{"cluster-negative", envelope{to: 10, m: Message{Kind: MsgNewCenter, From: 70, A: -1}}, nil, false},
+		{"post-count-above-live-slots", envelope{}, post(4, Message{Kind: MsgCenter, From: 70}), false},
+		{"post-count-below-live-slots", envelope{}, post(2, Message{Kind: MsgCenter, From: 70}), false},
+		{"post-count-zero", envelope{}, post(0, Message{Kind: MsgNewCenter, From: 70}), false},
+		{"post-count-negative", envelope{}, post(-3, Message{Kind: MsgCenter, From: 70}), false},
+		{"post-sender-in-receiver-shard", envelope{}, post(3, Message{Kind: MsgCenter, From: 20}), false},
+		{"post-sender-out-of-range", envelope{}, post(3, Message{Kind: MsgCenter, From: 1000}), false},
+		{"post-sender-without-edges-here", envelope{}, post(1, Message{Kind: MsgNewCenter, From: 80}), false},
+		{"post-notice-kind", envelope{}, post(3, Message{Kind: MsgAdd, From: 70}), false},
+		{"post-receiver-staged-kind", envelope{}, post(3, Message{Kind: MsgKeep, From: 70}), false},
+		{"post-cluster-out-of-range", envelope{}, post(3, Message{Kind: MsgCenter, From: 70, A: n}), false},
+		{"post-cluster-negative", envelope{}, post(3, Message{Kind: MsgNewCenter, From: 70, A: -1}), false},
+		{"post-twice-in-one-round", envelope{}, append(post(3, Message{Kind: MsgCenter, From: 70}), post(3, Message{Kind: MsgCenter, From: 70})...), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			done := make(chan error, 1)
@@ -163,19 +167,30 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 						return err
 					}
 					view := views[tr.Shard()]
-					tr.x.board.adj, tr.x.board.dead = graph.NewAdjacencyDense(n, view), make([]bool, len(view))
+					tr.x.board.setView(graph.NewAdjacencyDense(n, view), view, make([]bool, len(view)))
 					if tr.Shard() == 1 && tc.posts != nil {
 						tr.postTo[0] = append(tr.postTo[0], tc.posts...)
 					} else if tr.Shard() == 1 {
 						tr.x.rows[1].to[0] = append(tr.x.rows[1].to[0], tc.env)
 					}
 					tr.EndRound(0)
+					if tc.accept && tr.Shard() == 0 {
+						if m, ok := tr.x.board.heard(70); !ok || m != tc.posts[0].m {
+							return fmt.Errorf("shard 0 hears %+v (%v) from vertex 70, want %+v", m, ok, tc.posts[0].m)
+						}
+					}
 					return nil
 				})
 			}()
 			select {
 			case err := <-done:
 				var ne *NetError
+				if tc.accept {
+					if err != nil {
+						t.Fatalf("the well-formed post was refused: %v", err)
+					}
+					return
+				}
 				if !errors.As(err, &ne) || !strings.Contains(err.Error(), "batch from shard 1") {
 					t.Fatalf("got %v, want a *NetError naming shard 1's batch", err)
 				}
@@ -191,8 +206,12 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 // before beginAttempt belong to an aborted attempt. The next EndRound
 // must bill, and deliver, only what was staged after it — on both
 // shards, so the summed tally is the replay's alone — and no post of
-// the aborted attempt may be heard, locally or by the peer, even though
-// the replay posts over the same view.
+// the aborted attempt may be heard, locally or by the peer. The
+// aborted attempt drops two edges of the posting view through the
+// board and the replay a third, on a fresh mask, before both post: the
+// replay's bill must be a recount of its own view, and the peer must
+// accept and hear its posts, so no count of the aborted attempt
+// survives the rollback.
 func TestRollbackDiscardsStagedTally(t *testing.T) {
 	const n = 100
 	bounds := graph.ShardBounds(n, 2)
@@ -203,6 +222,7 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 		edges = append(edges, graph.Edge{U: int32(bounds[0] + i), V: int32(bounds[1] + i), W: 1})
 	}
 	adj := graph.NewAdjacency(graph.FromEdges(n, edges))
+	abortedDrops, replayDrop := []int32{1, 2}, int32(0)
 	tallies := make([]RoundTally, 2)
 	err := runFleet(n, 2, 5*time.Second, func(tr *NetTransport) (err error) {
 		defer recoverNetError(&err)
@@ -214,20 +234,34 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 		}
 		s := tr.Shard()
 		lo, hi, peer := int32(bounds[s]), int32(bounds[s+1]), int32(bounds[1-s])
-		tr.x.board.adj, tr.x.board.dead = adj, make([]bool, len(edges))
+		tr.x.board.setView(adj, edges, make([]bool, len(edges)))
+		for _, lid := range abortedDrops {
+			tr.x.board.drop(lid)
+		}
 		for i := int32(0); i < 5; i++ {
 			tr.Send(peer+i, Message{Kind: MsgCenter, From: lo + i})
 			tr.Send(lo+i+1, Message{Kind: MsgCenter, From: lo + i})
 			tr.Post(Message{Kind: MsgCenter, From: lo + i, A: lo + i})
 		}
 		tr.beginAttempt()
-		tr.x.board.adj, tr.x.board.dead = adj, make([]bool, len(edges))
+		tr.x.board.setView(adj, edges, make([]bool, len(edges)))
+		tr.x.board.drop(replayDrop)
+		for i := int32(0); i < 5; i++ {
+			tr.Post(Message{Kind: MsgCenter, From: lo + i, A: lo + i, B: 1})
+		}
 		tr.Send(peer, Message{Kind: MsgDrop, From: lo, A: 7})
 		tr.Send(lo, Message{Kind: MsgKeep, From: lo + 1, A: 1})
 		tallies[s] = tr.EndRound(0)
 		for v := int32(0); v < n; v++ {
-			if m, ok := tr.x.board.heard(v); ok {
+			m, ok := tr.x.board.heard(v)
+			if ok && m.B != 1 {
 				return fmt.Errorf("shard %d hears vertex %d's post %+v of the aborted attempt", s, v, m)
+			}
+			// The replay's posters are heard on their own shard, and on
+			// the peer only over a live edge: all but the first.
+			own, overLiveEdge := v >= lo && v < lo+5, v > peer && v < peer+5
+			if ok != (own || overLiveEdge) {
+				return fmt.Errorf("shard %d: vertex %d's replay post heard %v, want %v", s, v, ok, own || overLiveEdge)
 			}
 		}
 		for v := lo; v < hi; v++ {
@@ -247,7 +281,20 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RoundTally{Messages: 4, Words: 4, MaxMessageWords: 1, CrossShardMessages: 2, CrossShardWords: 2}
+	// The recount: one 3-word message per live slot of each replay
+	// poster in the replay's view, every slot crossing the cut, plus
+	// each shard's 1-word drop (cross-shard) and keep (local).
+	want := RoundTally{Messages: 4, Words: 4, MaxMessageWords: 3, CrossShardMessages: 2, CrossShardWords: 2}
+	for s := 0; s < 2; s++ {
+		for u := int32(bounds[s]); u < int32(bounds[s]+5); u++ {
+			lo, hi := adj.Range(u)
+			for _, eid := range adj.EID[lo:hi] {
+				if eid != replayDrop {
+					want.add(RoundTally{Messages: 1, Words: 3, CrossShardMessages: 1, CrossShardWords: 3})
+				}
+			}
+		}
+	}
 	for s, got := range tallies {
 		if got != want {
 			t.Fatalf("shard %d billed %+v after the rollback, want %+v", s, got, want)

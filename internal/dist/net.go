@@ -92,8 +92,8 @@ type NetTransport struct {
 
 	// postTo stages this shard's post records by destination shard,
 	// encoded after the envelopes of the round's batch; postCount is
-	// Post's per-shard count of one poster's live cross-shard slots,
-	// zero between calls.
+	// Post's per-shard count of one poster's live slots at P ≥ 3, zero
+	// between calls.
 	postTo    [][]postRecord
 	postCount []int32
 
@@ -1083,16 +1083,34 @@ func (t *NetTransport) Send(to int32, m Message) {
 
 // Post stores m on this shard's board, bills it on this shard's row,
 // and stages one record for each other shard holding a live slot of
-// m.From, with the number of those slots. Like Send, it is a fatal
+// m.From, with the number of those slots. At P = 2 that number is the
+// board's cross-shard count of m.From; at P ≥ 3 Post splits it by
+// shard with a walk of m.From's live slots. Like Send, it is a fatal
 // contract violation to post for a vertex this shard does not own.
 func (t *NetTransport) Post(m Message) {
-	if s := t.part.shardOf(m.From); s != t.self {
-		t.fatal(fmt.Errorf("post from vertex %d (shard %d) on shard %d (staging discipline violation)", m.From, s, t.self))
+	u := m.From
+	if s := t.part.shardOf(u); s != t.self {
+		t.fatal(fmt.Errorf("post from vertex %d (shard %d) on shard %d (staging discipline violation)", u, s, t.self))
 	}
-	t.x.post(t.self, m, t.postCount)
-	for d, c := range t.postCount {
-		if c > 0 {
-			t.postTo[d] = append(t.postTo[d], postRecord{count: c, m: m})
+	t.x.post(t.self, m)
+	b := &t.x.board
+	switch {
+	case t.part.p == 2:
+		if c := b.cross[u]; c > 0 {
+			t.postTo[1-t.self] = append(t.postTo[1-t.self], postRecord{count: c, m: m})
+		}
+	case t.part.p > 2:
+		lo, hi := b.adj.Range(u)
+		nbrs := b.adj.Nbr[lo:hi]
+		for i, eid := range b.adj.EID[lo:hi] {
+			if !b.dead[eid] {
+				t.postCount[t.part.shardOf(nbrs[i])]++
+			}
+		}
+		for d, c := range t.postCount {
+			if c > 0 && d != t.self {
+				t.postTo[d] = append(t.postTo[d], postRecord{count: c, m: m})
+			}
 			t.postCount[d] = 0
 		}
 	}

@@ -1,7 +1,8 @@
 package dist
 
 import (
-	"repro/internal/graph"
+	"slices"
+
 	"repro/internal/spanner"
 )
 
@@ -34,8 +35,11 @@ import (
 // sends the same word to every live neighbour posts it once, billed
 // once per live edge of the round's post view (PostView), and each
 // recipient reads it by walking its own live slots after the barrier.
-// The fold order is then the reader's slot order — ascending edge id
-// on every view — whatever transport carried the post.
+// The bill comes from counts, not a walk: PostView counts each
+// vertex's live slots once, and every edge the algorithm drops
+// afterwards goes through Drop, which keeps the counts. The fold order
+// is the reader's slot order — ascending edge id on every view —
+// whatever transport carried the post.
 
 // MsgKind identifies the payload schema of a message.
 type MsgKind uint8
@@ -114,6 +118,10 @@ type roundEngine struct {
 	// notes holds each worker's spanner decision notices (see
 	// collectNotices), reused across rounds like the accumulators.
 	notes [][]notice
+
+	// slots holds each worker's per-slot scratch for the spanner's
+	// decide step (see slotScratch): O(degree) words per worker.
+	slots [][]int32
 }
 
 // clustersOf returns worker's cluster accumulator, making it on first
@@ -124,6 +132,18 @@ func (e *roundEngine) clustersOf(worker int) *spanner.Clusters {
 		e.clusters[worker] = spanner.NewClusters(e.n)
 	}
 	return e.clusters[worker]
+}
+
+// slotScratch returns worker's per-slot scratch with length n and
+// arbitrary contents, grown as needed and reused by the next call. It
+// is called inside ForWorkers bodies, each worker on its own slot.
+func (e *roundEngine) slotScratch(worker, n int) []int32 {
+	s := e.slots[worker]
+	if cap(s) < n {
+		s = slices.Grow(s[:0], n)
+		e.slots[worker] = s
+	}
+	return s[:n]
 }
 
 // scratchFreeDepth bounds how many scratch slices each freelist holds.
@@ -184,7 +204,7 @@ func newRoundEngine(n int) *roundEngine { return newRoundEngineOn(n, NewMemTrans
 // newRoundEngineOn returns an engine running over an explicit transport.
 func newRoundEngineOn(n int, tr Transport) *roundEngine {
 	e := &roundEngine{n: n, tr: tr, cur: -1, clusters: make([]*spanner.Clusters, tr.Workers()), board: tr.board(),
-		notes: make([][]notice, tr.Workers())}
+		notes: make([][]notice, tr.Workers()), slots: make([][]int32, tr.Workers())}
 	e.stats.Shards = tr.Shards()
 	return e
 }
@@ -213,16 +233,30 @@ func (e *roundEngine) Deliver(to int32, m Message) {
 	e.tr.Send(to, m)
 }
 
-// PostView sets the view later posts cross: the live slots of adj,
-// whose EID slots index dead. Call it outside a compute phase; nil, nil
-// clears it once the posting rounds are over.
-func (e *roundEngine) PostView(adj *graph.Adjacency, dead []bool) {
-	e.board.adj, e.board.dead = adj, dead
+// PostView sets the view later posts cross: the live slots of w's
+// adjacency, whose EID slots index dead, and counts each vertex's live
+// slots in it once. From then on the caller changes dead only through
+// Drop. Call it outside a compute phase; nil, nil clears it once the
+// posting rounds are over.
+func (e *roundEngine) PostView(w *view, dead []bool) {
+	if w == nil {
+		e.board.setView(nil, nil, nil)
+		return
+	}
+	e.board.setView(w.adj, w.edges, dead)
 }
 
+// Drop kills local edge lid in the post view: it marks lid dead and
+// takes it off both endpoints' live-slot counts, so later posts bill
+// without it. Dropping a dead edge again does nothing. Call it outside
+// a compute phase.
+func (e *roundEngine) Drop(lid int32) { e.board.drop(lid) }
+
 // Post sends m from u over every live slot of u in the post view: one
-// message per slot on the ledger, one entry on the board. It must be
-// called from u's owner (a sender-staged post), like Deliver.
+// message per slot on the ledger, one entry on the board. The bill is
+// read off the board's counts (see PostView), so no slot is walked.
+// It must be called from u's owner (a sender-staged post), like
+// Deliver.
 func (e *roundEngine) Post(u int32, m Message) {
 	m.From = u
 	e.tr.Post(m)

@@ -69,7 +69,7 @@ func (t *ShardedTransport) Send(to int32, m Message) {
 // worker owning m.From. The board is shared memory, so nothing moves
 // at the barrier.
 func (t *ShardedTransport) Post(m Message) {
-	t.x.post(t.x.exec.shardOf(m.From), m, nil)
+	t.x.post(t.x.exec.shardOf(m.From), m)
 }
 
 func (t *ShardedTransport) board() *postBoard { return &t.x.board }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graphio"
+	"repro/internal/parutil"
 	"repro/internal/rng"
 	"repro/internal/spanner"
 )
@@ -252,8 +253,9 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		}
 	}
 	// Every post of this run crosses the live (not dead) slots of the
-	// view: E', the working edge set.
-	e.PostView(adj, dead)
+	// view: E', the working edge set. From here on an edge dies only
+	// through e.Drop, which keeps the board's live-slot counts.
+	e.PostView(w, dead)
 	// The decision step's next-iteration labels, double-buffered: every
 	// owned index is rewritten each iteration before the swap, and
 	// unowned indices are never read (the partition discipline above),
@@ -273,10 +275,14 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		// billed all the same because a real deployment (where only the
 		// center flips the coin) must pay it.
 		e.BeginPhase("spanner/broadcast")
+		// One table of every cluster's bit per iteration, filled from
+		// the seed as spanner.Compute fills its own.
 		iterSeed := seed ^ (uint64(iter) * spanner.IterSeedMix)
-		sampledBit := func(c int32) bool {
-			return rng.SplitAt(iterSeed, uint64(c)).Float64() < p
-		}
+		sampled := e.getBools(n)
+		parutil.For(n, func(c int) {
+			sampled[c] = rng.SplitAt(iterSeed, uint64(c)).Float64() < p
+		})
+		sampledBit := func(c int32) bool { return sampled[c] }
 		depthMaxes := collectVertices(e, func(_ int, lo, hi int) []int32 {
 			mx := int32(0)
 			for v := lo; v < hi; v++ {
@@ -299,7 +305,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					return
 				}
 				bit := int32(0)
-				if sampledBit(center[v]) {
+				if sampled[center[v]] {
 					bit = 1
 				}
 				e.Deliver(v, Message{From: parent[v], Kind: MsgSampled, A: bit})
@@ -307,7 +313,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 			e.EndRound()
 		}
 		// After the wave every clustered vertex knows its own cluster's
-		// bit; calling sampledBit(center[v]) below reads exactly the
+		// bit; reading sampled[center[v]] below reads exactly the
 		// mailbox content just simulated.
 
 		// --- Step 2: neighbor exchange — every clustered vertex
@@ -323,7 +329,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 				return // unclustered vertices have nothing to announce
 			}
 			bit := int32(0)
-			if sampledBit(cu) {
+			if sampled[cu] {
 				bit = 1
 			}
 			e.Post(u, Message{Kind: MsgCenter, A: cu, B: depth[u], C: bit})
@@ -339,7 +345,9 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		// them; all comparisons and tie-breaks use global edge ids, so
 		// two shards rank a boundary edge identically. Each worker
 		// collects its notices in one flat list, a vertex's adds before
-		// its drops.
+		// its drops. The grouping walk reads each live slot's post once
+		// and records the cluster heard there (−1 for a dead or silent
+		// slot) in the worker's slot scratch, which case (b) reads back.
 		e.BeginPhase("spanner/decide")
 		notices := e.collectNotices(func(worker, lo, hi int, out []notice) []notice {
 			acc := e.clustersOf(worker)
@@ -352,25 +360,31 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					newParent[v], newDepth[v] = -1, 0
 					continue
 				}
-				if sampledBit(c) {
+				if sampled[c] {
 					// Vertices of sampled clusters keep everything.
 					newCenter[v] = c
 					continue
 				}
 				acc.Reset()
 				slo, shi := adj.Range(v)
-				for slot := slo; slot < shi; slot++ {
+				heard := e.slotScratch(worker, int(shi-slo))
+				for i := range heard {
+					slot := slo + int32(i)
+					heard[i] = -1
 					eid := adj.EID[slot]
 					if dead[eid] {
 						continue
 					}
-					if msg, ok := e.Heard(adj.Nbr[slot]); ok && msg.A != c {
-						acc.Fold(msg.A, w.globalOf(eid), w.edges[eid].Resistance())
+					if msg, ok := e.Heard(adj.Nbr[slot]); ok {
+						heard[i] = msg.A
+						if msg.A != c {
+							acc.Fold(msg.A, w.globalOf(eid), w.edges[eid].Resistance())
+						}
 					}
 				}
 				// The lightest edge into a *sampled* adjacent cluster. A
 				// cluster's sampled bit (MsgCenter's C) is a pure function
-				// of the seed, so it is re-derived from the cluster id.
+				// of the seed, so it is read off the iteration's table.
 				bi := acc.Lightest(sampledBit)
 				if bi < 0 {
 					// Case (a): no sampled neighbor cluster. Certify the
@@ -401,21 +415,19 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 						out = append(out, notice{v, ce.Best.Eid, MsgAdd})
 					}
 				}
-				for slot := slo; slot < shi; slot++ {
-					eid := adj.EID[slot]
-					if dead[eid] {
+				for i, hc := range heard {
+					if hc < 0 {
 						continue
 					}
-					msg, ok := e.Heard(adj.Nbr[slot])
-					if !ok {
-						continue
-					}
-					gid := w.globalOf(eid)
-					if acc.Removed(msg.A) {
+					slot := slo + int32(i)
+					gid := w.globalOf(adj.EID[slot])
+					if acc.Removed(hc) {
 						out = append(out, notice{v, gid, MsgDrop})
 					}
 					if gid == best.Eid {
-						newParent[v], newDepth[v] = msg.From, msg.B+1
+						u := adj.Nbr[slot]
+						msg, _ := e.Heard(u) // the tree edge's post: the one read twice
+						newParent[v], newDepth[v] = u, msg.B+1
 					}
 				}
 			}
@@ -425,12 +437,13 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		// notifications (one round; delivery order is worker order,
 		// which is deterministic). On a partition view `notices` holds
 		// only this process's decisions — the rest arrive below.
-		sendNotices(e, w, notices, inSpanner, dead)
+		sendNotices(e, w, notices, inSpanner)
 		e.EndRound()
+		e.putBools(sampled)
 		center, newCenter = newCenter, center
 		parent, newParent = newParent, parent
 		depth, newDepth = newDepth, depth
-		applyNotices(e, w, inSpanner, dead)
+		applyNotices(e, w, inSpanner)
 
 		// --- Step 4: exchange the new centers over surviving edges and
 		// discard intra-cluster edges (both endpoints reach the same
@@ -445,13 +458,21 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		// An edge is intra-cluster exactly when the announced center
 		// equals the receiver's own; both endpoints reach the verdict
 		// independently, so a boundary edge dies on both sides without
-		// further traffic.
+		// further traffic. Only a vertex that switched clusters in this
+		// iteration walks its slots: one that kept its cluster c has no
+		// live edge into c. Such an edge was intra-cluster when the
+		// iteration began, and the last step 4 (or, in the first
+		// iteration, the singleton clusters) left none alive; or its
+		// other end joined c in case (b), and marked c removed and
+		// dropped every edge into it. So the kills, and every later
+		// bill, are those of a walk over every clustered vertex. After
+		// the swap, newCenter holds the labels the iteration began with.
 		kills := collectVertices(e, func(_ int, lo, hi int) []int32 {
 			var shardKills []int32
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
 				c := center[v]
-				if c < 0 {
+				if c < 0 || c == newCenter[v] {
 					continue
 				}
 				slo, shi := adj.Range(v)
@@ -468,7 +489,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 			return shardKills
 		})
 		for _, lid := range kills {
-			dead[lid] = true
+			e.Drop(lid)
 		}
 	}
 
@@ -503,9 +524,9 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 		}
 		return out
 	})
-	sendNotices(e, w, adds, inSpanner, dead)
+	sendNotices(e, w, adds, inSpanner)
 	e.EndRound()
-	applyNotices(e, w, inSpanner, dead)
+	applyNotices(e, w, inSpanner)
 	e.PostView(nil, nil)
 	e.putBools(dead)
 	e.putInt32s(parent)
@@ -516,17 +537,17 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 	return inSpanner, center, k
 }
 
-// sendNotices applies the local decisions to the edge masks and
-// delivers each to the other endpoint of its edge, in worker order and
-// list order within a worker.
-func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner, dead []bool) {
+// sendNotices applies the local decisions to the spanner mask and,
+// through e.Drop, to the post view, and delivers each to the other
+// endpoint of its edge, in worker order and list order within a worker.
+func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner []bool) {
 	for _, notices := range lists {
 		for _, nt := range notices {
 			lid := w.localOf(nt.eid)
 			if nt.kind == MsgAdd {
 				inSpanner[lid] = true
 			} else {
-				dead[lid] = true
+				e.Drop(lid)
 			}
 			if o := w.otherEnd(lid, nt.v); o != nt.v {
 				e.Deliver(o, Message{From: nt.v, Port: nt.eid, Kind: nt.kind, A: nt.eid})
@@ -536,14 +557,14 @@ func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner, dead []bo
 }
 
 // applyNotices folds the MsgAdd/MsgDrop notices delivered by the last
-// barrier into the local edge masks, translating the notices' global
-// edge ids through the view. On a single-process view this re-applies
+// barrier into the spanner mask and the post view, translating the
+// notices' global edge ids through the view. On a single-process view this re-applies
 // what the decision loop already wrote (idempotent); on a partition
 // view it is how the other endpoint of a boundary edge learns a remote
 // decision. Notices are collected per worker and applied sequentially
 // so that two endpoints of one edge never write the same mask slot
 // concurrently.
-func applyNotices(e *roundEngine, w *view, inSpanner, dead []bool) {
+func applyNotices(e *roundEngine, w *view, inSpanner []bool) {
 	lists := e.collectNotices(func(_, lo, hi int, out []notice) []notice {
 		for vi := lo; vi < hi; vi++ {
 			for _, msg := range e.Mailbox(int32(vi)) {
@@ -559,7 +580,7 @@ func applyNotices(e *roundEngine, w *view, inSpanner, dead []bool) {
 			if nt.kind == MsgAdd {
 				inSpanner[w.localOf(nt.eid)] = true
 			} else {
-				dead[w.localOf(nt.eid)] = true
+				e.Drop(w.localOf(nt.eid))
 			}
 		}
 	}

@@ -191,53 +191,73 @@ func TestMailboxRecycling(t *testing.T) {
 // and the other end of each of those slots hears it after the barrier
 // that closes its round, not before it and not after the next one.
 // The view has a dead edge, a self-loop (dead, as the spanner marks
-// it), a reversed parallel pair across the shard cut, and a vertex
-// whose only edge is dead.
+// it), and a reversed parallel pair across the shard cut. A second
+// round posts again after three drops made through the board — a
+// boundary edge, one copy of the parallel pair, and an edge dropped
+// twice — and must bill what the envelopes over the edges still live
+// bill: the counts the board kept at each drop, not a recount.
 func TestPostBillsLikeOneEnvelopePerLiveEdge(t *testing.T) {
-	const n = 6 // on two shards: {0, 1, 2} and {3, 4, 5}
+	const n = 6 // on two shards {0, 1, 2} and {3, 4, 5}; on three {0, 1}, {2, 3} and {4, 5}
 	g := graph.FromEdges(n, []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 0, V: 3, W: 1}, {U: 3, V: 0, W: 2}, {U: 1, V: 4, W: 1},
 		{U: 2, V: 1, W: 1}, {U: 3, V: 3, W: 1}, {U: 4, V: 5, W: 1}, {U: 2, V: 5, W: 1},
+		{U: 1, V: 5, W: 1},
 	})
-	dead := []bool{false, false, false, true, false, true, false, true}
+	// Edge 8 crosses every cut, edge 2 is one copy of the pair {1, 2},
+	// and edge 4 crosses the three-shard cut only.
+	drops := []int32{8, 2, 4, 4}
 	adj := graph.NewAdjacency(g)
 	for name, mk := range map[string]func() Transport{
-		"mem":     func() Transport { return NewMemTransport(n) },
-		"sharded": func() Transport { return NewShardedTransport(n, 2) },
+		"mem":      func() Transport { return NewMemTransport(n) },
+		"sharded2": func() Transport { return NewShardedTransport(n, 2) },
+		"sharded3": func() Transport { return NewShardedTransport(n, 3) },
 	} {
+		dead := []bool{false, false, false, true, false, true, false, true, false}
 		post, send := newRoundEngineOn(n, mk()), newRoundEngineOn(n, mk())
-		post.BeginPhase("x")
-		send.BeginPhase("x")
-		post.PostView(adj, dead)
-		for u := int32(0); u < n; u++ {
-			m := Message{Kind: MsgCenter, A: 10 + u, B: u, C: 1}
-			post.Post(u, m)
-			lo, hi := adj.Range(u)
-			for slot := lo; slot < hi; slot++ {
-				if !dead[adj.EID[slot]] {
-					m.From, m.Port = u, adj.EID[slot]
-					send.Deliver(adj.Nbr[slot], m)
+		post.PostView(newFullView(g), dead)
+		for round, phase := range []string{"before-drops", "after-drops"} {
+			if round == 1 {
+				for _, lid := range drops {
+					post.Drop(lid)
+				}
+			}
+			post.BeginPhase(phase)
+			send.BeginPhase(phase)
+			for u := int32(0); u < n; u++ {
+				m := Message{Kind: MsgCenter, A: 10 + u, B: u, C: int32(round)}
+				post.Post(u, m)
+				lo, hi := adj.Range(u)
+				for slot := lo; slot < hi; slot++ {
+					if !dead[adj.EID[slot]] {
+						m.From, m.Port = u, adj.EID[slot]
+						send.Deliver(adj.Nbr[slot], m)
+					}
+				}
+			}
+			if m, ok := post.Heard(0); ok && m.C == int32(round) {
+				t.Fatalf("%s: a post is heard before its round's barrier", name)
+			}
+			post.EndRound()
+			send.EndRound()
+			if got, want := post.Stats(), send.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: posts billed %+v, one envelope per live edge %+v", name, phase, got, want)
+			}
+			for v := int32(0); v < n; v++ {
+				lo, hi := adj.Range(v)
+				for slot := lo; slot < hi; slot++ {
+					if dead[adj.EID[slot]] {
+						continue
+					}
+					u := adj.Nbr[slot]
+					if m, ok := post.Heard(u); !ok || m != (Message{From: u, Kind: MsgCenter, A: 10 + u, B: u, C: int32(round)}) {
+						t.Fatalf("%s %s: vertex %d hears %+v (%v) from %d", name, phase, v, m, ok, u)
+					}
 				}
 			}
 		}
-		if _, ok := post.Heard(0); ok {
-			t.Fatalf("%s: a post is heard before its round's barrier", name)
-		}
-		post.EndRound()
-		send.EndRound()
-		if got, want := post.Stats(), send.Stats(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: posts billed %+v, one envelope per live edge %+v", name, got, want)
-		}
-		for v := int32(0); v < n; v++ {
-			lo, hi := adj.Range(v)
-			for slot := lo; slot < hi; slot++ {
-				if dead[adj.EID[slot]] {
-					continue
-				}
-				u := adj.Nbr[slot]
-				if m, ok := post.Heard(u); !ok || m != (Message{From: u, Kind: MsgCenter, A: 10 + u, B: u, C: 1}) {
-					t.Fatalf("%s: vertex %d hears %+v (%v) from %d", name, v, m, ok, u)
-				}
+		for _, lid := range drops {
+			if !dead[lid] {
+				t.Fatalf("%s: edge %d dropped through the board is not dead", name, lid)
 			}
 		}
 		post.EndRound()
