@@ -137,7 +137,10 @@ func newExchanger(n, execP, ownerP int) *exchanger {
 		owner:   newPartition(n, ownerP),
 		mailbox: make([][]Message, n),
 	}
-	x.board = postBoard{owner: x.owner, posts: make([]postEntry, n), now: 1}
+	x.board = postBoard{owner: x.owner, posts: make([]postEntry, n), now: 1, live: make([]int32, n)}
+	if x.owner.p > 1 {
+		x.board.cross = make([]int32, n)
+	}
 	x.rows = make([]stagingRow, x.exec.p)
 	for d := range x.rows {
 		x.rows[d].to = make([][]envelope, x.exec.p)
@@ -333,12 +336,6 @@ func (b *postBoard) setView(adj *graph.Adjacency, edges []graph.Edge, dead []boo
 	b.adj, b.edges, b.dead = adj, edges, dead
 	if adj == nil {
 		return
-	}
-	if b.live == nil {
-		b.live = make([]int32, len(b.posts))
-		if b.owner.p > 1 {
-			b.cross = make([]int32, len(b.posts))
-		}
 	}
 	clear(b.live)
 	clear(b.cross)

@@ -1100,18 +1100,19 @@ func (t *NetTransport) Post(m Message) {
 			t.postTo[1-t.self] = append(t.postTo[1-t.self], postRecord{count: c, m: m})
 		}
 	case t.part.p > 2:
+		olo, ohi := int32(t.part.bounds[t.self]), int32(t.part.bounds[t.self+1])
 		lo, hi := b.adj.Range(u)
 		nbrs := b.adj.Nbr[lo:hi]
 		for i, eid := range b.adj.EID[lo:hi] {
-			if !b.dead[eid] {
-				t.postCount[t.part.shardOf(nbrs[i])]++
+			if nbr := nbrs[i]; !b.dead[eid] && (nbr < olo || nbr >= ohi) {
+				t.postCount[t.part.shardOf(nbr)]++
 			}
 		}
 		for d, c := range t.postCount {
-			if c > 0 && d != t.self {
+			if c > 0 {
 				t.postTo[d] = append(t.postTo[d], postRecord{count: c, m: m})
+				t.postCount[d] = 0
 			}
-			t.postCount[d] = 0
 		}
 	}
 }

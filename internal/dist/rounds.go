@@ -253,8 +253,8 @@ func (e *roundEngine) PostView(w *view, dead []bool) {
 func (e *roundEngine) Drop(lid int32) { e.board.drop(lid) }
 
 // Post sends m from u over every live slot of u in the post view: one
-// message per slot on the ledger, one entry on the board. The bill is
-// read off the board's counts (see PostView), so no slot is walked.
+// message per slot on the ledger, one entry on the board. The number
+// of slots is read off the board's counts (see PostView), not walked.
 // It must be called from u's owner (a sender-staged post), like
 // Deliver.
 func (e *roundEngine) Post(u int32, m Message) {

@@ -29,15 +29,18 @@ import (
 // Memory accounting (the bound the regression tests in memory_test.go
 // pin, and E13 reports per worker): a view's edge-indexed tables cost
 // tableWords() = O(m_incident) words, per-vertex arrays cost O(n)
-// words (the spanner's labels, the round engine's cluster accumulator,
-// one per worker, and the transport's post board; none counts in
-// tableWords()), and no per-round allocation anywhere in
-// spanner.go/sparsify.go exceeds O(n + m_incident) — a worker holding
-// shard s of a P-way split pays for its incident edges (own share plus
-// boundary), never for the global edge count. The one global-sized quantity left is time, not
-// memory: the renumbering walk at the end of a sampling round scans
-// the global id space with O(1) state plus the gathered bundle-id list
-// (O(bundle size) words, transient).
+// words (the spanner's labels and its per-iteration sampled-bit table,
+// the round engine's cluster accumulator, one per worker, and the
+// transport's post board with its two live-slot count arrays; none
+// counts in tableWords()), the decide step's slot scratch costs
+// O(max degree) words per worker, and no per-round allocation anywhere
+// in spanner.go/sparsify.go exceeds O(n + m_incident) — a worker
+// holding shard s of a P-way split pays for its incident edges (own
+// share plus boundary), never for the global edge count. The one
+// global-sized quantity left is time, not memory: the renumbering walk
+// at the end of a sampling round scans the global id space with O(1)
+// state plus the gathered bundle-id list (O(bundle size) words,
+// transient).
 type view struct {
 	// n and m are the GLOBAL vertex count and edge-id-space size; local
 	// edge ids index edges, global ids live in [0, m).
