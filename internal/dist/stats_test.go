@@ -203,8 +203,9 @@ func TestPostBillsLikeOneEnvelopePerLiveEdge(t *testing.T) {
 		{U: 2, V: 1, W: 1}, {U: 3, V: 3, W: 1}, {U: 4, V: 5, W: 1}, {U: 2, V: 5, W: 1},
 		{U: 1, V: 5, W: 1},
 	})
-	// Edge 8 crosses every cut, edge 2 is one copy of the pair {1, 2},
-	// and edge 4 crosses the three-shard cut only.
+	// Edge 8 crosses every cut, edge 2 is one copy of the parallel pair
+	// of edges 1 and 2 between vertices 0 and 3, and edge 4 crosses the
+	// three-shard cut only. After the drops vertex 2 has no live edge.
 	drops := []int32{8, 2, 4, 4}
 	adj := graph.NewAdjacency(g)
 	for name, mk := range map[string]func() Transport{
