@@ -114,14 +114,14 @@
 // in the round's view, so the ledger is the per-edge one, and after
 // the barrier each recipient walks its own live slots and reads the
 // neighbour's post off the board (Heard). The bill is read from
-// counts, not found by a walk: the board counts every vertex's live
-// and cross-shard slots once when the spanner sets its view
-// (roundEngine.PostView), and each edge the spanner kills goes through
-// roundEngine.Drop, which takes it off both endpoints' counts. The
-// network transport carries a post across a link once, as one record
-// per (poster, destination shard holding one of its live edges)
-// counting those edges, which the receiver checks against its own
-// view's count.
+// counts: the board counts every vertex's live and cross-shard slots
+// once when the spanner sets its view (roundEngine.PostView), and each
+// edge the spanner kills goes through roundEngine.Drop, the only
+// writer of the dead mask from then on, which takes it off both
+// endpoints' counts. The network transport carries a post across a
+// link once, as one record per (poster, destination shard holding one
+// of its live edges) counting those edges, which the receiver checks
+// against its own view's count.
 //
 // # Topology: one full-mesh data plane
 //

@@ -50,8 +50,8 @@ import (
 // entry per vertex, O(n) words beside the labels) and bills it on the
 // poster's row once per live edge of the poster in the board's view —
 // the same messages, words and cross-shard split the per-edge
-// envelopes were billed. The bill is read, not found by a walk: the
-// board keeps each vertex's live and cross-shard slot counts, counted
+// envelopes were billed. The bill is read off counts: the board
+// keeps each vertex's live and cross-shard slot counts, counted
 // once when the view is set (setView) and kept at every drop of an
 // edge (drop, the only writer of the view's dead mask while it is
 // set). After the barrier a recipient walks its own live slots and
@@ -189,7 +189,7 @@ func (x *exchanger) send(to int32, m Message) {
 // post stores m on the board as the round's post of its poster
 // u = m.From and bills it on row d once per live slot of u in the
 // board's view, as cross-shard traffic where the other end has
-// another owner: both counts are the board's, so no slot is walked.
+// another owner: both counts are the board's.
 // It must be called by u's owner during a compute phase, or by any
 // single goroutine outside one.
 func (x *exchanger) post(d int, m Message) {
@@ -329,34 +329,34 @@ type postEntry struct {
 }
 
 // setView sets the view posts cross and counts every vertex's live and
-// cross-shard slots in it: one walk of the view, made once per view.
-// From then on the dead mask must change only through drop, which
-// keeps the counts. A nil adj clears the view.
+// cross-shard slots in it: one walk of the view, made once per view,
+// owner shard by owner shard (adj spans the board's n vertices). From
+// then on the dead mask must change only through drop, which keeps the
+// counts. A nil adj clears the view.
 func (b *postBoard) setView(adj *graph.Adjacency, edges []graph.Edge, dead []bool) {
 	b.adj, b.edges, b.dead = adj, edges, dead
 	if adj == nil {
 		return
 	}
-	clear(b.live)
-	clear(b.cross)
-	for u := int32(0); u < int32(adj.N); u++ {
-		s := b.owner.shardOf(u)
+	for s := range b.owner.p {
 		olo, ohi := int32(b.owner.bounds[s]), int32(b.owner.bounds[s+1])
-		lo, hi := adj.Range(u)
-		nbrs := adj.Nbr[lo:hi]
-		var live, cross int32
-		for i, eid := range adj.EID[lo:hi] {
-			if dead[eid] {
-				continue
+		for u := olo; u < ohi; u++ {
+			lo, hi := adj.Range(u)
+			nbrs := adj.Nbr[lo:hi]
+			var live, cross int32
+			for i, eid := range adj.EID[lo:hi] {
+				if dead[eid] {
+					continue
+				}
+				live++
+				if nbr := nbrs[i]; nbr < olo || nbr >= ohi {
+					cross++
+				}
 			}
-			live++
-			if nbr := nbrs[i]; nbr < olo || nbr >= ohi {
-				cross++
+			b.live[u] = live
+			if b.cross != nil {
+				b.cross[u] = cross
 			}
-		}
-		b.live[u] = live
-		if b.cross != nil {
-			b.cross[u] = cross
 		}
 	}
 }
@@ -375,7 +375,10 @@ func (b *postBoard) drop(lid int32) {
 		return // a self-loop holds one slot
 	}
 	b.live[e.V]--
-	if b.cross != nil && b.owner.shardOf(e.U) != b.owner.shardOf(e.V) {
+	if b.cross == nil {
+		return
+	}
+	if s := b.owner.shardOf(e.U); e.V < int32(b.owner.bounds[s]) || e.V >= int32(b.owner.bounds[s+1]) {
 		b.cross[e.U]--
 		b.cross[e.V]--
 	}

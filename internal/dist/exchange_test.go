@@ -206,8 +206,11 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 // before beginAttempt belong to an aborted attempt. The next EndRound
 // must bill, and deliver, only what was staged after it — on both
 // shards, so the summed tally is the replay's alone — and no post of
-// the aborted attempt may be heard, locally or by the peer. The
-// aborted attempt drops two edges of the posting view through the
+// the aborted attempt may be heard, locally or by the peer. Five
+// vertices of each shard post in the aborted attempt and only the
+// first four in the replay, so the fifth's aborted post is one the
+// replay does not overwrite: it must go unheard on its own shard too.
+// The aborted attempt drops two edges of the posting view through the
 // board and the replay a third, on a fresh mask, before both post: the
 // replay's bill must be a recount of its own view, and the peer must
 // accept and hear its posts, so no count of the aborted attempt
@@ -223,6 +226,7 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 	}
 	adj := graph.NewAdjacency(graph.FromEdges(n, edges))
 	abortedDrops, replayDrop := []int32{1, 2}, int32(0)
+	const replayPosters = 4
 	tallies := make([]RoundTally, 2)
 	err := runFleet(n, 2, 5*time.Second, func(tr *NetTransport) (err error) {
 		defer recoverNetError(&err)
@@ -246,7 +250,7 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 		tr.beginAttempt()
 		tr.x.board.setView(adj, edges, make([]bool, len(edges)))
 		tr.x.board.drop(replayDrop)
-		for i := int32(0); i < 5; i++ {
+		for i := int32(0); i < replayPosters; i++ {
 			tr.Post(Message{Kind: MsgCenter, From: lo + i, A: lo + i, B: 1})
 		}
 		tr.Send(peer, Message{Kind: MsgDrop, From: lo, A: 7})
@@ -259,7 +263,7 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 			}
 			// The replay's posters are heard on their own shard, and on
 			// the peer only over a live edge: all but the first.
-			own, overLiveEdge := v >= lo && v < lo+5, v > peer && v < peer+5
+			own, overLiveEdge := v >= lo && v < lo+replayPosters, v > peer && v < peer+replayPosters
 			if ok != (own || overLiveEdge) {
 				return fmt.Errorf("shard %d: vertex %d's replay post heard %v, want %v", s, v, ok, own || overLiveEdge)
 			}
@@ -286,7 +290,7 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 	// each shard's 1-word drop (cross-shard) and keep (local).
 	want := RoundTally{Messages: 4, Words: 4, MaxMessageWords: 3, CrossShardMessages: 2, CrossShardWords: 2}
 	for s := 0; s < 2; s++ {
-		for u := int32(bounds[s]); u < int32(bounds[s]+5); u++ {
+		for u := int32(bounds[s]); u < int32(bounds[s]+replayPosters); u++ {
 			lo, hi := adj.Range(u)
 			for _, eid := range adj.EID[lo:hi] {
 				if eid != replayDrop {

@@ -1100,12 +1100,19 @@ func (t *NetTransport) Post(m Message) {
 			t.postTo[1-t.self] = append(t.postTo[1-t.self], postRecord{count: c, m: m})
 		}
 	case t.part.p > 2:
+		// The walk ends at the last of u's cross[u] live cross-shard
+		// slots.
+		left := b.cross[u]
 		olo, ohi := int32(t.part.bounds[t.self]), int32(t.part.bounds[t.self+1])
 		lo, hi := b.adj.Range(u)
 		nbrs := b.adj.Nbr[lo:hi]
 		for i, eid := range b.adj.EID[lo:hi] {
+			if left == 0 {
+				break
+			}
 			if nbr := nbrs[i]; !b.dead[eid] && (nbr < olo || nbr >= ohi) {
 				t.postCount[t.part.shardOf(nbr)]++
+				left--
 			}
 		}
 		for d, c := range t.postCount {

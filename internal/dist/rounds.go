@@ -35,11 +35,11 @@ import (
 // sends the same word to every live neighbour posts it once, billed
 // once per live edge of the round's post view (PostView), and each
 // recipient reads it by walking its own live slots after the barrier.
-// The bill comes from counts, not a walk: PostView counts each
-// vertex's live slots once, and every edge the algorithm drops
-// afterwards goes through Drop, which keeps the counts. The fold order
-// is the reader's slot order — ascending edge id on every view —
-// whatever transport carried the post.
+// The bill comes from counts: PostView counts each vertex's live
+// slots once, and every edge the algorithm drops afterwards goes
+// through Drop, the only writer of the dead mask, which keeps the
+// counts. The fold order is the reader's slot order — ascending edge
+// id on every view — whatever transport carried the post.
 
 // MsgKind identifies the payload schema of a message.
 type MsgKind uint8
@@ -254,7 +254,7 @@ func (e *roundEngine) Drop(lid int32) { e.board.drop(lid) }
 
 // Post sends m from u over every live slot of u in the post view: one
 // message per slot on the ledger, one entry on the board. The number
-// of slots is read off the board's counts (see PostView), not walked.
+// of slots is read off the board's counts (see PostView).
 // It must be called from u's owner (a sender-staged post), like
 // Deliver.
 func (e *roundEngine) Post(u int32, m Message) {

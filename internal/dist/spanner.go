@@ -426,7 +426,7 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 					}
 					if gid == best.Eid {
 						u := adj.Nbr[slot]
-						msg, _ := e.Heard(u) // the tree edge's post: the one read twice
+						msg, _ := e.Heard(u) // the tree edge's post, for its depth
 						newParent[v], newDepth[v] = u, msg.B+1
 					}
 				}
@@ -558,12 +558,12 @@ func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner []bool) {
 
 // applyNotices folds the MsgAdd/MsgDrop notices delivered by the last
 // barrier into the spanner mask and the post view, translating the
-// notices' global edge ids through the view. On a single-process view this re-applies
-// what the decision loop already wrote (idempotent); on a partition
-// view it is how the other endpoint of a boundary edge learns a remote
-// decision. Notices are collected per worker and applied sequentially
-// so that two endpoints of one edge never write the same mask slot
-// concurrently.
+// notices' global edge ids through the view. On a single-process view
+// this re-applies what the decision loop already wrote (idempotent);
+// on a partition view it is how the other endpoint of a boundary edge
+// learns a remote decision. Notices are collected per worker and
+// applied sequentially so that two endpoints of one edge never write
+// the same mask slot concurrently.
 func applyNotices(e *roundEngine, w *view, inSpanner []bool) {
 	lists := e.collectNotices(func(_, lo, hi int, out []notice) []notice {
 		for vi := lo; vi < hi; vi++ {

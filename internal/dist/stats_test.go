@@ -195,7 +195,7 @@ func TestMailboxRecycling(t *testing.T) {
 // round posts again after three drops made through the board — a
 // boundary edge, one copy of the parallel pair, and an edge dropped
 // twice — and must bill what the envelopes over the edges still live
-// bill: the counts the board kept at each drop, not a recount.
+// bill, from the counts the board kept at each drop.
 func TestPostBillsLikeOneEnvelopePerLiveEdge(t *testing.T) {
 	const n = 6 // on two shards {0, 1, 2} and {3, 4, 5}; on three {0, 1}, {2, 3} and {4, 5}
 	g := graph.FromEdges(n, []graph.Edge{
