@@ -120,7 +120,8 @@ func BenchmarkDistributedSpanner(b *testing.B) {
 
 // BenchmarkDistributedSpannerSharded pins the cost of the sharded
 // transport against the in-memory baseline above: same graph, same
-// decisions, messages routed through per-shard-pair buffers.
+// decisions, messages billed on per-shard rows with the cross-shard
+// split.
 func BenchmarkDistributedSpannerSharded(b *testing.B) {
 	g := benchGraph(2000)
 	for _, p := range []int{1, 4} {

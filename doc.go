@@ -34,12 +34,12 @@
 // execute). Options.Transport selects the spec for the entry points
 // here: Mem() is the single-process in-memory simulation and the
 // default, Sharded(p) partitions the rounds across p worker goroutines
-// exchanging cross-shard messages through per-shard-pair buffers at
-// each round barrier, and Mesh(p) runs the whole multi-process
-// protocol — partition views, batched binary frames on real loopback
-// TCP sockets, a round barrier in which every process sends every
-// other its local tally, so the ledger is identical on every process —
-// inside one process. Real multi-process deployments use dist.Run
+// and bills the messages that cross shards apart, as p processes would
+// send them (in one process nothing is moved), and Mesh(p) runs the
+// whole multi-process protocol — partition views, batched binary
+// frames on real loopback TCP sockets, a round barrier in which every
+// process sends every other its local tally, so the ledger is
+// identical on every process — inside one process. Real multi-process deployments use dist.Run
 // directly with the Net/Worker specs; see cmd/distworker for the CLI
 // (coordinator + worker modes, -job resolved against the dist job
 // registry) and examples/distributed for a verified run with real OS

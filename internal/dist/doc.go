@@ -14,13 +14,13 @@
 // algorithm:
 //
 //   - SpannerJob(k, seed) — the randomized Baswana–Sen (2k−1)-spanner
-//     [Baswana & Sen 2007] expressed as synchronous rounds over
-//     per-vertex mailboxes: cluster centers sample themselves,
-//     broadcast the outcome down their cluster trees (radius grows by
-//     one per iteration, hence O(log² n) rounds total), neighbors
-//     exchange cluster ids, and every vertex decides locally from its
-//     mailbox — never by peeking at remote state. Messages carry O(1)
-//     words of O(log n) bits each.
+//     [Baswana & Sen 2007] expressed as synchronous message-passing
+//     rounds: cluster centers sample themselves, broadcast the outcome
+//     down their cluster trees (radius grows by one per iteration,
+//     hence O(log² n) rounds total), neighbors exchange cluster ids,
+//     and every vertex decides locally from what it heard — never by
+//     peeking at remote state. Messages carry O(1) words of O(log n)
+//     bits each.
 //
 //   - SparsifyJob(eps, rho, cfg) — ⌈log₂ρ⌉ iterations of the Algorithm
 //     1 sampling round, each composing t Baswana–Sen layers into a
@@ -92,23 +92,24 @@
 //
 // The round engine (rounds.go) runs the synchronous schedule — compute
 // phase → EndRound barrier → next round — and keeps the ledger; the
-// Transport interface (transport.go) decides how staged messages
-// travel, with all three implementations sharing the exchange core
-// (exchange.go): per (staging shard, recipient shard) buckets drained
-// in staging-shard order at every barrier. The staging discipline that
-// makes one algorithm run everywhere: payloads carrying real remote
-// state (MsgCenter, MsgNewCenter, MsgAdd, MsgDrop) are staged by the
-// sender's owner and genuinely cross the wire for boundary edges,
-// while payloads that are pure functions of the seed (MsgSampled,
-// MsgKeep) are staged — and re-derived — by the recipient's owner, yet
-// billed identically. Each message is billed once, when it is staged,
-// on its staging row's tally; the barrier only moves messages and sums
-// the row tallies. Decision notices fold back from mailboxes after
-// each barrier: a no-op re-application in one process, the
-// boundary-edge knowledge transfer across processes.
+// Transport interface (transport.go) bills every message and moves
+// only what another process reads, with all three implementations
+// sharing the exchange core (exchange.go): one tally row per worker,
+// written by that worker alone, and the post board. Each message is
+// billed once, when it is sent, on the sending worker's row, as
+// cross-shard traffic where its sender and recipient have different
+// owners; the barrier sums the row tallies. What makes one algorithm
+// run everywhere is who sends what: payloads that are pure functions
+// of the seed (MsgSampled, MsgKeep) are sent by the recipient's owner,
+// which re-derives them, so they never travel; decision notices
+// (MsgAdd, MsgDrop) are applied by their sender first and sent from
+// one goroutine, and only those over an edge whose other end another
+// process owns cross the wire, into that process's mailbox, which
+// folds them back after the barrier. In one process nothing is staged,
+// drained or delivered.
 //
 // The spanner's neighbour exchanges, where a vertex sends one word to
-// every live neighbour, skip the mailboxes: the vertex posts the word
+// every live neighbour, are posts: the vertex posts the word
 // once (roundEngine.Post), it is stored on the transport's O(n) post
 // board and billed on the poster's row once per live edge of its row
 // in the round's view, so the ledger is the per-edge one, and after
@@ -126,8 +127,9 @@
 // # Topology: one full-mesh data plane
 //
 // On the network path (net.go, wire.go, mesh.go) each shard is an OS
-// process and the buckets become batched fixed-size binary frames
-// flushed over TCP at every barrier. Shard 0 is the coordinator: every
+// process, and what it stages for another shard — notices over
+// boundary edges and post records — becomes batched fixed-size binary
+// frames flushed over TCP at every barrier. Shard 0 is the coordinator: every
 // worker joins it over a hub connection that carries the join
 // handshake, the coordinator's batches, collectives, blobs, and the
 // recovery protocol. The other round data travels on a full mesh: each
@@ -156,7 +158,7 @@
 //
 // Every shard runs the same barrier, over every link alike: it sends
 // each other shard the batch staged for it, its own local tally (its
-// staging row's), and a stream check, then reads the same from each,
+// row's), and a stream check, then reads the same from each,
 // parses each verified batch into its mailboxes and post board (an
 // envelope the sender could not have staged, or a post whose count is
 // not the poster's live edges into this shard, is a *NetError), and

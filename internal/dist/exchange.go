@@ -6,61 +6,46 @@ import (
 	"repro/internal/graph"
 )
 
-// The exchange core: the shard-pair staging, barrier drain, and traffic
-// tally shared by every transport. ShardedTransport uses it with one
-// worker goroutine per shard (or, as the in-memory transport, with the
-// grain-adaptive worker partition and one billing shard), and
-// NetTransport with one OS process per shard — the buckets a process
-// stages for remote shards are exactly the byte batches it flushes
-// onto the wire at the round barrier. The rows are keyed by
-// destination shard, so the staging is already direct-destination:
-// the network transport serializes each bucket into a frame addressed
-// From→To and writes it straight onto the destination's connection
-// (handing a worker peer's flush to that connection's writer
-// goroutine).
+// The exchange core: the billing rows, the post board and the
+// fork/join of a round's compute phase, shared by every transport.
+// ShardedTransport uses it with one worker goroutine per shard (or, as
+// the in-memory transport, with the grain-adaptive worker partition and
+// one billing shard), and NetTransport with one OS process per shard.
 //
-// Staging discipline. A message is appended to the row of the worker
-// that stages it, so rows need no locks:
+// Billing. A message is billed once, when it is sent, on the tally of
+// the row of the worker that sends it, so rows need no locks: during a
+// compute phase Send is called only by the worker owning the recipient
+// (MsgSampled, MsgKeep) and Post by the worker owning the poster, and
+// outside one a single goroutine sends (the spanner's MsgAdd/MsgDrop
+// notices). A message is billed as cross-shard traffic where its sender
+// and recipient have different owners. The barrier moves nothing in
+// process: it sums the P row tallies, and a network process's local
+// tally is its own row's.
 //
-//   - sender-staged kinds (MsgCenter, MsgNewCenter, MsgAdd, MsgDrop)
-//     carry real remote state and are staged by the worker that owns
-//     the sender From — on the network transport these are the only
-//     payloads that can cross the wire (the spanner sends the first
-//     two, its neighbour exchanges, as posts; see below);
-//
-//   - receiver-staged kinds (MsgSampled, MsgKeep) carry payloads that
-//     are pure functions of the seed, which the recipient's owner
-//     re-derives locally; they are staged by the worker that owns the
-//     recipient and never travel, but are billed identically on every
-//     transport (cross-shard when From and to have different owners).
-//
-// Billing happens once, at staging, on the tally of the row the
-// message lands in. The barrier only moves messages: in process it
-// sums the P row tallies, and a network process's local tally is its
-// own row's.
-//
-// At the barrier every recipient shard drains its column in staging
-// shard order (0..P-1, own row in place), so mailbox order is
-// identical whether the rows were filled by goroutines or arrived as
-// network frames.
+// Nothing is staged in process. A message's recipient either re-derives
+// its payload from the seed (MsgSampled, MsgKeep) or shares the
+// sender's memory, which the sender already updated (the notices), so
+// the in-process transports bill and stop there. Only the network
+// transport moves messages: a notice whose recipient another process
+// owns is staged in a bucket for that process and written onto the wire
+// at the barrier (see net.go).
 //
 // Posts. The spanner's neighbour exchanges (MsgCenter, MsgNewCenter)
-// send one vertex's word to every live neighbour, so they skip the
-// rows and mailboxes: post stores the word once on the post board (one
-// entry per vertex, O(n) words beside the labels) and bills it on the
-// poster's row once per live edge of the poster in the board's view —
-// the same messages, words and cross-shard split the per-edge
-// envelopes were billed. The bill is read off counts: the board
-// keeps each vertex's live and cross-shard slot counts, counted
-// once when the view is set (setView) and kept at every drop of an
-// edge (drop, the only writer of the view's dead mask while it is
-// set). After the barrier a recipient walks its own live slots and
-// reads each neighbour's entry (postBoard.heard). Posts are
-// sender-staged: only the poster's owner writes its entry. The network
-// transport carries a post across a link once, as one record per
-// (poster, destination shard holding one of its live edges), and the
-// receiver checks its count against its own view's and writes it onto
-// its own board at the barrier.
+// send one vertex's word to every live neighbour: post stores the word
+// once on the post board (one entry per vertex, O(n) words beside the
+// labels) and bills it on the poster's row once per live edge of the
+// poster in the board's view — the same messages, words and
+// cross-shard split that one message per edge would bill. The bill is
+// read off counts: the board keeps each vertex's live and cross-shard
+// slot counts, counted once when the view is set (setView) and kept at
+// every drop of an edge (drop, the only writer of the view's dead mask
+// while it is set). After the barrier a recipient walks its own live
+// slots and reads each neighbour's entry (postBoard.heard). Only the
+// poster's owner writes its entry. The network transport carries a post
+// across a link once, as one record per (poster, destination shard
+// holding one of its live edges), and the receiver checks its count
+// against its own view's and writes it onto its own board at the
+// barrier.
 
 // partition is a balanced contiguous vertex partition (see
 // graph.ShardBounds; the formula lives in the leaf package so the
@@ -87,103 +72,53 @@ func (pt partition) shardOf(v int32) int {
 	return s
 }
 
-// envelope is one staged message plus its routing address.
-type envelope struct {
-	to int32
-	m  Message
-}
-
-// senderStaged reports whether messages of kind k are staged by the
-// sender's owning worker (payloads carrying remote state) rather than
-// the recipient's (payloads the recipient's owner derives locally).
-func (k MsgKind) senderStaged() bool {
-	switch k {
-	case MsgCenter, MsgNewCenter, MsgAdd, MsgDrop:
-		return true
-	}
-	return false
-}
-
 // posted reports whether messages of kind k are neighbour exchanges,
 // which travel as posts (Transport.Post) and carry a cluster id in A.
 func (k MsgKind) posted() bool { return k == MsgCenter || k == MsgNewCenter }
 
-// exchanger holds the staging rows and mailboxes of one transport.
-// exec is the execution partition (staging rows and drain columns);
+// exchanger holds the billing rows and the post board of one
+// transport. exec is the execution partition (one row per worker);
 // owner is the ownership partition used for cross-shard billing — the
 // two coincide for the sharded and network transports, while the
 // in-memory transport executes on parutil's worker partition but owns
 // everything in a single billing shard. So whenever owner has more
 // than one shard it is exec, and billing reads exec's routing.
 type exchanger struct {
-	exec    partition
-	owner   partition
-	rows    []stagingRow // rows[d]: worker d's staging, written by d alone
-	mailbox [][]Message  // per-vertex mailboxes rebuilt at each barrier
-	board   postBoard
+	exec  partition
+	owner partition
+	rows  []tallyRow // rows[d]: what worker d billed, written by d alone
+	board postBoard
 }
 
-// stagingRow is one worker's outgoing traffic: a bucket per recipient
-// shard and the row's tally, 24 + 40 bytes — one cache line each, so
-// the P workers billing at once do not share one.
-type stagingRow struct {
-	to    [][]envelope
+// tallyRow is one worker's tally, padded to a cache line of its own,
+// so the P workers billing at once do not share one.
+type tallyRow struct {
 	tally RoundTally
+	_     [64 - 40]byte
 }
 
 func newExchanger(n, execP, ownerP int) *exchanger {
 	x := &exchanger{
-		exec:    newPartition(n, execP),
-		owner:   newPartition(n, ownerP),
-		mailbox: make([][]Message, n),
+		exec:  newPartition(n, execP),
+		owner: newPartition(n, ownerP),
 	}
 	x.board = postBoard{owner: x.owner, posts: make([]postEntry, n), now: 1, live: make([]int32, n)}
 	if x.owner.p > 1 {
 		x.board.cross = make([]int32, n)
 	}
-	x.rows = make([]stagingRow, x.exec.p)
-	for d := range x.rows {
-		x.rows[d].to = make([][]envelope, x.exec.p)
-	}
+	x.rows = make([]tallyRow, x.exec.p)
 	return x
 }
 
-// route returns the row d the staging discipline assigns to a message
-// (the owner of From for sender-staged kinds, the owner of `to`
-// otherwise), the recipient's shard r, and whether it is billed as
-// cross-shard traffic.
-func (x *exchanger) route(to int32, m Message) (d, r int, cross bool) {
-	r = x.exec.shardOf(to)
-	if m.From < 0 {
-		return r, r, false
-	}
-	from := x.exec.shardOf(m.From)
-	d = r
-	if m.Kind.senderStaged() {
-		d = from
-	}
-	return d, r, x.owner.p > 1 && from != r
-}
-
-// stage appends m for vertex `to` to bucket r of row d and bills it
-// on the row's tally — the one place a message is billed.
-func (x *exchanger) stage(d, r int, cross bool, to int32, m Message) {
-	row := &x.rows[d]
-	row.to[r] = append(row.to[r], envelope{to: to, m: m})
+// bill adds m, a message for a vertex of shard r, to row d's tally, as
+// cross-shard traffic where another shard owns m.From (a message with
+// no sender, From < 0, is local) — the one place a message is billed.
+func (x *exchanger) bill(d, r int, m Message) {
 	w, c := int64(m.Kind.Words()), int64(0)
-	if cross {
+	if x.owner.p > 1 && m.From >= 0 && x.exec.shardOf(m.From) != r {
 		c = 1
 	}
-	row.tally.add(RoundTally{Messages: 1, Words: w, MaxMessageWords: int(w), CrossShardMessages: c, CrossShardWords: c * w})
-}
-
-// send stages m for vertex `to` in the row of the worker the staging
-// discipline assigns (see the package comment above). It must be called
-// by that worker during a compute phase, or by any single goroutine
-// outside one.
-func (x *exchanger) send(to int32, m Message) {
-	d, r, cross := x.route(to, m)
-	x.stage(d, r, cross, to, m)
+	x.rows[d].tally.add(RoundTally{Messages: 1, Words: w, MaxMessageWords: int(w), CrossShardMessages: c, CrossShardWords: c * w})
 }
 
 // post stores m on the board as the round's post of its poster
@@ -202,20 +137,6 @@ func (x *exchanger) post(d int, m Message) {
 		}
 		w := int64(m.Kind.Words())
 		x.rows[d].tally.add(RoundTally{Messages: live, Words: live * w, MaxMessageWords: int(w), CrossShardMessages: cross, CrossShardWords: cross * w})
-	}
-}
-
-// recv returns the messages delivered to v by the last drain.
-func (x *exchanger) recv(v int32) []Message { return x.mailbox[v] }
-
-// drainColumn clears the mailboxes of recipient shard r and drains its
-// incoming buckets (staging shards in index order) into them. The
-// messages were billed when staged. Safe to run concurrently for
-// distinct r.
-func (x *exchanger) drainColumn(r int) {
-	x.clearMailboxes(r)
-	for d := range x.rows {
-		x.deliver(x.takeRow(d, r))
 	}
 }
 
@@ -241,11 +162,9 @@ func (x *exchanger) forWorkers(body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// drainAll drains every column (one worker per recipient shard), makes
-// the round's posts readable, and sums the row tallies in row order —
-// the whole in-process barrier.
-func (x *exchanger) drainAll() RoundTally {
-	x.forWorkers(func(r, _, _ int) { x.drainColumn(r) })
+// endRound is the whole in-process barrier: it makes the round's posts
+// readable and sums the row tallies in row order.
+func (x *exchanger) endRound() RoundTally {
 	x.board.now++
 	var total RoundTally
 	for d := range x.rows {
@@ -254,35 +173,12 @@ func (x *exchanger) drainAll() RoundTally {
 	return total
 }
 
-// takeRow detaches and returns worker d's outgoing bucket for shard r,
-// leaving an empty (capacity-preserving) bucket behind. The network
-// transport uses it to move staged traffic onto the wire.
-func (x *exchanger) takeRow(d, r int) []envelope {
-	buf := x.rows[d].to[r]
-	x.rows[d].to[r] = buf[:0]
-	return buf
-}
-
 // takeTally returns what row d billed since the last take and zeroes
 // the row's tally.
 func (x *exchanger) takeTally(d int) RoundTally {
 	t := x.rows[d].tally
 	x.rows[d].tally = RoundTally{}
 	return t
-}
-
-// clearMailboxes resets the mailboxes of shard r without draining.
-func (x *exchanger) clearMailboxes(r int) {
-	for v := x.exec.bounds[r]; v < x.exec.bounds[r+1]; v++ {
-		x.mailbox[v] = x.mailbox[v][:0]
-	}
-}
-
-// deliver appends one envelope batch to the mailboxes.
-func (x *exchanger) deliver(batch []envelope) {
-	for _, env := range batch {
-		x.mailbox[env.to] = append(x.mailbox[env.to], env.m)
-	}
 }
 
 // add folds tally u into t.

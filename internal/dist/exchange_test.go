@@ -171,7 +171,7 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 					if tr.Shard() == 1 && tc.posts != nil {
 						tr.postTo[0] = append(tr.postTo[0], tc.posts...)
 					} else if tr.Shard() == 1 {
-						tr.x.rows[1].to[0] = append(tr.x.rows[1].to[0], tc.env)
+						tr.sendTo[0] = append(tr.sendTo[0], tc.env)
 					}
 					tr.EndRound(0)
 					if tc.accept && tr.Shard() == 0 {
@@ -202,10 +202,11 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 	}
 }
 
-// TestRollbackDiscardsStagedTally: traffic staged and posts made
-// before beginAttempt belong to an aborted attempt. The next EndRound
-// must bill, and deliver, only what was staged after it — on both
-// shards, so the summed tally is the replay's alone — and no post of
+// TestRollbackDiscardsStagedTally: traffic sent and posts made before
+// beginAttempt belong to an aborted attempt. The next EndRound must
+// bill, and deliver, only what was sent after it — on both shards, so
+// the summed tally is the replay's alone, and each replay keep, local
+// to its shard, is billed and not delivered — and no post of
 // the aborted attempt may be heard, locally or by the peer. Five
 // vertices of each shard post in the aborted attempt and only the
 // first four in the replay, so the fifth's aborted post is one the
@@ -273,12 +274,8 @@ func TestRollbackDiscardsStagedTally(t *testing.T) {
 				return fmt.Errorf("shard %d: vertex %d holds %d messages of the aborted attempt", s, v, len(box))
 			}
 		}
-		got, kinds := tr.Recv(lo), map[MsgKind]bool{}
-		for _, m := range got {
-			kinds[m.Kind] = true
-		}
-		if len(got) != 2 || !kinds[MsgDrop] || !kinds[MsgKeep] {
-			return fmt.Errorf("shard %d: vertex %d holds %+v, want the replay's drop and keep", s, lo, got)
+		if got, want := tr.Recv(lo), (Message{Kind: MsgDrop, From: peer, A: 7}); len(got) != 1 || got[0] != want {
+			return fmt.Errorf("shard %d: vertex %d holds %+v, want the peer's replay drop %+v", s, lo, got, want)
 		}
 		return nil
 	})

@@ -33,12 +33,14 @@ const memTestTimeout = 30 * time.Second
 // 16.80 MB; and with the decision notices collected in one list per
 // worker that the engine reuses across rounds, 7.48 MB and 7.43 MB at
 // GOMAXPROCS=2 (6.81/6.76 MB at 4, 7.62/7.86 MB at 1, where the
-// grain-adaptive collections have fewer, longer-growing parts) — so
-// a budget of 8.2 MB trips if either is reverted while leaving ~4%
-// headroom over the worst of those for runtime drift. Measurements are
-// stable to ~0.03% across runs here; the remaining traffic is
-// append-growth of the other per-round collections, which the pools
-// deliberately do not chase.
+// grain-adaptive collections have fewer, longer-growing parts); and
+// with in-process messages billed instead of staged, drained and
+// delivered, 5.18 MB and 5.26 MB at GOMAXPROCS=2 (4.51/4.60 MB at 4,
+// 5.52/5.68 MB at 1) — so a budget of 5.9 MB trips if any of these is
+// reverted while leaving ~4% headroom over the worst of those for
+// runtime drift. Measurements are stable to ~0.03% across runs here;
+// the remaining traffic is append-growth of the other per-round
+// collections, which the pools deliberately do not chase.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short")
@@ -49,8 +51,8 @@ func TestRunAllocationBudget(t *testing.T) {
 		spec   TransportSpec
 		budget uint64
 	}{
-		{"mem", Mem(), 8_200_000},
-		{"sharded4", Sharded(4), 8_200_000},
+		{"mem", Mem(), 5_900_000},
+		{"sharded4", Sharded(4), 5_900_000},
 	} {
 		job := SparsifyJob(0.5, 4, core.DefaultConfig(11))
 		run := func() {

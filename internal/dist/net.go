@@ -19,9 +19,13 @@ import (
 
 // NetTransport is the bulk-synchronous TCP transport: each shard of
 // the vertex partition is a separate OS process holding only its slice
-// of the graph (see the Worker spec and graph.Partition), and the exchange core's
-// per-shard-pair buckets become batched binary frames flushed at every
-// round barrier.
+// of the graph (see the Worker spec and graph.Partition). It bills
+// every message on its own row of the exchange core, like the
+// in-process transports, and moves only what another process reads:
+// a message whose recipient another shard owns (the spanner's notices
+// over edges that cross the partition) and the posts, staged in one
+// bucket per destination shard and flushed as batched binary frames at
+// every round barrier.
 //
 // Topology: shard 0 is the coordinator; it listens, the workers join,
 // and control traffic (collectives, blobs, recovery) always flows
@@ -32,13 +36,13 @@ import (
 //
 // EndRound is one barrier that every shard runs: to each other shard
 // it queues the batch staged for that shard, one frameTally carrying
-// its own local tally (its staging row's, billed when each message was
-// staged — the barrier bills nothing), and one frameCheck, hands them
-// to the link's writer goroutine, then reads the same three frames
-// from every other shard — each inbound batch is held raw until the
-// stream checksum verifies, then parsed straight into the mailboxes,
-// and an envelope its sender could not have staged for this shard is
-// a *NetError naming the sender. A post crosses a link once, as one
+// its own local tally (its row's, billed when each message was sent —
+// the barrier bills nothing), and one frameCheck, hands them to the
+// link's writer goroutine, then reads the same three frames from every
+// other shard — each inbound batch is held raw until the stream
+// checksum verifies, then parsed straight into the mailboxes, and an
+// envelope its sender could not have staged for this shard is a
+// *NetError naming the sender. A post crosses a link once, as one
 // record per (poster, destination shard) counting the poster's live
 // edges into that shard; the receiver checks the count against its own
 // view and writes the post onto its board. Every process sums the P
@@ -90,12 +94,18 @@ type NetTransport struct {
 	x       *exchanger
 	timeout time.Duration
 
-	// postTo stages this shard's post records by destination shard,
-	// encoded after the envelopes of the round's batch; postCount is
-	// Post's per-shard count of one poster's live slots at P ≥ 3, zero
-	// between calls.
+	// sendTo stages this shard's envelopes by destination shard: the
+	// messages Send billed whose recipient that shard owns. postTo
+	// stages its post records, encoded after the envelopes of the
+	// round's batch; postCount is Post's per-shard count of one
+	// poster's live slots at P ≥ 3, zero between calls.
+	sendTo    [][]envelope
 	postTo    [][]postRecord
 	postCount []int32
+	// mailbox[v-lo] holds what other shards sent vertex v of this
+	// shard's range [lo, hi) in the round the last barrier closed,
+	// filled by deliverBatch.
+	mailbox [][]Message
 
 	ln net.Listener // coordinator only
 	// links holds this process's connection to every other shard,
@@ -757,10 +767,12 @@ func newNetTransport(n, shard, shards int, timeout time.Duration) (*NetTransport
 		self:      shard,
 		x:         newExchanger(n, shards, shards),
 		timeout:   timeout,
+		sendTo:    make([][]envelope, shards),
 		postTo:    make([][]postRecord, shards),
 		postCount: make([]int32, shards),
 		links:     make([]*peerConn, shards),
 	}
+	t.mailbox = make([][]Message, t.part.bounds[shard+1]-t.part.bounds[shard])
 	t.ready = t.part.p == 1
 	return t, nil
 }
@@ -898,11 +910,11 @@ func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int,
 func (t *NetTransport) beginAttempt() {
 	t.seq = 0
 	for r := 0; r < t.part.p; r++ {
-		_ = t.x.takeRow(t.self, r)
+		t.sendTo[r] = t.sendTo[r][:0]
 		t.postTo[r] = t.postTo[r][:0]
 	}
 	_ = t.x.takeTally(t.self)
-	t.x.clearMailboxes(t.self)
+	t.clearMailboxes()
 	t.x.board.reset()
 }
 
@@ -1066,19 +1078,21 @@ func (t *NetTransport) ForWorkers(body func(worker, lo, hi int)) {
 	body(t.self, t.part.bounds[t.self], t.part.bounds[t.self+1])
 }
 
-// Send stages m for vertex `to`. All staging must land in this
-// shard's row of the exchange core — sender-staged kinds because From
-// is owned here, receiver-staged kinds because `to` is. A message the
-// discipline routes to another shard's row could never be flushed by
+// Send bills m on this shard's row and, when another shard owns `to`,
+// stages it for that shard. Only a message from a vertex owned here
+// can be staged: one from elsewhere could never have been sent by
 // this process, so it is a fatal contract violation rather than a
 // silent drop.
 func (t *NetTransport) Send(to int32, m Message) {
-	d, r, cross := t.x.route(to, m)
-	if d != t.self {
-		t.fatal(fmt.Errorf("message for vertex %d from %d staged on shard %d, not this shard %d (staging discipline violation)",
-			to, m.From, d, t.self))
+	r := t.part.shardOf(to)
+	if r != t.self && (m.From < 0 || t.part.shardOf(m.From) != t.self) {
+		t.fatal(fmt.Errorf("message for vertex %d (shard %d) from %d staged on shard %d, which does not own its sender",
+			to, r, m.From, t.self))
 	}
-	t.x.stage(d, r, cross, to, m)
+	t.x.bill(t.self, r, m)
+	if r != t.self {
+		t.sendTo[r] = append(t.sendTo[r], envelope{to: to, m: m})
+	}
 }
 
 // Post stores m on this shard's board, bills it on this shard's row,
@@ -1090,7 +1104,7 @@ func (t *NetTransport) Send(to int32, m Message) {
 func (t *NetTransport) Post(m Message) {
 	u := m.From
 	if s := t.part.shardOf(u); s != t.self {
-		t.fatal(fmt.Errorf("post from vertex %d (shard %d) on shard %d (staging discipline violation)", u, s, t.self))
+		t.fatal(fmt.Errorf("post from vertex %d (shard %d) on shard %d, which does not own it", u, s, t.self))
 	}
 	t.x.post(t.self, m)
 	b := &t.x.board
@@ -1126,15 +1140,23 @@ func (t *NetTransport) Post(m Message) {
 
 func (t *NetTransport) board() *postBoard { return &t.x.board }
 
-// Recv returns the messages delivered to v by the last EndRound.
-func (t *NetTransport) Recv(v int32) []Message { return t.x.recv(v) }
+// Recv returns the messages other shards sent v, a vertex of this
+// shard, in the round the last EndRound closed.
+func (t *NetTransport) Recv(v int32) []Message { return t.mailbox[int(v)-t.part.bounds[t.self]] }
+
+// clearMailboxes empties this shard's mailboxes.
+func (t *NetTransport) clearMailboxes() {
+	for i := range t.mailbox {
+		t.mailbox[i] = t.mailbox[i][:0]
+	}
+}
 
 // encodeBatch packs the envelopes and then the post records staged for
 // shard d into a pooled buffer, leaving both stages empty; the caller
 // hands the buffer to writeFrame and retires it at flush.
 func (t *NetTransport) encodeBatch(d int) []byte {
-	envs, posts := t.x.takeRow(t.self, d), t.postTo[d]
-	t.postTo[d] = posts[:0]
+	envs, posts := t.sendTo[d], t.postTo[d]
+	t.sendTo[d], t.postTo[d] = envs[:0], posts[:0]
 	buf := t.getBuf((len(envs) + len(posts)) * envelopeSize)
 	for i, env := range envs {
 		putEnvelope(buf[i*envelopeSize:], env)
@@ -1148,16 +1170,14 @@ func (t *NetTransport) encodeBatch(d int) []byte {
 // EndRound is the round barrier, the same on every shard. To each
 // other shard d it queues three frames on the link to d — the batch
 // staged for d (envelopes, then post records), this shard's local
-// tally (its row's, billed at staging), and the stream check — and
-// hands them to the link's writer goroutine (flushAsync), so every
-// shard writes before it reads without waiting on full socket
+// tally (its row's, billed as each message was sent), and the stream
+// check — and hands them to the link's writer goroutine (flushAsync),
+// so every shard writes before it reads without waiting on full socket
 // buffers. It then reads the same three frames from every d in shard
 // order, parsing each batch straight into the mailboxes in origin
-// order 0..P−1 (identical to ShardedTransport's drain order, so
-// mailbox order — and with it every decision — is
-// transport-independent) and its posts onto the board, and makes the
-// round's posts readable. It returns the sum of the P local tallies,
-// which every process computes alike.
+// order 0..P−1 and its posts onto the board, and makes the round's
+// posts readable. It returns the sum of the P local tallies, which
+// every process computes alike.
 func (t *NetTransport) EndRound(round int) RoundTally {
 	t.mustReady()
 	self := t.self
@@ -1185,12 +1205,8 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 			t.fatal(fmt.Errorf("round %d: %w", round, t.linkFail(d, err)))
 		}
 	}
-	t.x.clearMailboxes(self)
+	t.clearMailboxes()
 	for d, pc := range t.links {
-		if d == self {
-			t.x.deliver(t.x.takeRow(self, self))
-			continue
-		}
 		if pc == nil {
 			continue
 		}
@@ -1209,10 +1225,24 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 	return total
 }
 
+// crossesProcesses reports whether messages of kind k may arrive from
+// another process as envelopes: the kinds whose payload is the
+// sender's state (the neighbour exchanges, which the spanner posts,
+// and the notices). MsgSampled and MsgKeep carry what the recipient's
+// owner derives from the seed, so their recipient's owner sends them
+// and they never cross.
+func (k MsgKind) crossesProcesses() bool {
+	switch k {
+	case MsgCenter, MsgNewCenter, MsgAdd, MsgDrop:
+		return true
+	}
+	return false
+}
+
 // deliverBatch parses shard d's verified batch straight into this
 // shard's mailboxes and post board, rejecting any record shard d could
 // not have staged for it: an envelope whose recipient is not owned
-// here, whose kind is not sender-staged or whose From is not d's; a
+// here, whose kind may not cross processes or whose From is not d's; a
 // post whose kind is not a neighbour exchange, whose From is not d's,
 // or whose count is not the number of the poster's live slots in this
 // shard's view; and a cluster id, an index of the spanner's
@@ -1226,14 +1256,14 @@ func (t *NetTransport) deliverBatch(d int, payload []byte) error {
 		switch recordForm(payload[off:]) {
 		case recordEnvelope:
 			env := parseEnvelope(payload[off:])
-			if env.to < lo || env.to >= hi || !env.m.Kind.senderStaged() || env.m.From < flo || env.m.From >= fhi {
-				return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind sender-staged",
+			if env.to < lo || env.to >= hi || !env.m.Kind.crossesProcesses() || env.m.From < flo || env.m.From >= fhi {
+				return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind one that crosses processes",
 					i, env.m.Kind, env.m.From, env.to, t.self, flo, fhi, lo, hi)
 			}
 			if k := env.m.Kind; k.posted() && uint32(env.m.A) >= uint32(t.part.n) {
 				return fmt.Errorf("envelope %d (kind %d, from %d) names cluster %d outside [0, %d)", i, k, env.m.From, env.m.A, t.part.n)
 			}
-			t.x.mailbox[env.to] = append(t.x.mailbox[env.to], env.m)
+			t.mailbox[env.to-lo] = append(t.mailbox[env.to-lo], env.m)
 		case recordPost:
 			p := parsePost(payload[off:])
 			u := p.m.From

@@ -10,26 +10,28 @@ import (
 // (the CONGEST-style model of the paper's Section on distributed
 // implementation). Vertices are the processors; each round every vertex
 // may send word-bounded messages to neighbors, and every message sent
-// in round r is readable from the recipient's mailbox during round r+1.
+// in round r is known to its recipient during round r+1.
 //
-// The engine runs the synchronous schedule and keeps the ledger; how
-// messages physically travel between rounds is the Transport's job
-// (see transport.go): in-memory staging by default, a vertex-sharded
-// exchange across worker goroutines, or — the seam's purpose — a real
-// network between OS processes (see transport.go and net.go; there
-// the EndRound barrier is where batches hit sockets, written directly
-// to the destination peer — asynchronously, overlapping the next
-// round's compute, on the worker↔worker links, see mesh.go).
+// The engine runs the synchronous schedule and keeps the ledger; what
+// a message costs and whether it physically travels is the
+// Transport's job (see transport.go): inside one process nothing
+// travels — the in-memory transport and the vertex-sharded one across
+// worker goroutines only bill — and between OS processes, the seam's
+// purpose, the network transport moves what another process reads (see
+// net.go; there the EndRound barrier is where batches hit sockets,
+// written directly to the destination peer — asynchronously,
+// overlapping the next round's compute, on the worker↔worker links,
+// see mesh.go).
 //
-// Staging follows the exchange core's kind-based discipline (see
-// exchange.go): payloads carrying real remote state are staged by the
-// worker owning the sender, payloads that are pure functions of the
-// seed by the worker owning the recipient. That is how the parallel
-// per-vertex loops of the algorithms stay race-free — and how a
-// multi-process transport knows which traffic must cross the wire —
-// while the ledger still counts every directed message exactly once.
-// Message payloads always carry snapshot state from the start of the
-// round, so the staging side is unobservable to the algorithm.
+// Every directed message is billed exactly once, when it is sent, on
+// the sending worker's row of the exchange core (see exchange.go).
+// That is how the parallel per-vertex loops of the algorithms stay
+// race-free: during a compute phase only the owner of a message's
+// recipient sends it (the pure seed-derived kinds, which the recipient
+// re-derives itself), and the spanner's notices, which the sender
+// applies to its own state first, are sent from one goroutine between
+// compute phases. Only a notice over an edge whose other end another
+// process owns is moved, into that process's mailbox (Mailbox).
 //
 // The neighbour exchanges post instead (Post, Heard): a vertex that
 // sends the same word to every live neighbour posts it once, billed
@@ -223,12 +225,10 @@ func (e *roundEngine) BeginPhase(name string) {
 	e.cur = len(e.stats.Phases) - 1
 }
 
-// Deliver stages a message for vertex `to` in the current round. It
-// must be called only from the worker the staging discipline assigns —
-// the owner of m.From for sender-staged kinds (MsgAdd, MsgDrop, and
-// MsgCenter/MsgNewCenter, which the spanner posts instead), the owner
-// of `to` for the pure seed-derived kinds (MsgSampled, MsgKeep) — or
-// from a single goroutine outside a compute phase.
+// Deliver sends m to vertex `to` in the current round: it is billed
+// now, and moved only if another process owns `to`. During a compute
+// phase only the worker owning `to` may call it (MsgSampled, MsgKeep);
+// outside one, a single goroutine (the spanner's notices).
 func (e *roundEngine) Deliver(to int32, m Message) {
 	e.tr.Send(to, m)
 }
@@ -255,8 +255,8 @@ func (e *roundEngine) Drop(lid int32) { e.board.drop(lid) }
 // Post sends m from u over every live slot of u in the post view: one
 // message per slot on the ledger, one entry on the board. The number
 // of slots is read off the board's counts (see PostView).
-// It must be called from u's owner (a sender-staged post), like
-// Deliver.
+// It must be called from u's owner during a compute phase, or from a
+// single goroutine outside one.
 func (e *roundEngine) Post(u int32, m Message) {
 	m.From = u
 	e.tr.Post(m)
@@ -317,10 +317,11 @@ func (e *roundEngine) collectNotices(gen func(worker, lo, hi int, out []notice) 
 }
 
 // EndRound closes the current synchronous round: the transport's
-// tally of the round's messages (billed as Deliver staged them) goes to
-// the ledger, and the messages become the mailboxes readable until the
-// next EndRound. Mailbox slices are recycled — callers must not retain
-// them across two EndRound calls.
+// tally of the round's messages (billed as Deliver and Post sent them)
+// goes to the ledger, the round's posts become readable, and on a
+// network transport what other processes sent becomes the mailboxes
+// readable until the next EndRound. Mailbox slices are recycled —
+// callers must not retain them across two EndRound calls.
 func (e *roundEngine) EndRound() {
 	if e.cur < 0 {
 		e.BeginPhase("main")
@@ -343,16 +344,23 @@ func (e *roundEngine) EndRound() {
 	p.CrossShardWords += tally.CrossShardWords
 }
 
-// Mailbox returns the messages delivered to v by the last EndRound.
-func (e *roundEngine) Mailbox(v int32) []Message { return e.tr.Recv(v) }
+// Mailbox returns the messages another process sent v in the round the
+// last EndRound closed. A single-process transport moves nothing, so
+// nothing arrives there.
+func (e *roundEngine) Mailbox(v int32) []Message {
+	if c, ok := e.tr.(multiProcessTransport); ok {
+		return c.Recv(v)
+	}
+	return nil
+}
 
 // allMaxInt32 reduces x to its maximum across all shards of the
 // transport. Single-process transports compute loop-control values
 // over shared memory, so the reduction is the identity there; the
 // network transport runs a control-plane convergecast (not billed to
-// the ledger — see collectiveTransport).
+// the ledger — see multiProcessTransport).
 func (e *roundEngine) allMaxInt32(x int32) int32 {
-	if c, ok := e.tr.(collectiveTransport); ok {
+	if c, ok := e.tr.(multiProcessTransport); ok {
 		return c.AllMaxInt32(x)
 	}
 	return x
@@ -360,7 +368,7 @@ func (e *roundEngine) allMaxInt32(x int32) int32 {
 
 // allOrWord reduces one word of flags by bitwise OR across all shards.
 func (e *roundEngine) allOrWord(w uint64) uint64 {
-	if c, ok := e.tr.(collectiveTransport); ok {
+	if c, ok := e.tr.(multiProcessTransport); ok {
 		return c.AllOrWord(w)
 	}
 	return w
@@ -370,11 +378,11 @@ func (e *roundEngine) allOrWord(w uint64) uint64 {
 // the globally sorted union, visible to every shard. Single-process
 // transports hold the complete list already, so the gather is the
 // identity there; the network transport runs a control-plane
-// convergecast + broadcast (not billed — see collectiveTransport).
+// convergecast + broadcast (not billed — see multiProcessTransport).
 // Unlike the retired Θ(m)-bit mask merge this costs O(list) words,
 // which for the bundle-id gather is the sparsifier's own output scale.
 func (e *roundEngine) allGatherInt32s(xs []int32) []int32 {
-	if c, ok := e.tr.(collectiveTransport); ok {
+	if c, ok := e.tr.(multiProcessTransport); ok {
 		return c.AllGatherInt32s(xs)
 	}
 	return xs

@@ -313,8 +313,9 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 			e.EndRound()
 		}
 		// After the wave every clustered vertex knows its own cluster's
-		// bit; reading sampled[center[v]] below reads exactly the
-		// mailbox content just simulated.
+		// bit. The wave is billed and moves nothing: each recipient's
+		// owner sent its message, and reading sampled[center[v]] below
+		// is what the message carried.
 
 		// --- Step 2: neighbor exchange — every clustered vertex
 		// announces (cluster id, depth, sampled bit) over each alive
@@ -433,10 +434,10 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 			}
 			return out
 		})
-		// Apply the local decisions and deliver the add/drop
-		// notifications (one round; delivery order is worker order,
-		// which is deterministic). On a partition view `notices` holds
-		// only this process's decisions — the rest arrive below.
+		// Apply the local decisions and send the add/drop
+		// notifications (one round; send order is worker order, which
+		// is deterministic). On a partition view `notices` holds only
+		// this process's decisions — the rest arrive below.
 		sendNotices(e, w, notices, inSpanner)
 		e.EndRound()
 		e.putBools(sampled)
@@ -538,8 +539,11 @@ func runBaswanaSen(e *roundEngine, w *view, alive []bool, k int, seed uint64) ([
 }
 
 // sendNotices applies the local decisions to the spanner mask and,
-// through e.Drop, to the post view, and delivers each to the other
-// endpoint of its edge, in worker order and list order within a worker.
+// through e.Drop, to the post view, and sends each to the other
+// endpoint of its edge, in worker order and list order within a
+// worker, from this one goroutine. The send is billed, and it moves
+// only to another process: an endpoint in this process shares the
+// masks just written.
 func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner []bool) {
 	for _, notices := range lists {
 		for _, nt := range notices {
@@ -556,15 +560,18 @@ func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner []bool) {
 	}
 }
 
-// applyNotices folds the MsgAdd/MsgDrop notices delivered by the last
-// barrier into the spanner mask and the post view, translating the
-// notices' global edge ids through the view. On a single-process view
-// this re-applies what the decision loop already wrote (idempotent);
-// on a partition view it is how the other endpoint of a boundary edge
-// learns a remote decision. Notices are collected per worker and
-// applied sequentially so that two endpoints of one edge never write
-// the same mask slot concurrently.
+// applyNotices folds the MsgAdd/MsgDrop notices that other processes
+// sent in the round the last barrier closed into the spanner mask and
+// the post view, translating the notices' global edge ids through the
+// view: it is how the other endpoint of a boundary edge learns a
+// remote decision. A full view has no other process, and sendNotices
+// already applied every notice to it, so it returns at once. Notices
+// are collected per worker and applied sequentially, as sendNotices
+// applies its own.
 func applyNotices(e *roundEngine, w *view, inSpanner []bool) {
+	if w.full() {
+		return
+	}
 	lists := e.collectNotices(func(_, lo, hi int, out []notice) []notice {
 		for vi := lo; vi < hi; vi++ {
 			for _, msg := range e.Mailbox(int32(vi)) {

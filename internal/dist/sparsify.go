@@ -294,10 +294,11 @@ func sampleRound(e *roundEngine, w *view, eps float64, cfg core.Config) (*view, 
 	e.putBools(curAlive)
 
 	// Sampling round: the lower endpoint of each off-bundle edge flips
-	// the coin (a pure function of seed and GLOBAL edge id, so both
-	// endpoints could recompute it — the message makes the verdict
-	// explicit) and announces the verdict to the other endpoint. One
-	// round, 1-word messages, one per off-bundle non-loop edge.
+	// the coin (a pure function of seed and GLOBAL edge id) and
+	// announces the verdict to the other endpoint. One round, 1-word
+	// messages, one per off-bundle non-loop edge. The recipient
+	// recomputes the coin, so its owner sends the message: it is
+	// billed and moves nothing.
 	e.BeginPhase("sample")
 	keep, scale := sampleKeep(cfg)
 	adj := w.adj

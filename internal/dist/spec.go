@@ -50,14 +50,16 @@ const (
 	specWorker
 )
 
-// Mem returns the in-memory spec: one process, one staging area, the
-// original synchronous simulation. It is the zero TransportSpec.
+// Mem returns the in-memory spec: one process, one billing shard, the
+// original synchronous simulation. Messages are billed, not moved. It
+// is the zero TransportSpec.
 func Mem() TransportSpec { return TransportSpec{} }
 
 // Sharded returns the sharded in-process spec: the vertex set is
-// partitioned across p worker goroutines and cross-shard messages are
-// exchanged through per-shard-pair buffers at each round barrier
-// (clamped to [1, n] at run time).
+// partitioned across p worker goroutines (clamped to [1, n] at run
+// time), and the ledger splits out the cross-shard messages that p
+// processes would put on the wire. Messages are billed, not moved: the
+// workers share one memory.
 func Sharded(p int) TransportSpec { return TransportSpec{kind: specSharded, shards: p} }
 
 // Mesh returns the loopback-TCP spec: Engine.Run runs a Net

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -89,16 +91,6 @@ func TestCrossShardAccounting(t *testing.T) {
 	if ph.CrossShardMessages != 2 || ph.CrossShardWords != 4 {
 		t.Fatalf("phase cross-shard split wrong: %+v", ph)
 	}
-	// Delivery happened: each vertex got exactly one message, and the
-	// cross-shard ones arrived intact.
-	for v := int32(0); v < 4; v++ {
-		if got := len(e.Mailbox(v)); got != 1 {
-			t.Fatalf("mailbox[%d] has %d messages", v, got)
-		}
-	}
-	if m := e.Mailbox(2)[0]; m.From != 1 || m.Kind != MsgCenter {
-		t.Fatalf("cross-shard message mangled: %+v", m)
-	}
 	// A message with no sender (From < 0) is billed as local to the
 	// recipient's shard.
 	e.Deliver(0, Message{From: -1, Kind: MsgSampled})
@@ -166,22 +158,43 @@ func TestStatsStringCrossShard(t *testing.T) {
 	}
 }
 
-// TestMailboxRecycling: mailbox slices are reused across rounds on both
-// transports — the contract that callers must not retain them.
+// TestMailboxRecycling: mailbox slices are reused across rounds — the
+// contract that callers must not retain them. A mailbox holds only
+// what another process sent, so the test runs a two-shard fleet: a
+// MsgDrop from shard 1 reaches vertex 0's mailbox at the barrier and
+// is gone after the next one.
 func TestMailboxRecycling(t *testing.T) {
-	for name, e := range map[string]*roundEngine{
-		"mem":     newRoundEngine(2),
-		"sharded": newRoundEngineOn(2, NewShardedTransport(2, 2)),
-	} {
-		e.Deliver(0, Message{From: 1, Kind: MsgKeep, A: 7})
+	err := runFleet(2, 2, 5*time.Second, func(tr *NetTransport) (err error) {
+		defer recoverNetError(&err)
+		if err := tr.WaitReady(); err != nil {
+			return err
+		}
+		if err := tr.setupDataPlane(); err != nil {
+			return err
+		}
+		e := newRoundEngineOn(2, tr)
+		if tr.Shard() == 1 {
+			e.Deliver(0, Message{From: 1, Kind: MsgDrop, A: 7})
+		}
 		e.EndRound()
-		if len(e.Mailbox(0)) != 1 || e.Mailbox(0)[0].A != 7 {
-			t.Fatalf("%s: first delivery lost: %+v", name, e.Mailbox(0))
+		var first []Message
+		if tr.Shard() == 0 {
+			first = append(first, e.Mailbox(0)...)
 		}
-		e.EndRound() // nothing staged: mailbox must come back empty
-		if len(e.Mailbox(0)) != 0 {
-			t.Fatalf("%s: stale mailbox survived a round: %+v", name, e.Mailbox(0))
+		e.EndRound() // nothing sent: the mailbox must come back empty
+		if tr.Shard() == 1 {
+			return nil
 		}
+		if len(first) != 1 || first[0] != (Message{From: 1, Kind: MsgDrop, A: 7}) {
+			return fmt.Errorf("first delivery lost: %+v", first)
+		}
+		if box := e.Mailbox(0); len(box) != 0 {
+			return fmt.Errorf("stale mailbox survived a round: %+v", box)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

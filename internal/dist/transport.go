@@ -3,41 +3,36 @@ package dist
 // Transport is the seam between the round engine and the medium that
 // carries messages between rounds. The engine runs the synchronous
 // schedule (compute phase → EndRound barrier → next round); the
-// transport decides how staged messages physically travel: through
-// the exchange core inside one process (ShardedTransport — one
-// logical staging area for the in-memory transport, a
-// vertex-partitioned exchange across worker goroutines for the sharded
-// one), or over a real network between processes (NetTransport).
+// transport bills what is sent and moves what must move: nothing
+// inside one process (ShardedTransport — one billing shard for the
+// in-memory transport, a vertex-partitioned one across worker
+// goroutines for the sharded one), and what another process reads
+// over a real network (NetTransport).
 //
 // A transport owns two coupled concerns:
 //
-//   - Messaging: Send stages a message during a round, Recv reads the
-//     mailbox delivered by the previous EndRound, and EndRound is the
-//     round barrier that flips staged traffic into readable mailboxes
-//     and returns the round's traffic tally for the engine's ledger.
-//     Post is the neighbour-exchange form of Send: one call per sending
-//     vertex, stored on the transport's post board instead of staged
-//     per edge, and read after the barrier off the board itself.
+//   - Messaging: Send bills a message during a round, Post is its
+//     neighbour-exchange form (one call per sending vertex, stored on
+//     the transport's post board and read after the barrier off the
+//     board itself), and EndRound is the round barrier that makes the
+//     round's posts readable and returns the round's traffic tally for
+//     the engine's ledger. A message that another process reads — a
+//     spanner notice over an edge that crosses the partition — arrives
+//     in that process's mailbox (multiProcessTransport.Recv).
 //
 //   - Execution: ForWorkers partitions a round's compute phase over the
 //     transport's workers so that every vertex is visited by the worker
 //     that owns it. Keeping execution next to ownership is what makes
-//     Send race-free without locks, via the staging discipline of the
-//     exchange core (exchange.go): sender-staged kinds are staged by
-//     the worker owning Message.From, receiver-staged kinds — whose
-//     payloads are pure functions of the seed — by the worker owning
-//     the recipient. Payloads always carry snapshot state from the
-//     start of the round, so the staging side is unobservable to
-//     algorithms.
+//     Send and Post race-free without locks: each bills on the calling
+//     worker's row (see exchange.go).
 //
-// Concurrency contract: Send may be called only from the worker the
-// staging discipline assigns (the owner of Message.From for
-// sender-staged kinds, the owner of `to` otherwise) during a
-// ForWorkers compute phase, or from any single goroutine outside one;
-// Post likewise, by the owner of Message.From.
-// Recv(v) may be called only by v's owner during a compute phase, or
-// from any single goroutine outside one. EndRound must be called with
-// no compute phase in flight.
+// Concurrency contract: during a ForWorkers compute phase, Send may be
+// called only by the worker that owns the recipient `to` (the pure
+// seed-derived kinds, MsgSampled and MsgKeep, whose recipient's owner
+// sends them), and Post only by the worker that owns Message.From.
+// Outside a compute phase one goroutine may call either (the spanner's
+// sendNotices bills every notice from one goroutine). EndRound must be
+// called with no compute phase in flight.
 type Transport interface {
 	// Shards returns the ownership partition size: 1 for the in-memory
 	// transport, P for the sharded and network ones. Stats.Shards
@@ -55,13 +50,16 @@ type Transport interface {
 	// only the process's own shard runs locally — the other workers are
 	// other processes executing the same phase.
 	ForWorkers(body func(worker, lo, hi int))
-	// Send stages m for vertex `to` in the current round; it becomes
-	// readable via Recv after the round's EndRound barrier.
+	// Send bills m, a message for vertex `to`, on the calling worker's
+	// row, as cross-shard traffic where m.From and `to` have different
+	// owners. The network transport also stages it when another
+	// process owns `to`; that process reads it after the round's
+	// EndRound (multiProcessTransport.Recv).
 	Send(to int32, m Message)
 	// Post sends m from vertex m.From over every live slot of m.From in
 	// the post board's view: it stores m once as m.From's post and
-	// bills one message per such slot on the poster's staging row,
-	// exactly what Send would bill for one envelope per slot. After the
+	// bills one message per such slot on the poster's row, exactly
+	// what Send would bill for one message per slot. After the
 	// round's EndRound every recipient reads it off the board
 	// (postBoard.heard). The network transport also carries it to every
 	// other shard holding one of those slots, once per shard.
@@ -70,20 +68,14 @@ type Transport interface {
 	// directly: a read is one array access per live slot, where a call
 	// through this interface would cost more than the read.
 	board() *postBoard
-	// Recv returns the messages delivered to v by the last EndRound,
-	// i.e. the traffic sent during the previous round. The returned
-	// slice is recycled — callers must not retain it across two
-	// EndRound calls.
-	Recv(v int32) []Message
-	// EndRound closes round r: staged messages become the mailboxes
-	// and the round's posts the board entries readable until the next
-	// EndRound, and it returns their tally.
-	// Messages are billed when staged, on the staging worker's row, so
-	// the barrier only sums row tallies. On the network transport the
-	// returned tally is the global one — every process sends every
-	// other its local (own-row) tally and sums the P of them — so the
-	// ledger is identical on every process and to the in-memory
-	// transport's.
+	// EndRound closes round r: the round's posts become the board
+	// entries readable until the next EndRound, and it returns the
+	// round's tally. Messages are billed when sent, on the sending
+	// worker's row, so the barrier only sums row tallies. On the
+	// network transport the returned tally is the global one — every
+	// process sends every other its local (own-row) tally and sums the
+	// P of them — so the ledger is identical on every process and to
+	// the in-memory transport's.
 	EndRound(round int) RoundTally
 }
 
@@ -101,16 +93,23 @@ type RoundTally struct {
 	CrossShardWords    int64
 }
 
-// collectiveTransport is the optional control-plane interface a
-// transport implements when its workers live in separate address
-// spaces: small synchronous all-reduce operations the algorithms use
-// for decisions that a single-process transport reads off shared
-// memory (a global max depth, "did any shard make progress?", the
-// sorted union of owned bundle-edge ids for renumbering). These are
-// barriers, not billed traffic: they model the O(1)-word convergecast
-// a real deployment would piggyback on its round barrier, and the
-// single-process transports implement them as the identity.
-type collectiveTransport interface {
+// multiProcessTransport is the optional interface a transport
+// implements when its workers live in separate address spaces. Recv is
+// the mailbox of what other processes sent: a single-process transport
+// moves nothing, so nothing arrives there. The collectives are small
+// synchronous all-reduce operations the algorithms use for decisions
+// that a single-process transport reads off shared memory (a global max
+// depth, "did any shard make progress?", the sorted union of owned
+// bundle-edge ids for renumbering). These are barriers, not billed
+// traffic: they model the O(1)-word convergecast a real deployment
+// would piggyback on its round barrier, and the single-process
+// transports implement them as the identity.
+type multiProcessTransport interface {
+	// Recv returns the messages another process sent v in the round the
+	// last EndRound closed. It may be called only by v's owner. The
+	// returned slice is recycled — callers must not retain it across two
+	// EndRound calls.
+	Recv(v int32) []Message
 	// AllMaxInt32 returns the maximum of x across all shards.
 	AllMaxInt32(x int32) int32
 	// AllOrWord returns the bitwise OR of w across all shards.

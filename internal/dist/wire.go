@@ -144,6 +144,12 @@ const (
 	recordPost                  // one vertex's post, for count live edges (v8)
 )
 
+// envelope is one message on the wire, addressed to its recipient.
+type envelope struct {
+	to int32
+	m  Message
+}
+
 // postRecord is a post on the wire: the poster's message (From, Kind,
 // A, B, C; no Port) and the number of the poster's live edges into the
 // destination shard.

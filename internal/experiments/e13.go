@@ -10,8 +10,9 @@ import (
 
 // E13NetTransport compares the transport specs of the distributed
 // engine on one sparsification job, all through the single Engine.Run
-// entry point: the in-memory staging area (Mem), the sharded
-// in-process exchange (Sharded), and the network path (Mesh) running
+// entry point: the in-memory simulation (Mem), the sharded in-process
+// one (Sharded), which bill messages without moving them, and the
+// network path (Mesh) running
 // coordinator + P−1 workers over real loopback TCP sockets, the
 // workers linked directly to each other and each materializing only
 // its partition. The m_out column must be constant — the transports
