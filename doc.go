@@ -20,11 +20,11 @@
 //
 // The paper's distributed results live in internal/dist and surface
 // here as DistributedSparsify: Algorithm 2 / Theorem 5 executed on a
-// simulated CONGEST-style synchronous network (per-vertex mailboxes,
-// Baswana–Sen clustering as rounds), returning a DistStats
-// communication ledger — rounds, messages, words, per-phase — that the
-// tests pin against the O(log² n)-round, near-linear-communication
-// bounds of Theorems 2 and 5.
+// simulated CONGEST-style synchronous network (vertices exchanging
+// word-bounded messages, Baswana–Sen clustering as rounds), returning
+// a DistStats communication ledger — rounds, messages, words,
+// per-phase — that the tests pin against the O(log² n)-round,
+// near-linear-communication bounds of Theorems 2 and 5.
 //
 // # Engine, jobs, and transport specs
 //

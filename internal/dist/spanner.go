@@ -566,8 +566,9 @@ func sendNotices(e *roundEngine, w *view, lists [][]notice, inSpanner []bool) {
 // view: it is how the other endpoint of a boundary edge learns a
 // remote decision. A full view has no other process, and sendNotices
 // already applied every notice to it, so it returns at once. Notices
-// are collected per worker and applied sequentially, as sendNotices
-// applies its own.
+// are collected per worker and applied sequentially: a drop writes the
+// live-slot counts of both endpoints, and two workers' edges may share
+// the remote one.
 func applyNotices(e *roundEngine, w *view, inSpanner []bool) {
 	if w.full() {
 		return

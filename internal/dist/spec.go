@@ -15,8 +15,8 @@ import (
 //
 //   - Mem(): the single-process in-memory simulation (the default —
 //     the zero TransportSpec is Mem()).
-//   - Sharded(p): p worker goroutines exchanging messages through
-//     per-shard-pair buffers at each round barrier.
+//   - Sharded(p): p worker goroutines, each billing what its shard
+//     sends; the ledger splits out the cross-shard traffic.
 //   - Mesh(p): an in-process Net + Worker fleet — a Net coordinator on
 //     loopback TCP plus p−1 goroutines each running a Worker spec on
 //     its own partition view, so it runs exactly the drivers of a real

@@ -26,13 +26,8 @@ package dist
 //     Send and Post race-free without locks: each bills on the calling
 //     worker's row (see exchange.go).
 //
-// Concurrency contract: during a ForWorkers compute phase, Send may be
-// called only by the worker that owns the recipient `to` (the pure
-// seed-derived kinds, MsgSampled and MsgKeep, whose recipient's owner
-// sends them), and Post only by the worker that owns Message.From.
-// Outside a compute phase one goroutine may call either (the spanner's
-// sendNotices bills every notice from one goroutine). EndRound must be
-// called with no compute phase in flight.
+// Concurrency contract: Send and Post each state who may call them;
+// EndRound must be called with no compute phase in flight.
 type Transport interface {
 	// Shards returns the ownership partition size: 1 for the in-memory
 	// transport, P for the sharded and network ones. Stats.Shards
@@ -54,7 +49,12 @@ type Transport interface {
 	// row, as cross-shard traffic where m.From and `to` have different
 	// owners. The network transport also stages it when another
 	// process owns `to`; that process reads it after the round's
-	// EndRound (multiProcessTransport.Recv).
+	// EndRound (multiProcessTransport.Recv). Who may call it:
+	//   - during a compute phase, only the worker that owns `to`
+	//     (MsgSampled, MsgKeep: the recipient's owner re-derives the
+	//     payload from the seed, so it sends them);
+	//   - outside one, a single goroutine (sendNotices bills every
+	//     MsgAdd/MsgDrop notice from one goroutine).
 	Send(to int32, m Message)
 	// Post sends m from vertex m.From over every live slot of m.From in
 	// the post board's view: it stores m once as m.From's post and
@@ -62,7 +62,9 @@ type Transport interface {
 	// what Send would bill for one message per slot. After the
 	// round's EndRound every recipient reads it off the board
 	// (postBoard.heard). The network transport also carries it to every
-	// other shard holding one of those slots, once per shard.
+	// other shard holding one of those slots, once per shard. During a
+	// compute phase only the worker that owns m.From may call it;
+	// outside one, a single goroutine.
 	Post(m Message)
 	// board returns the post board. The round engine reads posts off it
 	// directly: a read is one array access per live slot, where a call
