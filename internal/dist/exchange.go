@@ -90,8 +90,9 @@ type exchanger struct {
 	board postBoard
 }
 
-// tallyRow is one worker's tally, padded to a cache line of its own,
-// so the P workers billing at once do not share one.
+// tallyRow is one worker's tally (40 bytes), padded to a 64-byte
+// cache line of its own, so the P workers billing at once do not share
+// one.
 type tallyRow struct {
 	tally RoundTally
 	_     [64 - 40]byte
