@@ -1,16 +1,21 @@
 package dist
 
-// Tests pinning the vectored-write batching of the wire layer: a
-// flushed batch must put the exact same bytes on the wire as the
-// per-frame protocol did (WireBytes and CRC-32C are computed at append
-// time, so any drift here would desynchronize the stream checksums),
-// and the read side must reassemble frames whose bytes arrive split at
-// arbitrary positions — including batch boundaries and heartbeats
-// interleaved mid-stream by the asynchronous liveness sender.
+// Tests pinning the write side of a link: the frames appended to its
+// pending byte buffer and written by its one writer goroutine must put
+// the exact bytes of the per-frame protocol on the wire, whether each
+// flush waits for its write or hands it over and moves on (WireBytes
+// and CRC-32C are taken at append time, so any drift here would
+// desynchronize the stream checksums); the read side must reassemble
+// frames whose bytes arrive split at arbitrary positions, with
+// heartbeats interleaved mid-stream; and one barrier whose batches
+// exceed the socket buffers in both directions of every link must not
+// wedge.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"runtime/debug"
 	"testing"
@@ -42,45 +47,66 @@ func (c *memConn) SetDeadline(t time.Time) error      { return nil }
 func (c *memConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *memConn) SetWriteDeadline(t time.Time) error { return nil }
 
+type testFrame struct {
+	h       frameHeader
+	payload []byte
+}
+
 // testFrames is a representative protocol slice: two round batches
 // (one empty — zero-payload frames must survive batching too), a
-// gather, a tally, and the stream-checksum frame sealing them.
-func writeTestFrames(t *testing.T, p *peerConn) {
-	t.Helper()
+// gather, and a tally.
+func testFrames() []testFrame {
 	envs := make([]byte, 3*envelopeSize)
 	for i := 0; i < 3; i++ {
 		putEnvelope(envs[i*envelopeSize:], envelope{to: int32(i), m: Message{From: int32(10 + i), Kind: MsgCenter, A: 1, B: 2, C: 3}})
 	}
 	var tally [tallySize]byte
 	putTally(tally[:], RoundTally{Messages: 3, Words: 9})
-	gather := []byte{1, 0, 0, 0, 2, 0, 0, 0}
-	for _, fr := range []struct {
-		h       frameHeader
-		payload []byte
-	}{
+	return []testFrame{
 		{frameHeader{Type: frameRound, From: 1, To: 2, Round: 7, Count: 3}, envs},
 		{frameHeader{Type: frameRound, From: 1, To: 0, Round: 7, Count: 0}, nil},
-		{frameHeader{Type: frameGather, From: 1, Round: 7, Count: 2}, gather},
+		{frameHeader{Type: frameGather, From: 1, Round: 7, Count: 2}, []byte{1, 0, 0, 0, 2, 0, 0, 0}},
 		{frameHeader{Type: frameTally, From: 1, Round: 7}, tally[:]},
-	} {
-		if err := p.writeFrame(fr.h, fr.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.writeCheck(7); err != nil {
-		t.Fatal(err)
 	}
 }
 
+// writeTestFrames appends the test frames to p and seals them with the
+// stream-checksum frame.
+func writeTestFrames(p *peerConn) {
+	for _, fr := range testFrames() {
+		p.writeFrame(fr.h, fr.payload)
+	}
+	p.writeCheck(7)
+}
+
+// referenceStream is the per-frame protocol's encoding of what
+// writeTestFrames writes, built without a link: each header followed
+// by its payload, then a check frame carrying the CRC-32C of them all.
+func referenceStream() []byte {
+	var out []byte
+	var sum uint32
+	for _, fr := range testFrames() {
+		var hb [headerSize]byte
+		putHeader(hb[:], fr.h)
+		sum = crc32.Update(crc32.Update(sum, crcTable, hb[:]), crcTable, fr.payload)
+		out = append(append(out, hb[:]...), fr.payload...)
+	}
+	var hb [headerSize]byte
+	putHeader(hb[:], frameHeader{Type: frameCheck, Round: 7, Count: checkSize})
+	return binary.LittleEndian.AppendUint32(append(out, hb[:]...), sum)
+}
+
 // TestBatchedFlushBytesIdentical: batching is a syscall optimization,
-// not a format change — the flushed stream must be byte-for-byte the
-// per-frame concatenation, WireBytes must equal the stream length, and
-// one more flush must be a no-op.
+// not a format change — nothing reaches the socket before the flush,
+// the flushed stream must be byte-for-byte the per-frame reference,
+// WireBytes must equal the stream length, the flush must leave nothing
+// pending, and one more flush must be a no-op.
 func TestBatchedFlushBytesIdentical(t *testing.T) {
 	tr := &NetTransport{timeout: time.Second}
 	conn := &memConn{}
 	p := newPeerConn(tr, conn)
-	writeTestFrames(t, p)
+	defer p.close()
+	writeTestFrames(p)
 	if conn.wr.Len() != 0 {
 		t.Fatalf("frames hit the wire before flush: %d bytes", conn.wr.Len())
 	}
@@ -88,91 +114,61 @@ func TestBatchedFlushBytesIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := append([]byte(nil), conn.wr.Bytes()...)
-
-	// The reference stream: the same frames written through an
-	// independent peer, flushed one at a time (per-frame protocol).
-	refTr := &NetTransport{timeout: time.Second}
-	refConn := &memConn{}
-	ref := newPeerConn(refTr, refConn)
-	writeTestFrames(t, ref)
-	if err := ref.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, refConn.wr.Bytes()) {
-		t.Fatalf("batched stream differs from reference: %d vs %d bytes", len(got), refConn.wr.Len())
+	if ref := referenceStream(); !bytes.Equal(got, ref) {
+		t.Fatalf("batched stream differs from reference: %d vs %d bytes", len(got), len(ref))
 	}
 	if tr.wireBytes != int64(len(got)) {
 		t.Fatalf("WireBytes %d != stream length %d", tr.wireBytes, len(got))
 	}
-	if len(p.pending) != 0 || p.pendingBytes != 0 || p.hdrUsed != 0 {
-		t.Fatalf("flush left pending state: %d slices, %d bytes, %d headers", len(p.pending), p.pendingBytes, p.hdrUsed)
+	if len(p.out) != 0 {
+		t.Fatalf("flush left %d bytes pending", len(p.out))
 	}
-	before := conn.wr.Len()
 	if err := p.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if conn.wr.Len() != before {
+	if conn.wr.Len() != len(got) {
 		t.Fatal("empty flush wrote bytes")
 	}
 }
 
-// TestAsyncFlushBytesIdentical: the mesh plane's double-buffered
-// writer is a scheduling change, not a format change — handing batches
-// to the writer goroutine round after round must put the exact same
-// bytes on the wire, in the same order, as the synchronous per-flush
-// protocol, and a sync flush after async traffic must first drain the
-// writer so per-connection byte order is preserved.
+// TestAsyncFlushBytesIdentical: handing batches to the writer round
+// after round without waiting is a scheduling change, not a format
+// change — the stream must be the per-frame reference repeated, in
+// order, with a waiting flush after the handed-over ones queued behind
+// them.
 func TestAsyncFlushBytesIdentical(t *testing.T) {
 	tr := &NetTransport{timeout: time.Second}
 	conn := &memConn{}
 	p := newPeerConn(tr, conn)
-	const rounds = 20 // > asyncWriterDepth, so enqueue back-pressure and batch recycling both run
+	const rounds = 20 // > writerDepth, so flushes wait for old writes and buffers are reused
 	for r := 0; r < rounds; r++ {
-		writeTestFrames(t, p)
+		writeTestFrames(p)
 		if err := p.flushAsync(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writeTestFrames(t, p) // final batch goes through the sync path, which must drain first
+	writeTestFrames(p)
 	if err := p.flush(); err != nil {
 		t.Fatal(err)
 	}
-	p.stopWriter()
-	got := append([]byte(nil), conn.wr.Bytes()...)
-
-	refTr := &NetTransport{timeout: time.Second}
-	refConn := &memConn{}
-	ref := newPeerConn(refTr, refConn)
-	for r := 0; r < rounds+1; r++ {
-		writeTestFrames(t, ref)
-		if err := ref.flush(); err != nil {
-			t.Fatal(err)
-		}
+	p.close()
+	want := bytes.Repeat(referenceStream(), rounds+1)
+	if got := conn.wr.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("async stream differs from reference: %d vs %d bytes", len(got), len(want))
 	}
-	if !bytes.Equal(got, refConn.wr.Bytes()) {
-		t.Fatalf("async stream differs from sync reference: %d vs %d bytes", len(got), refConn.wr.Len())
-	}
-	if tr.wireBytes != refTr.wireBytes {
-		t.Fatalf("WireBytes %d != sync reference %d", tr.wireBytes, refTr.wireBytes)
+	if tr.wireBytes != int64(len(want)) {
+		t.Fatalf("WireBytes %d != stream length %d", tr.wireBytes, len(want))
 	}
 }
 
 // TestReadFrameReassemblesChunkedBatch: the receive side must
 // reconstruct every frame of a batch regardless of how the kernel
 // fragments it — byte at a time, split inside headers, split inside
-// payloads — with heartbeats spliced between frames (the liveness
-// sender writes them under wmu whenever it fires, so they can land at
-// any frame boundary of the stream), and the sealed checksum must
-// still verify.
+// payloads — with heartbeats spliced between frames (the writer sends
+// them between the buffers it is handed, and a reader must not care
+// where), and the sealed checksum must still verify.
 func TestReadFrameReassemblesChunkedBatch(t *testing.T) {
-	wtr := &NetTransport{timeout: time.Second}
-	wconn := &memConn{}
-	w := newPeerConn(wtr, wconn)
-	writeTestFrames(t, w)
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
-	}
-	stream := wconn.wr.Bytes()
+	stream := referenceStream()
 
 	// Splice a heartbeat before the batch and between the two round
 	// frames (offset: header + 3 envelopes + the empty frame's header).
@@ -188,6 +184,7 @@ func TestReadFrameReassemblesChunkedBatch(t *testing.T) {
 		rtr := &NetTransport{timeout: time.Second}
 		rconn := &memConn{rd: bytes.NewReader(spliced), chunk: chunk}
 		r := newPeerConn(rtr, rconn)
+		t.Cleanup(r.abort)
 
 		h, payload, err := r.readFrame(frameRound)
 		if err != nil {
@@ -255,7 +252,7 @@ func bigBarrier(t *testing.T, p int) {
 		for d := 0; d < p; d++ {
 			dlo, dsize := bounds[d], bounds[d+1]-bounds[d]
 			for i := 0; d != s && i < perPeer; i++ {
-				tr.Send(int32(dlo+i%dsize), Message{Kind: MsgCenter, From: int32(lo + i%size), A: int32(s), B: int32(i)})
+				tr.Send(int32(dlo+i%dsize), Message{Kind: MsgDrop, From: int32(lo + i%size), A: int32(s), B: int32(i)})
 			}
 		}
 		tallies[s] = tr.EndRound(0)
@@ -263,7 +260,7 @@ func bigBarrier(t *testing.T, p int) {
 			box, k := tr.Recv(int32(v)), 0
 			for o := 0; o < p; o++ {
 				for i := v - lo; o != s && i < perPeer; i += size {
-					want := Message{Kind: MsgCenter, From: int32(bounds[o] + i%(bounds[o+1]-bounds[o])), A: int32(o), B: int32(i)}
+					want := Message{Kind: MsgDrop, From: int32(bounds[o] + i%(bounds[o+1]-bounds[o])), A: int32(o), B: int32(i)}
 					if k >= len(box) || box[k] != want {
 						return fmt.Errorf("shard %d: vertex %d message %d is not %+v", s, v, k, want)
 					}
@@ -280,8 +277,8 @@ func bigBarrier(t *testing.T, p int) {
 		t.Fatal(err)
 	}
 	msgs := int64(p * (p - 1) * perPeer)
-	want := RoundTally{Messages: msgs, Words: msgs * int64(MsgCenter.Words()), MaxMessageWords: MsgCenter.Words(),
-		CrossShardMessages: msgs, CrossShardWords: msgs * int64(MsgCenter.Words())}
+	// A MsgDrop is one word.
+	want := RoundTally{Messages: msgs, Words: msgs, MaxMessageWords: 1, CrossShardMessages: msgs, CrossShardWords: msgs}
 	for s, got := range tallies {
 		if got != want {
 			t.Fatalf("shard %d billed %+v, want %+v", s, got, want)

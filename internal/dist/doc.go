@@ -171,46 +171,45 @@
 // # Wire batching and buffer reuse
 //
 // The wire layer is built for raw speed without touching the format.
-// writeFrame does not write: it appends the frame's header (from a
-// chunked arena whose slices stay stable under growth) and payload to
-// the connection's pending net.Buffers, computing CRC-32C and
+// Each link has one pending byte buffer and one writer goroutine, the
+// only code that writes its socket. writeFrame does not write: it
+// appends the frame's header and payload to the pending buffer (the
+// barrier encodes its batch straight into it), computing CRC-32C and
 // WireBytes at append time so accounting is byte-identical to the
-// per-frame protocol. flush hands the whole batch to the kernel as one
-// vectored write — a round barrier costs one syscall per peer instead
-// of one per frame.
+// per-frame protocol. A flush hands the whole buffer to the writer,
+// which writes it in one call — a round barrier costs one write per
+// peer instead of one per frame — and hands it back for reuse.
 //
-// On every link the per-peer round batches are double-buffered:
-// flushAsync hands the sealed batch to the connection's writer
-// goroutine and returns immediately, so round r's bytes are on the
-// wire while round r+1 computes, and pooled payload buffers are
-// reclaimed only after the write completes (mesh.go). The protocol
-// invariant this preserves is strict write-then-read alternation PER
-// PEER — a process never reads from a peer before everything it owes
-// that peer is queued in order on that peer's connection; whether the
-// bytes leave synchronously (collectives) or on the writer goroutine
-// (round batches) cannot deadlock the barrier, because each side's
-// reads are against traffic the other side has already queued, and
-// the writers drain while both sides read (batch_test.go runs a
-// barrier whose batches overflow the socket buffers in both directions
-// of every link). A synchronous flush on a connection first drains its
-// writer, so per-connection byte order is exactly the per-frame
-// protocol's. Heartbeats bypass the batch and may hit the wire ahead
-// of pending frames, which is safe because readFrame consumes them
-// transparently at any stream position (batch_test.go pins
-// byte-identity for both flush paths and chunked reassembly, and the
-// WireBytes goldens in wirebytes_golden_test.go pin the totals across
-// the batching change).
+// The round barrier does not wait for that write: flushAsync hands
+// the buffer over and returns, so round r's bytes are on the wire
+// while round r+1 computes into another buffer. The synchronous paths
+// (collectives, handshakes, rollbacks) use flush, which is flushAsync
+// plus a wait for the write's result. The protocol invariant this
+// preserves is strict write-then-read alternation PER PEER — a process
+// never reads from a peer before everything it owes that peer is
+// queued in order on that peer's writer; whether it then waits for the
+// write or not cannot deadlock the barrier, because each side's reads
+// are against traffic the other side has already queued, and the
+// writers drain while both sides read (batch_test.go runs a barrier
+// whose batches overflow the socket buffers in both directions of
+// every link). One writer per socket keeps each connection's byte
+// order exactly the per-frame protocol's. It also writes the
+// heartbeats, and a worker's fault report (see mesh.go), each as a
+// buffer of its own between the buffers it is handed, which is safe
+// because readFrame consumes them transparently at any stream position
+// (batch_test.go pins byte-identity for both flush paths and chunked
+// reassembly, and the WireBytes goldens in wirebytes_golden_test.go
+// pin the totals).
 //
-// Payload buffers cycle through a per-transport size-classed freelist
-// (getBuf/putBuf): reads draw from it, encoded batches return to it
-// at the flush that writes them, and blob payloads — which
-// escape to the application — are never pooled. Above the wire, the
-// round engine keeps scratch freelists for the spanner's per-layer
-// mask and label arrays (rounds.go), and the coordinator's pairwise
-// gather merge runs its per-level zips in parallel goroutines once the
-// lists are large enough. The allocation budget in memory_test.go pins
-// the pooling at the allocator; E15 gates the wall-clock at ≥10^7
-// edges.
+// Reads draw their payload buffers from a per-transport size-classed
+// freelist (getBuf/putBuf) and return them once decoded; blob
+// payloads — which escape to the application — are never pooled.
+// Above the wire, the round engine keeps scratch freelists for the
+// spanner's per-layer mask and label arrays (rounds.go), and the
+// coordinator's pairwise gather merge runs its per-level zips in
+// parallel goroutines once the lists are large enough. The allocation
+// budget in memory_test.go pins the pooling at the allocator; E15
+// gates the wall-clock at ≥10^7 edges.
 //
 // # Failure model and recovery
 //

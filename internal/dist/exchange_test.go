@@ -133,15 +133,15 @@ func TestMalformedBatchIsTypedError(t *testing.T) {
 		accept bool         // the positive control: shard 0 hears the post
 	}{
 		{"post-counted-in-receiver-view", envelope{}, post(3, Message{Kind: MsgCenter, From: 70, A: 7, B: 2, C: 1}), true},
-		{"recipient-in-sender-shard", envelope{to: 60, m: Message{Kind: MsgCenter, From: 70}}, nil, false},
-		{"recipient-out-of-range", envelope{to: 1000, m: Message{Kind: MsgCenter, From: 70}}, nil, false},
-		{"recipient-negative", envelope{to: -1, m: Message{Kind: MsgCenter, From: 70}}, nil, false},
+		{"recipient-in-sender-shard", envelope{to: 60, m: Message{Kind: MsgAdd, From: 70}}, nil, false},
+		{"recipient-out-of-range", envelope{to: 1000, m: Message{Kind: MsgDrop, From: 70}}, nil, false},
+		{"recipient-negative", envelope{to: -1, m: Message{Kind: MsgAdd, From: 70}}, nil, false},
 		{"receiver-staged-kind", envelope{to: 10, m: Message{Kind: MsgKeep, From: 70}}, nil, false},
 		{"unknown-kind", envelope{to: 10, m: Message{Kind: 200, From: 70}}, nil, false},
 		{"sender-in-receiver-shard", envelope{to: 10, m: Message{Kind: MsgAdd, From: 20}}, nil, false},
 		{"sender-missing", envelope{to: 10, m: Message{Kind: MsgDrop, From: -1}}, nil, false},
-		{"cluster-out-of-range", envelope{to: 10, m: Message{Kind: MsgCenter, From: 70, A: n}}, nil, false},
-		{"cluster-negative", envelope{to: 10, m: Message{Kind: MsgNewCenter, From: 70, A: -1}}, nil, false},
+		{"center-as-envelope", envelope{to: 10, m: Message{Kind: MsgCenter, From: 70, A: 7}}, nil, false},
+		{"new-center-as-envelope", envelope{to: 10, m: Message{Kind: MsgNewCenter, From: 70, A: 7}}, nil, false},
 		{"post-count-above-live-slots", envelope{}, post(4, Message{Kind: MsgCenter, From: 70}), false},
 		{"post-count-below-live-slots", envelope{}, post(2, Message{Kind: MsgCenter, From: 70}), false},
 		{"post-count-zero", envelope{}, post(0, Message{Kind: MsgNewCenter, From: 70}), false},

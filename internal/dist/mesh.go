@@ -20,17 +20,18 @@ package dist
 // armed it is bound, announced, and broadcast even at P = 2, where it
 // carries no links. Each direct link runs the full connection
 // discipline of the hub: heartbeats in both directions, a per-direction
-// CRC-32C stream checksum cross-checked at every barrier, and frame
-// batching through the shared net.Buffers arena.
+// CRC-32C stream checksum cross-checked at every barrier, and one
+// pending byte buffer written by the link's one writer goroutine.
 //
-// On every link the barrier double-buffers: flushAsync hands a
-// completed vectored batch to a per-connection writer goroutine and
-// returns, so the round goroutine encodes the next peer's batch (and,
-// across barriers, computes round r+1) while round r's bytes drain to
-// the kernel. The write-then-read alternation that keeps the protocol
-// deadlock-free is preserved per peer: a shard enqueues its batch to
-// peer d before it reads from d, and sync operations (collectives,
-// handshakes) drain the async writer first, so on any single
+// On every link the barrier double-buffers: flushAsync hands the
+// link's pending bytes to its writer and returns, so the round
+// goroutine encodes the next peer's batch (and, across barriers,
+// computes round r+1) into a fresh buffer while round r's bytes drain
+// to the kernel. The write-then-read alternation that keeps the
+// protocol deadlock-free is preserved per peer: a shard hands its
+// batch for peer d to d's writer before it reads from d, and the
+// synchronous operations (collectives, handshakes) queue behind it on
+// the same writer and wait for their own write, so on any single
 // connection the byte order is exactly the per-frame protocol's.
 //
 // Recovery composes with the mesh through the worker-recovery
@@ -55,180 +56,14 @@ import (
 	"time"
 )
 
-const (
-	// maxMeshAddrLen bounds an announced peer listener address.
-	maxMeshAddrLen = 512
-	// asyncWriterDepth is the writer goroutine's queue depth: how many
-	// flushed batches may be in flight on one connection before
-	// flushAsync blocks. The ack channel holds strictly more so the
-	// writer can never stall acking while the round goroutine stalls
-	// enqueueing.
-	asyncWriterDepth = 4
-)
+// maxMeshAddrLen bounds an announced peer listener address.
+const maxMeshAddrLen = 512
 
 // peerListened reports whether workers bind, announce, and receive the
 // book of peer listeners: for the direct links at p > 2 (with p ≤ 2 no
 // worker has a direct peer), and as the failover standby hub whenever
 // failover is armed.
 func (t *NetTransport) peerListened() bool { return t.part.p > 2 || t.failover }
-
-// pendingBatch is one flushed-but-not-yet-written batch owned by a
-// connection's writer goroutine: the vectored buffers, the pooled
-// payloads to reclaim after the write, and the header-arena chunks
-// the batch's frame headers live in.
-type pendingBatch struct {
-	bufs   net.Buffers
-	retire [][]byte
-	chunks [][]byte
-	err    error
-}
-
-// writerLoop is the connection's dedicated writer: one vectored write
-// per batch, serialized with the heartbeat sender (and any sync
-// flush) by wmu. It touches no transport state — every buffer flows
-// back to the round goroutine through the ack channel.
-func (p *peerConn) writerLoop() {
-	defer close(p.writerDone)
-	for b := range p.writerCh {
-		p.wmu.Lock()
-		_ = p.c.SetWriteDeadline(time.Now().Add(p.t.timeout))
-		bufs := b.bufs // WriteTo consumes its receiver; keep b.bufs for reclaim
-		_, err := bufs.WriteTo(p.c)
-		p.wmu.Unlock()
-		b.err = err
-		p.writerAck <- b
-	}
-}
-
-// takeSpare returns a recycled pendingBatch (or a fresh one), its
-// slices emptied but their capacity retained.
-func (p *peerConn) takeSpare() *pendingBatch {
-	if n := len(p.spare); n > 0 {
-		b := p.spare[n-1]
-		p.spare[n-1] = nil
-		p.spare = p.spare[:n-1]
-		return b
-	}
-	return &pendingBatch{}
-}
-
-// reclaimBatch retires one acked batch on the round goroutine: pooled
-// payloads return to the freelist, header chunks to the spare arena,
-// the first write error sticks.
-func (p *peerConn) reclaimBatch(b *pendingBatch) {
-	if b.err != nil && p.werr == nil {
-		p.werr = b.err
-	}
-	for i, buf := range b.retire {
-		p.t.putBuf(buf)
-		b.retire[i] = nil
-	}
-	b.retire = b.retire[:0]
-	p.spareChunks = append(p.spareChunks, b.chunks...)
-	for i := range b.chunks {
-		b.chunks[i] = nil
-	}
-	b.chunks = b.chunks[:0]
-	for i := range b.bufs {
-		b.bufs[i] = nil
-	}
-	b.bufs = b.bufs[:0]
-	b.err = nil
-	p.inflight--
-	p.spare = append(p.spare, b)
-}
-
-// reclaimAcks drains the ack channel, blocking until every in-flight
-// batch is reclaimed when block is set.
-func (p *peerConn) reclaimAcks(block bool) {
-	for p.inflight > 0 {
-		if block {
-			p.reclaimBatch(<-p.writerAck)
-			continue
-		}
-		select {
-		case b := <-p.writerAck:
-			p.reclaimBatch(b)
-		default:
-			return
-		}
-	}
-}
-
-// flushAsync hands the pending batch to the writer goroutine and
-// returns without waiting for the socket — the double-buffering seam:
-// the caller proceeds to stage (or read) while the batch drains.
-// Resources are reclaimed on this goroutine when a later flushAsync,
-// flush, or drainAsync observes the write's ack. Write errors are
-// sticky and surface on the next flush of any kind; by then the read
-// side of the same failure has usually surfaced too, and error
-// attribution happens there.
-func (p *peerConn) flushAsync() error {
-	p.reclaimAcks(false)
-	if p.werr != nil {
-		return p.werr
-	}
-	if len(p.pending) == 0 {
-		return nil
-	}
-	if p.writerCh == nil {
-		p.writerCh = make(chan *pendingBatch, asyncWriterDepth)
-		p.writerAck = make(chan *pendingBatch, 2*asyncWriterDepth)
-		p.writerDone = make(chan struct{})
-		go p.writerLoop()
-	}
-	// Swap the staging slices wholesale: the batch takes the pending
-	// buffers, the retire list, and the header arena; the connection
-	// stages the next batch into the (emptied) slices of a previously
-	// reclaimed one, so steady state allocates nothing.
-	b := p.takeSpare()
-	b.bufs, p.pending = p.pending, net.Buffers(b.bufs[:0])
-	b.retire, p.retire = p.retire, b.retire[:0]
-	b.chunks, p.hdrChunks = p.hdrChunks, b.chunks[:0]
-	p.pendingBytes = 0
-	p.hdrUsed = 0
-	p.inflight++
-	p.writerCh <- b
-	return nil
-}
-
-// drainAsync blocks until every batch handed to the writer goroutine
-// has hit the socket (or failed) and is reclaimed. flush calls it
-// first, so on any one connection the sync protocol (collectives,
-// handshakes, rollbacks) observes its bytes strictly after the async
-// round traffic — per-connection protocol order is untouched by
-// double buffering.
-func (p *peerConn) drainAsync() error {
-	p.reclaimAcks(true)
-	return p.werr
-}
-
-// stopWriter shuts the writer goroutine down after its queue drains.
-func (p *peerConn) stopWriter() {
-	if p.writerCh == nil {
-		return
-	}
-	close(p.writerCh)
-	<-p.writerDone
-	p.reclaimAcks(true)
-	p.writerCh = nil
-}
-
-// abort tears a connection down without waiting for in-flight writes:
-// the socket closes first, so a writer goroutine blocked on a dead or
-// stalled peer fails immediately instead of waiting out its deadline
-// once per queued batch. It is for links already known dead or being
-// dropped: the direct links on a recovery rollback (teardownMesh), a
-// dead worker's hub (recoverWorkers), and a failover survivor's lost
-// hub — a clean Close drains every writer first (peerConn.close).
-func (p *peerConn) abort() {
-	_ = p.c.Close()
-	p.stopHeartbeats()
-	if p.werr == nil {
-		p.werr = fmt.Errorf("connection aborted")
-	}
-	p.stopWriter()
-}
 
 // teardownMesh aborts every direct worker↔worker link on a recovery
 // rollback. The peer listener stays open: its address —
@@ -334,27 +169,23 @@ func (t *NetTransport) meshConnect(book []string) error {
 		pc := newPeerConn(t, c)
 		var hb [helloSize]byte
 		putHello(hb[:], hello{Version: wireVersion, N: uint64(t.part.n), Shard: uint32(t.self), Shards: uint32(p)})
-		if err := pc.writeFrame(frameHeader{Type: frameMeshHello, From: uint16(t.self)}, hb[:]); err == nil {
-			err = pc.flush()
-		} else {
-			err = fmt.Errorf("mesh hello: %w", err)
-		}
-		if err != nil {
-			c.Close()
+		pc.writeFrame(frameHeader{Type: frameMeshHello, From: uint16(t.self)}, hb[:])
+		if err := pc.flush(); err != nil {
+			pc.abort()
 			return t.meshFail(d, fmt.Errorf("shard %d handshake: %w", d, err))
 		}
 		_, payload, err := pc.readFrame(frameMeshWelcome)
 		if err != nil {
-			c.Close()
+			pc.abort()
 			return t.meshFail(d, fmt.Errorf("shard %d handshake: %w", d, err))
 		}
 		got := parseHello(payload)
 		t.putBuf(payload)
 		if got.Version != wireVersion || got.N != uint64(t.part.n) || got.Shards != uint32(p) || int(got.Shard) != d {
-			c.Close()
+			pc.abort()
 			return t.meshFail(d, fmt.Errorf("shard %d peer config mismatch: %+v", d, got))
 		}
-		pc.startHeartbeats()
+		pc.linkUp()
 		t.links[d] = pc
 	}
 	need := p - 1 - t.self
@@ -376,11 +207,11 @@ func (t *NetTransport) meshConnect(book []string) error {
 			// stale dial of a rolled-back attempt) is closed and skipped,
 			// never allowed to abort the fleet. The deadline slides only
 			// on successful links.
-			c.Close()
+			pc.abort()
 			continue
 		}
 		t.links[s] = pc
-		pc.startHeartbeats()
+		pc.linkUp()
 		need--
 		deadline = time.Now().Add(t.timeout)
 	}
@@ -405,9 +236,7 @@ func (t *NetTransport) acceptMeshHandshake(pc *peerConn) (int, error) {
 	}
 	var wb [helloSize]byte
 	putHello(wb[:], hello{Version: wireVersion, N: uint64(t.part.n), Shard: uint32(t.self), Shards: uint32(t.part.p)})
-	if err := pc.writeFrame(frameHeader{Type: frameMeshWelcome, From: uint16(t.self)}, wb[:]); err != nil {
-		return 0, err
-	}
+	pc.writeFrame(frameHeader{Type: frameMeshWelcome, From: uint16(t.self)}, wb[:])
 	if err := pc.flush(); err != nil {
 		return 0, err
 	}
@@ -430,19 +259,17 @@ func (t *NetTransport) acceptMeshHandshake(pc *peerConn) (int, error) {
 // a silent park deadlocks the fleet until the drain window expires and
 // takes the survivor down with it. The report rides the stream the
 // coordinator is already reading and names the shard to recover.
-// Like a heartbeat it is written raw under wmu — unbatched, unhashed,
-// and excluded from WireBytes — and best-effort: if the hub is dead
-// too, the park fails out on its own. suspect 0 means the dead peer is
-// unknown (a missing inbound dial at bring-up) and nothing is sent.
+// Like a heartbeat it is written by the hub's writer on its own, as a
+// buffer of one header — unbatched, unhashed, and excluded from
+// WireBytes — and best-effort: if the hub is dead too, the park fails
+// out on its own. suspect 0 means the dead peer is unknown (a missing
+// inbound dial at bring-up) and nothing is sent.
 func (t *NetTransport) meshFail(suspect int, err error) error {
 	hub := t.links[0]
 	if suspect > 0 {
-		var fb [headerSize]byte
-		putHeader(fb[:], frameHeader{Type: frameFault, From: uint16(t.self), To: uint16(suspect)})
-		hub.wmu.Lock()
-		_ = hub.c.SetWriteDeadline(time.Now().Add(t.timeout))
-		_, _ = hub.c.Write(fb[:])
-		hub.wmu.Unlock()
+		fb := make([]byte, headerSize)
+		putHeader(fb, frameHeader{Type: frameFault, From: uint16(t.self), To: uint16(suspect)})
+		hub.hand(fb)
 	}
 	deadline := time.Now().Add(2 * t.timeout)
 	for {

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,6 +35,11 @@ import (
 // shard 0 is its hub connection, and the workers dial each other
 // directly — so each batch crosses the wire once.
 //
+// Each link has one pending byte buffer and one writer goroutine, the
+// only code that writes its socket: frames are appended to the buffer
+// (accounted at append time) and a flush hands it to the writer whole,
+// one write call per peer per barrier.
+//
 // EndRound is one barrier that every shard runs: to each other shard
 // it queues the batch staged for that shard, one frameTally carrying
 // its own local tally (its row's, billed when each message was sent —
@@ -52,14 +58,14 @@ import (
 // owes a peer is queued before it reads that peer, and the writer
 // goroutines drain while it reads, so the barrier cannot deadlock on
 // full socket buffers. Collectives (AllMaxInt32, AllOrWord, the blob
-// gather/broadcast) write then read synchronously on the hub links and
-// carry a per-transport collective sequence number in their Round
-// field, so a desynchronized peer can never satisfy the wrong
+// gather/broadcast) wait for their write on the hub links before they
+// read, and carry a per-transport collective sequence number in their
+// Round field, so a desynchronized peer can never satisfy the wrong
 // collective silently.
 //
 // Failure model: liveness is heartbeat-based and failure is recovered
 // by deterministic replay. Each connection direction carries a
-// frameHeartbeat every timeout/4 while the peer computes, and every
+// frameHeartbeat every timeout/4 from the link's writer, and every
 // read refreshes its deadline per frame — so a slow round survives any
 // timeout, while a dead or partitioned peer is detected within one
 // timeout (a killed process is detected immediately via EOF/RST). A
@@ -155,11 +161,10 @@ type NetTransport struct {
 	framesWritten   int
 	failAct         func()
 
-	// bufFree is the transport's payload-buffer freelist, size-classed
-	// by power of two. The round path of one transport is a single
-	// goroutine (heartbeat senders never allocate payloads), so no lock
-	// is needed. Blob payloads escape to the application and are never
-	// pooled; everything else cycles through getBuf/putBuf.
+	// bufFree is the read side's payload-buffer freelist, size-classed
+	// by power of two. Only the round goroutine reads, so no lock is
+	// needed. Blob payloads escape to the application and are never
+	// pooled; every other payload read cycles through getBuf/putBuf.
 	bufFree [31][][]byte
 }
 
@@ -167,8 +172,8 @@ type NetTransport struct {
 const bufFreeDepth = 8
 
 // getBuf returns a length-n byte buffer, reusing a pooled one when the
-// freelist has a large enough size class. Contents are arbitrary —
-// every user overwrites (io.ReadFull, putEnvelope, ...).
+// freelist has a large enough size class. Contents are arbitrary:
+// readFrame overwrites them (io.ReadFull).
 func (t *NetTransport) getBuf(n int) []byte {
 	if n == 0 {
 		return nil
@@ -257,155 +262,118 @@ func frameChecksummed(typ uint8) bool {
 	return false
 }
 
+// peerConn is this process's link to one other shard. The round
+// goroutine reads the socket and appends frames to out; the link's
+// writer goroutine (writeLoop) is the only code that writes the
+// socket.
 type peerConn struct {
 	c  net.Conn
 	br *bufio.Reader
 	t  *NetTransport
 
-	// pending accumulates the header and payload slices of every frame
-	// written since the last flush; flush hands the whole batch to the
-	// kernel as ONE vectored write (net.Buffers → writev), so a round
-	// barrier costs one syscall per peer instead of one per frame. Only
-	// the round goroutine appends; wmu is taken only to write the
-	// socket, serializing flushes with the heartbeat sender.
-	pending      net.Buffers
-	pendingBytes int64
-	// hdrChunks is the arena the pending frame headers live in: fixed
-	// chunks, so a header slice handed to pending is never invalidated
-	// by a later append (a growing slice would reallocate under it).
-	hdrChunks [][]byte
-	hdrUsed   int // headers handed out since the last flush
-	// retire holds pooled payload buffers owned by the pending batch;
-	// they return to the transport's freelist only after the flush that
-	// writes them.
-	retire [][]byte
-
-	// wmu serializes socket writes (flush) with the heartbeat sender.
-	wmu sync.Mutex
+	// out holds every frame written since the last flush, header then
+	// payload, byte for byte as they go on the wire. A flush hands it
+	// to the writer whole, so a round barrier costs one write call per
+	// peer instead of one per frame.
+	out []byte
 	// wsum/rsum are the running CRC-32C of the data frames written/read
-	// since the last frameCheck in that direction. Only the owning
-	// round goroutine touches them (heartbeats are excluded).
+	// since the last frameCheck in that direction.
 	wsum, rsum uint32
 	// rollbackOK marks the worker's hub connection: a frameRollback may
 	// arrive at any read point and surfaces as *rollbackError.
 	rollbackOK bool
 
-	hbStop chan struct{}
-	hbDone chan struct{}
+	// The writer's channels: queue carries buffers to it in order, acks
+	// carries each back with its write's result, up is closed when the
+	// handshake is done and heartbeats may start, and done when the
+	// writer has exited. At most writerDepth buffers are in flight, so
+	// no send on queue or acks ever blocks. The fields below them
+	// belong to the round goroutine.
+	queue    chan []byte
+	acks     chan written
+	up, done chan struct{}
+	inflight int
+	werr     error  // the first write error, sticky
+	spare    []byte // a written buffer, reused as the next out
+}
 
-	// Async double buffering (every round barrier; see mesh.go):
-	// flushAsync hands the pending batch to a dedicated writer
-	// goroutine, so round r's bytes go to the kernel while the round
-	// goroutine stages round r+1. All resource bookkeeping (the payload
-	// freelist, the header arena) happens on the round goroutine when
-	// it reclaims acked batches — the writer only writes and acks, so
-	// the freelists stay lock-free.
-	writerCh   chan *pendingBatch
-	writerAck  chan *pendingBatch
-	writerDone chan struct{}
-	inflight   int
-	werr       error // sticky first async write error
-	spare      []*pendingBatch
-	// spareChunks holds header-arena chunks returned by reclaimed async
-	// batches; headerSlot reuses them before allocating.
-	spareChunks [][]byte
+// writerDepth is how many handed-over buffers a link may have in
+// flight before a flush waits for the oldest: enough that round r's
+// batch drains while the round goroutine stages round r+1.
+const writerDepth = 4
+
+// written is one buffer the writer is done with and its write's result.
+type written struct {
+	buf []byte
+	err error
 }
 
 func newPeerConn(t *NetTransport, c net.Conn) *peerConn {
-	return &peerConn{c: c, br: bufio.NewReaderSize(c, 1<<16), t: t}
+	p := &peerConn{
+		c: c, br: bufio.NewReaderSize(c, 1<<16), t: t,
+		queue: make(chan []byte, writerDepth), acks: make(chan written, writerDepth),
+		up: make(chan struct{}), done: make(chan struct{}),
+	}
+	go p.writeLoop()
+	return p
 }
 
-// headersPerChunk sizes the header-arena chunks of a pending batch.
-const headersPerChunk = 64
-
-// headerSlot returns a stable headerSize slice for the next pending
-// frame header. Chunks are reused across batches: a sync flush keeps
-// the arena in place, an async flush hands it to the in-flight batch
-// and it comes back through spareChunks once the write completes.
-func (p *peerConn) headerSlot() []byte {
-	chunk, off := p.hdrUsed/headersPerChunk, (p.hdrUsed%headersPerChunk)*headerSize
-	if chunk == len(p.hdrChunks) {
-		if n := len(p.spareChunks); n > 0 {
-			p.hdrChunks = append(p.hdrChunks, p.spareChunks[n-1])
-			p.spareChunks[n-1] = nil
-			p.spareChunks = p.spareChunks[:n-1]
-		} else {
-			p.hdrChunks = append(p.hdrChunks, make([]byte, headersPerChunk*headerSize))
-		}
-	}
-	p.hdrUsed++
-	return p.hdrChunks[chunk][off : off+headerSize]
-}
-
-// retireBuf marks a pooled payload buffer as owned by the pending
-// batch; flush releases it back to the transport's freelist.
-func (p *peerConn) retireBuf(b []byte) {
-	if cap(b) > 0 {
-		p.retire = append(p.retire, b)
-	}
-}
-
-// startHeartbeats begins the liveness sender: one frameHeartbeat per
-// timeout/4 of silence, written straight to the socket under wmu so it
-// can never tear a flushed batch. Heartbeats bypass writeFrame — they
-// are not counted in WireBytes (which stays deterministic), not
-// hashed, and not batched: a heartbeat may hit the wire before frames
-// still pending in the batch, which is safe because readFrame consumes
-// heartbeats transparently at any position in the stream.
-func (p *peerConn) startHeartbeats() {
-	interval := p.t.timeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	p.hbStop = make(chan struct{})
-	p.hbDone = make(chan struct{})
-	go func() {
-		defer close(p.hbDone)
-		var hb [headerSize]byte
-		putHeader(hb[:], frameHeader{Type: frameHeartbeat})
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-p.hbStop:
+// writeLoop is the link's only writer. It writes each buffer handed to
+// it in one call, in order, and sends it back with the result. Once
+// the link is up it also writes a frameHeartbeat every timeout/4,
+// between buffers. Heartbeats bypass writeFrame: they are not counted
+// in WireBytes (which stays deterministic), not hashed and not
+// batched, which is safe because readFrame consumes them at any
+// position in the stream. The loop exits when stop closes the queue,
+// after writing what is left in it.
+func (p *peerConn) writeLoop() {
+	defer close(p.done)
+	var hb [headerSize]byte
+	putHeader(hb[:], frameHeader{Type: frameHeartbeat})
+	interval := max(p.t.timeout/4, 10*time.Millisecond)
+	beat := time.NewTicker(interval)
+	beat.Stop()
+	defer beat.Stop()
+	up := p.up
+	for {
+		select {
+		case b, ok := <-p.queue:
+			if !ok {
 				return
-			case <-ticker.C:
 			}
-			p.wmu.Lock()
-			_ = p.c.SetWriteDeadline(time.Now().Add(p.t.timeout))
-			_, err := p.c.Write(hb[:])
-			p.wmu.Unlock()
-			if err != nil {
-				return // the round path will surface the failure
-			}
+			p.acks <- written{b, p.write(b)}
+		case <-up:
+			beat.Reset(interval)
+			up = nil
+		case <-beat.C:
+			_ = p.write(hb[:]) // a dead link surfaces on the round goroutine
 		}
-	}()
-}
-
-func (p *peerConn) stopHeartbeats() {
-	if p.hbStop != nil {
-		close(p.hbStop)
-		<-p.hbDone
-		p.hbStop = nil
 	}
 }
 
-// close stops the heartbeat sender, drains the async writer, flushes,
-// and closes the socket.
-func (p *peerConn) close() error {
-	p.stopHeartbeats()
-	_ = p.flush()
-	p.stopWriter()
-	return p.c.Close()
+func (p *peerConn) write(b []byte) error {
+	_ = p.c.SetWriteDeadline(time.Now().Add(p.t.timeout))
+	_, err := p.c.Write(b)
+	return err
 }
 
-// writeFrame appends one frame to the pending batch. The payload slice
-// must stay untouched until the next flush — the batch references it,
-// it is not copied. CRC-32C and WireBytes accounting happen here, at
-// append time, so they are byte-identical to the unbatched protocol;
-// I/O errors surface at flush (writeFrame itself cannot fail, but
-// keeps the error signature so call sites read as writes).
-func (p *peerConn) writeFrame(h frameHeader, payload []byte) error {
+// linkUp starts the link's heartbeats once its handshake is done.
+func (p *peerConn) linkUp() { close(p.up) }
+
+// writeFrame appends one frame to out; it reaches the socket at the
+// next flush or flushAsync. The fault-injection frame count, CRC-32C
+// and WireBytes are all taken here, at append time, so they match the
+// per-frame protocol byte for byte.
+func (p *peerConn) writeFrame(h frameHeader, payload []byte) {
+	start := p.beginFrame(h)
+	p.out = append(p.out, payload...)
+	p.endFrame(h, start)
+}
+
+// beginFrame counts one frame for fault injection and appends its
+// header to out, returning where the frame starts. The caller appends
+// the payload and then calls endFrame.
+func (p *peerConn) beginFrame(h frameHeader) int {
 	if p.t.failAfterFrames > 0 {
 		p.t.framesWritten++
 		if p.t.framesWritten >= p.t.failAfterFrames {
@@ -417,55 +385,116 @@ func (p *peerConn) writeFrame(h frameHeader, payload []byte) error {
 			}
 		}
 	}
-	hb := p.headerSlot()
-	putHeader(hb, h)
-	p.pending = append(p.pending, hb)
-	if len(payload) > 0 {
-		p.pending = append(p.pending, payload)
-	}
-	p.pendingBytes += int64(headerSize + len(payload))
-	if frameChecksummed(h.Type) {
-		p.wsum = crc32.Update(p.wsum, crcTable, hb)
-		p.wsum = crc32.Update(p.wsum, crcTable, payload)
-	}
-	p.t.wireBytes += int64(headerSize + len(payload))
-	if h.Type == frameRound && h.From != 0 && h.To != 0 {
-		p.t.dataBytes += int64(headerSize + len(payload))
-	}
-	return nil
+	start := len(p.out)
+	p.out = append(p.out, make([]byte, headerSize)...)
+	putHeader(p.out[start:], h)
+	return start
 }
 
-// flush writes the whole pending batch as one vectored write, then
-// releases the batch's pooled payload buffers and header arena for
-// reuse. Every protocol path flushes (or hands the batch to the async
-// writer, see flushAsync) before it reads from the same peer, so
-// frames never sit pending across a read of that peer — the per-peer
-// write-then-read alternation that makes the barrier deadlock-free.
-// Draining the async writer first keeps this connection's bytes in
-// protocol order even when round batches went out asynchronously.
+// endFrame accounts the frame that starts at out[start:]: a data frame
+// feeds the write checksum, every frame counts in WireBytes, and a
+// worker↔worker round batch in DataWireBytes too.
+func (p *peerConn) endFrame(h frameHeader, start int) {
+	f := p.out[start:]
+	if frameChecksummed(h.Type) {
+		p.wsum = crc32.Update(p.wsum, crcTable, f)
+	}
+	p.t.wireBytes += int64(len(f))
+	if h.Type == frameRound && h.From != 0 && h.To != 0 {
+		p.t.dataBytes += int64(len(f))
+	}
+}
+
+// flushAsync hands out to the writer and returns without waiting for
+// the socket, so the caller stages (or reads) while the bytes drain.
+// A write error sticks and is returned by every later flush of either
+// kind; by then the read side of the same failure has usually
+// surfaced too, and error attribution happens there.
+func (p *peerConn) flushAsync() error {
+	for len(p.acks) > 0 {
+		p.reclaim(<-p.acks)
+	}
+	if p.werr == nil && len(p.out) > 0 {
+		p.hand(p.out)
+		p.out, p.spare = p.spare, nil
+	}
+	return p.werr
+}
+
+// flush is flushAsync plus a wait for the write, so the synchronous
+// paths (collectives, handshakes, rollbacks) see its error. Every
+// protocol path flushes, one way or the other, before it reads from
+// the same peer, so frames never sit in out across a read of that
+// peer: the per-peer write-then-read order that keeps the barrier
+// deadlock-free.
 func (p *peerConn) flush() error {
-	if err := p.drainAsync(); err != nil {
+	if err := p.flushAsync(); err != nil {
 		return err
 	}
-	if len(p.pending) == 0 {
-		return nil
+	for p.inflight > 0 {
+		p.reclaim(<-p.acks)
 	}
-	p.wmu.Lock()
-	_ = p.c.SetWriteDeadline(time.Now().Add(p.t.timeout))
-	bufs := p.pending
-	_, err := bufs.WriteTo(p.c)
-	p.wmu.Unlock()
-	for i := range p.pending {
-		p.pending[i] = nil
+	return p.werr
+}
+
+// hand gives b to the writer, first waiting for the oldest write when
+// writerDepth are in flight.
+func (p *peerConn) hand(b []byte) {
+	if p.inflight == writerDepth {
+		p.reclaim(<-p.acks)
 	}
-	p.pending = p.pending[:0]
-	p.pendingBytes = 0
-	p.hdrUsed = 0
-	for _, b := range p.retire {
-		p.t.putBuf(b)
+	p.inflight++
+	p.queue <- b
+}
+
+// reclaim takes back one buffer the writer is done with: its write
+// error sticks, and the larger of it and the spare is kept as the next
+// out.
+func (p *peerConn) reclaim(w written) {
+	p.inflight--
+	if w.err != nil && p.werr == nil {
+		p.werr = w.err
 	}
-	p.retire = p.retire[:0]
-	return err
+	if cap(w.buf) > cap(p.spare) {
+		p.spare = w.buf[:0]
+	}
+}
+
+// stop ends the writer once it has written, or failed to write, every
+// buffer handed to it; later flushes return net.ErrClosed. Stopping
+// twice is a no-op.
+func (p *peerConn) stop() {
+	if p.queue == nil {
+		return
+	}
+	close(p.queue)
+	<-p.done
+	p.queue = nil
+	for p.inflight > 0 {
+		p.reclaim(<-p.acks)
+	}
+	if p.werr == nil {
+		p.werr = net.ErrClosed
+	}
+}
+
+// close writes what is pending, stops the writer and closes the
+// socket, so the last round's batches reach a peer still reading them.
+func (p *peerConn) close() error {
+	_ = p.flush()
+	p.stop()
+	return p.c.Close()
+}
+
+// abort tears a link down without waiting for queued writes: the
+// socket closes first, so each write still queued fails at once
+// instead of waiting out its deadline. It is for links already known
+// dead or being dropped: a connection that failed its handshake, the
+// direct links on a recovery rollback (teardownMesh), a dead worker's
+// hub (recoverWorkers), and a failover survivor's lost hub.
+func (p *peerConn) abort() {
+	_ = p.c.Close()
+	p.stop()
 }
 
 // crashSelf is the honest worker-death fault injection: SIGKILL, no
@@ -577,17 +606,12 @@ func (p *peerConn) readFrame(wantType uint8) (frameHeader, []byte, error) {
 }
 
 // writeCheck emits the running write-direction checksum and resets it;
-// the peer's readCheck must observe the identical running sum. The
-// payload buffer is pooled and retired at the flush that writes it.
-func (p *peerConn) writeCheck(round uint32) error {
-	b := p.t.getBuf(checkSize)
-	putU32(b, p.wsum)
-	if err := p.writeFrame(frameHeader{Type: frameCheck, Round: round, Count: checkSize}, b); err != nil {
-		return err
-	}
-	p.retireBuf(b)
+// the peer's readCheck must observe the identical running sum.
+func (p *peerConn) writeCheck(round uint32) {
+	var b [checkSize]byte
+	putU32(b[:], p.wsum)
+	p.writeFrame(frameHeader{Type: frameCheck, Round: round, Count: checkSize}, b[:])
 	p.wsum = 0
-	return nil
 }
 
 // readCheck validates the peer's checksum against the running
@@ -698,6 +722,9 @@ func joinNet(n int, cfg WorkerConfig) (*NetTransport, error) {
 		t.meshLn = ln
 	}
 	fail := func(err error) (*NetTransport, error) {
+		if t.links[0] != nil {
+			t.links[0].abort()
+		}
 		if t.meshLn != nil {
 			t.meshLn.Close()
 			t.meshLn = nil
@@ -717,37 +744,26 @@ func joinNet(n int, cfg WorkerConfig) (*NetTransport, error) {
 	hh := frameHeader{Type: frameHello, From: uint16(shard), Round: flags}
 	var hb [helloSize]byte
 	putHello(hb[:], hello{Version: wireVersion, N: uint64(n), Shard: uint32(shard), Shards: uint32(t.part.p)})
-	if err := hub.writeFrame(hh, hb[:]); err != nil {
-		c.Close()
-		return fail(err)
-	}
+	hub.writeFrame(hh, hb[:])
 	if t.meshLn != nil {
 		peerAddr := []byte(t.meshLn.Addr().String())
-		ah := frameHeader{Type: frameMeshAddr, From: uint16(shard), Count: uint32(len(peerAddr))}
-		if err := hub.writeFrame(ah, peerAddr); err != nil {
-			c.Close()
-			return fail(err)
-		}
+		hub.writeFrame(frameHeader{Type: frameMeshAddr, From: uint16(shard), Count: uint32(len(peerAddr))}, peerAddr)
 	}
 	if err := hub.flush(); err != nil {
-		c.Close()
 		return fail(err)
 	}
 	wh, payload, err := hub.readFrame(frameWelcome)
 	if err != nil {
-		c.Close()
 		return fail(fmt.Errorf("dist: join handshake: %w (a version or capability mismatch closes the connection — check that every process runs the same build and agrees on -failover)", err))
 	}
 	if wh.Round != flags {
-		c.Close()
 		return fail(fmt.Errorf("dist: capability mismatch: coordinator failover=%v, this worker failover=%v",
 			wh.Round&helloFlagFailover != 0, t.failover))
 	}
 	if got := parseHello(payload); got.Version != wireVersion || got.N != uint64(n) || got.Shards != uint32(t.part.p) {
-		c.Close()
 		return fail(fmt.Errorf("dist: coordinator config mismatch: %+v", got))
 	}
-	hub.startHeartbeats()
+	hub.linkUp()
 	t.ready = true
 	return t, nil
 }
@@ -835,11 +851,11 @@ func (t *NetTransport) acceptWorkers(missing map[int]bool) error {
 		pc := newPeerConn(t, c)
 		s, err := t.acceptHandshake(pc, missing)
 		if err != nil {
-			c.Close()
+			pc.abort()
 			continue
 		}
 		t.links[s] = pc
-		pc.startHeartbeats()
+		pc.linkUp()
 		delete(missing, s)
 		deadline = time.Now().Add(t.timeout)
 	}
@@ -893,9 +909,7 @@ func (t *NetTransport) acceptHandshake(pc *peerConn, missing map[int]bool) (int,
 	wf := frameHeader{Type: frameWelcome, Round: helloFlags(t.failover)}
 	var wb [helloSize]byte
 	putHello(wb[:], hello{Version: wireVersion, N: uint64(t.part.n), Shard: h.Shard, Shards: uint32(t.part.p)})
-	if err := pc.writeFrame(wf, wb[:]); err != nil {
-		return 0, err
-	}
+	pc.writeFrame(wf, wb[:])
 	if err := pc.flush(); err != nil {
 		return 0, err
 	}
@@ -941,10 +955,7 @@ func (t *NetTransport) recoverWorkers(first int, respawn func(shard int, addr st
 			continue
 		}
 		p := t.links[w]
-		if err := p.writeFrame(frameHeader{Type: frameRollback, Round: gen}, nil); err != nil {
-			dead[w] = true
-			continue
-		}
+		p.writeFrame(frameHeader{Type: frameRollback, Round: gen}, nil)
 		if err := p.flush(); err != nil {
 			dead[w] = true
 		}
@@ -992,14 +1003,12 @@ func (t *NetTransport) ackRollback(gen uint32) error {
 	t.teardownMesh()
 	hub := t.links[0]
 	hub.wsum, hub.rsum = 0, 0
-	if err := hub.writeFrame(frameHeader{Type: frameRollbackAck, Round: gen}, nil); err != nil {
-		return err
-	}
+	hub.writeFrame(frameHeader{Type: frameRollbackAck, Round: gen}, nil)
 	return hub.flush()
 }
 
-// Close tears the transport down. Every link stops its heartbeats and
-// drains its writer before the socket closes, so the last round's
+// Close tears the transport down. Every link's writer writes what is
+// queued and stops before the socket closes, so the last round's
 // batches reach the peers still reading them (abort, the no-drain
 // teardown, is reserved for links already known dead). A worker's hub
 // (link 0) closes last.
@@ -1151,29 +1160,32 @@ func (t *NetTransport) clearMailboxes() {
 	}
 }
 
-// encodeBatch packs the envelopes and then the post records staged for
-// shard d into a pooled buffer, leaving both stages empty; the caller
-// hands the buffer to writeFrame and retires it at flush.
-func (t *NetTransport) encodeBatch(d int) []byte {
+// appendBatch appends the envelopes and then the post records staged
+// for shard d to b, leaving both stages empty.
+func (t *NetTransport) appendBatch(b []byte, d int) []byte {
 	envs, posts := t.sendTo[d], t.postTo[d]
 	t.sendTo[d], t.postTo[d] = envs[:0], posts[:0]
-	buf := t.getBuf((len(envs) + len(posts)) * envelopeSize)
-	for i, env := range envs {
-		putEnvelope(buf[i*envelopeSize:], env)
+	off := len(b)
+	n := (len(envs) + len(posts)) * envelopeSize
+	b = slices.Grow(b, n)[:off+n]
+	for _, env := range envs {
+		putEnvelope(b[off:], env)
+		off += envelopeSize
 	}
-	for i, p := range posts {
-		putPost(buf[(len(envs)+i)*envelopeSize:], p)
+	for _, p := range posts {
+		putPost(b[off:], p)
+		off += envelopeSize
 	}
-	return buf
+	return b
 }
 
 // EndRound is the round barrier, the same on every shard. To each
-// other shard d it queues three frames on the link to d — the batch
-// staged for d (envelopes, then post records), this shard's local
-// tally (its row's, billed as each message was sent), and the stream
-// check — and hands them to the link's writer goroutine (flushAsync),
-// so every shard writes before it reads without waiting on full socket
-// buffers. It then reads the same three frames from every d in shard
+// other shard d it appends three frames to the link to d — the batch
+// staged for d (envelopes, then post records, encoded in place), this
+// shard's local tally (its row's, billed as each message was sent),
+// and the stream check — and hands them to the link's writer goroutine
+// (flushAsync), so every shard writes before it reads without waiting
+// on full socket buffers. It then reads the same three frames from every d in shard
 // order, parsing each batch straight into the mailboxes in origin
 // order 0..P−1 and its posts onto the board, and makes the round's
 // posts readable. It returns the sum of the P local tallies, which
@@ -1182,26 +1194,20 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 	t.mustReady()
 	self := t.self
 	total := t.x.takeTally(self)
-	tb := make([]byte, tallySize)
-	putTally(tb, total)
+	var tb [tallySize]byte
+	putTally(tb[:], total)
 	for d, pc := range t.links {
 		if pc == nil {
 			continue
 		}
-		payload := t.encodeBatch(d)
-		h := frameHeader{Type: frameRound, From: uint16(self), To: uint16(d), Round: uint32(round), Count: uint32(len(payload) / envelopeSize)}
-		err := pc.writeFrame(h, payload)
-		pc.retireBuf(payload)
-		if err == nil {
-			err = pc.writeFrame(frameHeader{Type: frameTally, From: uint16(self), Round: uint32(round)}, tb)
-		}
-		if err == nil {
-			err = pc.writeCheck(uint32(round))
-		}
-		if err == nil {
-			err = pc.flushAsync()
-		}
-		if err != nil {
+		h := frameHeader{Type: frameRound, From: uint16(self), To: uint16(d), Round: uint32(round),
+			Count: uint32(len(t.sendTo[d]) + len(t.postTo[d]))}
+		start := pc.beginFrame(h)
+		pc.out = t.appendBatch(pc.out, d)
+		pc.endFrame(h, start)
+		pc.writeFrame(frameHeader{Type: frameTally, From: uint16(self), Round: uint32(round)}, tb[:])
+		pc.writeCheck(uint32(round))
+		if err := pc.flushAsync(); err != nil {
 			t.fatal(fmt.Errorf("round %d: %w", round, t.linkFail(d, err)))
 		}
 	}
@@ -1226,27 +1232,21 @@ func (t *NetTransport) EndRound(round int) RoundTally {
 }
 
 // crossesProcesses reports whether messages of kind k may arrive from
-// another process as envelopes: the kinds whose payload is the
-// sender's state (the neighbour exchanges, which the spanner posts,
-// and the notices). MsgSampled and MsgKeep carry what the recipient's
-// owner derives from the seed, so their recipient's owner sends them
-// and they never cross.
-func (k MsgKind) crossesProcesses() bool {
-	switch k {
-	case MsgCenter, MsgNewCenter, MsgAdd, MsgDrop:
-		return true
-	}
-	return false
-}
+// another process as envelopes: the spanner's notices, whose payload
+// is the sender's decision. The neighbour exchanges cross as posts,
+// and MsgSampled and MsgKeep carry what the recipient's owner derives
+// from the seed, so their recipient's owner sends them and they never
+// cross.
+func (k MsgKind) crossesProcesses() bool { return k == MsgAdd || k == MsgDrop }
 
 // deliverBatch parses shard d's verified batch straight into this
 // shard's mailboxes and post board, rejecting any record shard d could
 // not have staged for it: an envelope whose recipient is not owned
-// here, whose kind may not cross processes or whose From is not d's; a
+// here, whose kind is not a notice or whose From is not d's; and a
 // post whose kind is not a neighbour exchange, whose From is not d's,
-// or whose count is not the number of the poster's live slots in this
-// shard's view; and a cluster id, an index of the spanner's
-// accumulator, outside [0, n).
+// whose cluster id (an index of the spanner's accumulator) is outside
+// [0, n), or whose count is not the number of the poster's live slots
+// in this shard's view.
 func (t *NetTransport) deliverBatch(d int, payload []byte) error {
 	lo, hi := int32(t.part.bounds[t.self]), int32(t.part.bounds[t.self+1])
 	flo, fhi := int32(t.part.bounds[d]), int32(t.part.bounds[d+1])
@@ -1257,11 +1257,8 @@ func (t *NetTransport) deliverBatch(d int, payload []byte) error {
 		case recordEnvelope:
 			env := parseEnvelope(payload[off:])
 			if env.to < lo || env.to >= hi || !env.m.Kind.crossesProcesses() || env.m.From < flo || env.m.From >= fhi {
-				return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind one that crosses processes",
+				return fmt.Errorf("envelope %d (kind %d, from %d to %d) is not one it can stage for shard %d: From must be in [%d, %d), to in [%d, %d), and the kind a notice",
 					i, env.m.Kind, env.m.From, env.to, t.self, flo, fhi, lo, hi)
-			}
-			if k := env.m.Kind; k.posted() && uint32(env.m.A) >= uint32(t.part.n) {
-				return fmt.Errorf("envelope %d (kind %d, from %d) names cluster %d outside [0, %d)", i, k, env.m.From, env.m.A, t.part.n)
 			}
 			t.mailbox[env.to-lo] = append(t.mailbox[env.to-lo], env.m)
 		case recordPost:
@@ -1339,9 +1336,7 @@ func (t *NetTransport) linkFail(d int, err error) error {
 // failures name the worker (peerFail).
 func (t *NetTransport) gather(typ uint8, count uint32, payload []byte) ([][]byte, error) {
 	if t.self != 0 {
-		if err := t.links[0].writeFrame(frameHeader{Type: typ, From: uint16(t.self), Round: t.seq, Count: count}, payload); err != nil {
-			return nil, err
-		}
+		t.links[0].writeFrame(frameHeader{Type: typ, From: uint16(t.self), Round: t.seq, Count: count}, payload)
 		return nil, t.links[0].flush()
 	}
 	out := make([][]byte, t.part.p)
@@ -1375,9 +1370,7 @@ func (t *NetTransport) broadcast(typ uint8, count uint32, payload []byte) ([]byt
 	}
 	h := frameHeader{Type: typ, Round: t.seq, Count: count}
 	for w := 1; w < t.part.p; w++ {
-		if err := t.links[w].writeFrame(h, payload); err != nil {
-			return nil, t.peerFail(w, err)
-		}
+		t.links[w].writeFrame(h, payload)
 		if err := t.links[w].flush(); err != nil {
 			return nil, t.peerFail(w, err)
 		}

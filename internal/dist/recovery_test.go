@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -334,7 +335,7 @@ func pipePair(t *testing.T) (*peerConn, *peerConn) {
 	}
 	ca, cb := net.Pipe()
 	pa, pb := newPeerConn(ta, ca), newPeerConn(tb, cb)
-	t.Cleanup(func() { ca.Close(); cb.Close() })
+	t.Cleanup(func() { pa.abort(); pb.abort() })
 	return pa, pb
 }
 
@@ -346,15 +347,8 @@ func TestChecksumMismatchRejected(t *testing.T) {
 		pa, pb := pipePair(t)
 		errCh := make(chan error, 1)
 		go func() {
-			h := frameHeader{Type: frameRound, From: 1, To: 0, Round: 5, Count: 0}
-			if err := pa.writeFrame(h, nil); err != nil {
-				errCh <- err
-				return
-			}
-			if err := pa.writeCheck(5); err != nil {
-				errCh <- err
-				return
-			}
+			pa.writeFrame(frameHeader{Type: frameRound, From: 1, To: 0, Round: 5, Count: 0}, nil)
+			pa.writeCheck(5)
 			errCh <- pa.flush()
 		}()
 		if _, _, err := pb.readFrame(frameRound); err != nil {
@@ -380,16 +374,19 @@ func TestChecksumMismatchRejected(t *testing.T) {
 // reset for the next barrier.
 func TestChecksumAgreesEndToEnd(t *testing.T) {
 	pa, pb := pipePair(t)
+	errCh := make(chan error, 1)
 	go func() {
-		h := frameHeader{Type: frameRound, From: 1, To: 0, Round: 9, Count: 0}
-		_ = pa.writeFrame(h, nil)
-		_ = pa.writeCheck(9)
-		_ = pa.flush()
+		pa.writeFrame(frameHeader{Type: frameRound, From: 1, To: 0, Round: 9, Count: 0}, nil)
+		pa.writeCheck(9)
+		errCh <- pa.flush()
 	}()
 	if _, _, err := pb.readFrame(frameRound); err != nil {
 		t.Fatal(err)
 	}
 	if err := pb.readCheck(9); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
 	if pa.wsum != 0 || pb.rsum != 0 {
@@ -495,6 +492,40 @@ func TestWaitReadyDeadlineSlides(t *testing.T) {
 		t.Fatalf("sliding deadline failed: %v", err)
 	}
 	wg.Wait()
+}
+
+// TestNoGoroutineOutlivesItsLink: every link's writer goroutine stops
+// with its link, on the clean path and on each path that drops a
+// connection mid-handshake — after a Mesh(3) run, after a join window
+// that closed stray connections, and after a refused join, the
+// goroutine count returns to where it started.
+func TestNoGoroutineOutlivesItsLink(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"mesh-run", func(t *testing.T) {
+			g := gen.Gnp(120, 0.1, 5)
+			if _, err := Run(NewEngine(Mesh(3).WithTimeout(recoveryTimeout), g), SpannerJob(0, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"stray-connections", TestWaitReadyToleratesStrays},
+		{"refused-join", TestNetHandshakeValidation},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			tc.run(t)
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
 }
 
 // TestCollectiveRoundTagValidated: a peer whose collective sequence is

@@ -128,8 +128,7 @@ func (j sparsifyImpl) runPart(re *roundEngine, part *graph.Partition, ck *ckptSt
 				panic(&NetError{Err: fmt.Errorf("checkpoint holds %d epochs of a %d-iteration sparsify run", ck.epochs, iters)})
 			}
 			for i := 0; i < ck.epochs; i++ {
-				keep, scale := sampleKeep(roundConfigFor(j.cfg, i))
-				w = renumberPart(w, ck.lists[i], keep, scale)
+				w = renumberPart(w, ck.lists[i], newSampler(roundConfigFor(j.cfg, i)))
 				if tw := w.tableWords(); tw > peak {
 					peak = tw
 				}
@@ -223,15 +222,24 @@ func roundConfigFor(cfg core.Config, i int) core.Config {
 	return cfg
 }
 
-// sampleKeep returns epoch-scoped Algorithm 1 sampling: the keep coin
-// (a pure function of the seed and the GLOBAL edge id, so every shard
-// — and every replay — flips the same coins) and the weight scale 1/p
-// applied to kept off-bundle edges.
-func sampleKeep(cfg core.Config) (keep func(gid int) bool, scale float64) {
-	p := cfg.SampleKeepProb()
-	sampleSeed := cfg.Seed ^ core.SampleSeedMix
-	return func(gid int) bool { return rng.SplitAt(sampleSeed, uint64(gid)).Float64() < p }, 1 / p
+// sampler is one epoch's Algorithm 1 sampling: the keep coin of an
+// off-bundle edge, a pure function of the seed and the GLOBAL edge id
+// (so every shard — and every replay — flips the same coins), kept
+// with probability p and then scaled by 1/p.
+type sampler struct {
+	seed uint64
+	p    float64
 }
+
+func newSampler(cfg core.Config) sampler {
+	return sampler{seed: cfg.Seed ^ core.SampleSeedMix, p: cfg.SampleKeepProb()}
+}
+
+// keep flips the coin of global edge gid, as core.ParallelSample does.
+func (s sampler) keep(gid int) bool { return rng.SplitAt(s.seed, uint64(gid)).Float64() < s.p }
+
+// scale is the weight factor of a kept off-bundle edge.
+func (s sampler) scale() float64 { return 1 / s.p }
 
 // sampleRound is one distributed Algorithm 1 round on the network held
 // by e: a t-bundle of distributed spanners over a shrinking alive mask,
@@ -300,7 +308,7 @@ func sampleRound(e *roundEngine, w *view, eps float64, cfg core.Config) (*view, 
 	// recomputes the coin, so its owner sends the message: it is
 	// billed and moves nothing.
 	e.BeginPhase("sample")
-	keep, scale := sampleKeep(cfg)
+	smp := newSampler(cfg)
 	adj := w.adj
 	e.ForVertices(func(v int32) {
 		lo, hi := adj.Range(v)
@@ -315,7 +323,7 @@ func sampleRound(e *roundEngine, w *view, eps float64, cfg core.Config) (*view, 
 			}
 			gid := w.globalOf(eid)
 			bit := int32(0)
-			if keep(int(gid)) {
+			if smp.keep(int(gid)) {
 				bit = 1
 			}
 			e.Deliver(v, Message{From: u, Port: gid, Kind: MsgKeep, A: bit})
@@ -324,13 +332,14 @@ func sampleRound(e *roundEngine, w *view, eps float64, cfg core.Config) (*view, 
 	e.EndRound()
 
 	if w.full() {
+		scale := smp.scale()
 		edges := parutil.CollectShards(mLocal, func(_ int, lo, hi int) []graph.Edge {
 			var out []graph.Edge
 			for i := lo; i < hi; i++ {
 				ge := w.edges[i]
 				if inBundle[i] {
 					out = append(out, ge)
-				} else if keep(i) {
+				} else if smp.keep(i) {
 					out = append(out, graph.Edge{U: ge.U, V: ge.V, W: ge.W * scale})
 				}
 			}
@@ -359,7 +368,7 @@ func sampleRound(e *roundEngine, w *view, eps float64, cfg core.Config) (*view, 
 	}
 	e.putBools(inBundle)
 	bundleIDs := e.allGatherInt32s(ownedBundle)
-	return renumberPart(w, bundleIDs, keep, scale), bundleIDs
+	return renumberPart(w, bundleIDs, smp), bundleIDs
 }
 
 // renumberPart applies one epoch's survival verdict to a partition
@@ -369,7 +378,8 @@ func sampleRound(e *roundEngine, w *view, eps float64, cfg core.Config) (*view, 
 // edges scaled. It is a pure local function of (view, bundleIDs, seed)
 // — the live schedule and the checkpoint replay run the identical
 // walk, which is what makes recovery bit-identical.
-func renumberPart(w *view, bundleIDs []int32, keep func(gid int) bool, scale float64) *view {
+func renumberPart(w *view, bundleIDs []int32, smp sampler) *view {
+	scale := smp.scale()
 	var newIDs []int32
 	var newEdges []graph.Edge
 	newM := 0
@@ -385,7 +395,7 @@ func renumberPart(w *view, bundleIDs []int32, keep func(gid int) bool, scale flo
 		if inB {
 			bi++
 		}
-		if !inB && !keep(i) {
+		if !inB && !smp.keep(i) {
 			continue
 		}
 		if incident {

@@ -1,8 +1,8 @@
 package dist_test
 
 // Golden WireBytes pins for the network transport. WireBytes is
-// computed at writeFrame append time, before any batching, so the
-// vectored-write and async double-buffered paths must reproduce the
+// computed at writeFrame append time, before a link's writer sends the
+// batched bytes, so batching and double buffering must reproduce the
 // per-frame protocol's byte count exactly — these values must never
 // drift without a deliberate wire-format bump (TestJobWireSchemas pins
 // the frame encodings themselves; this pins the end-to-end byte

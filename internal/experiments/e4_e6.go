@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/pram"
 	"repro/internal/spectral"
 )
 
@@ -100,7 +101,7 @@ func E5ParallelSparsify(s Scale) *Table {
 		rhos = []float64{2, 8}
 	}
 	for _, rho := range rhos {
-		tr := newTracker()
+		tr := pram.New()
 		cfg := core.DefaultConfig(31)
 		cfg.Tracker = tr
 		out, st, err := core.ParallelSparsify(g, eps, rho, cfg)

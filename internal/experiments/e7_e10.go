@@ -11,13 +11,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
-	"repro/internal/pram"
 	"repro/internal/rng"
 	"repro/internal/solver"
 	"repro/internal/vec"
 )
-
-func newTracker() *pram.Tracker { return pram.New() }
 
 // randomRHS returns a deterministic zero-mean right-hand side.
 func randomRHS(n int, seed uint64) []float64 {

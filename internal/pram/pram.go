@@ -5,9 +5,9 @@
 // time (depth) on an idealized machine with unbounded processors. Real
 // wall-clock on a fixed host cannot exhibit those asymptotics, so the
 // algorithms in this repository optionally record their *modeled* costs:
-// a sequential step of cost c adds c to both work and depth; a parallel
-// loop of n unit-cost iterations adds n to work but only its critical
-// path (the per-iteration cost, i.e. 1 for a flat loop) to depth.
+// a parallel loop of n unit-cost iterations adds n to work but only its
+// critical path (the per-iteration cost, i.e. 1 for a flat loop) to
+// depth.
 // The experiment harness checks the recorded totals against the paper's
 // O(m log n)-style bounds.
 package pram
@@ -41,16 +41,6 @@ func (t *Tracker) Depth() int64 {
 	return t.depth.Load()
 }
 
-// Seq records a sequential step of the given cost: it adds cost to both
-// work and depth.
-func (t *Tracker) Seq(cost int64) {
-	if t == nil || cost <= 0 {
-		return
-	}
-	t.work.Add(cost)
-	t.depth.Add(cost)
-}
-
 // ParFor records a flat parallel loop performing total units of work
 // whose iterations each cost at most perItem: work += total,
 // depth += perItem.
@@ -64,55 +54,4 @@ func (t *Tracker) ParFor(total, perItem int64) {
 	if perItem > 0 {
 		t.depth.Add(perItem)
 	}
-}
-
-// ParReduce records a parallel reduction over n items: work += n,
-// depth += ceil(log2 n) + 1, the cost of a balanced combining tree.
-func (t *Tracker) ParReduce(n int64) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.work.Add(n)
-	t.depth.Add(log2ceil(n) + 1)
-}
-
-// Add merges the totals of other into t (used when a sub-computation
-// runs with its own tracker in parallel with others: the caller decides
-// whether to merge sequentially or in parallel).
-func (t *Tracker) Add(other *Tracker) {
-	if t == nil || other == nil {
-		return
-	}
-	t.work.Add(other.Work())
-	t.depth.Add(other.Depth())
-}
-
-// AddParallel merges other's work into t but contributes only the
-// maximum of the current depth delta — callers that fan out k trackers
-// in parallel should instead use MergeParallel, which handles the max.
-func MergeParallel(t *Tracker, branches ...*Tracker) {
-	if t == nil {
-		return
-	}
-	var maxDepth int64
-	for _, b := range branches {
-		if b == nil {
-			continue
-		}
-		t.work.Add(b.Work())
-		if d := b.Depth(); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	t.depth.Add(maxDepth)
-}
-
-func log2ceil(n int64) int64 {
-	var l int64
-	v := int64(1)
-	for v < n {
-		v <<= 1
-		l++
-	}
-	return l
 }

@@ -7,21 +7,9 @@ import (
 
 func TestNilTrackerIsSafe(t *testing.T) {
 	var tr *Tracker
-	tr.Seq(5)
 	tr.ParFor(10, 1)
-	tr.ParReduce(8)
-	tr.Add(New())
 	if tr.Work() != 0 || tr.Depth() != 0 {
 		t.Fatal("nil tracker accumulated")
-	}
-}
-
-func TestSeqAddsBoth(t *testing.T) {
-	tr := New()
-	tr.Seq(3)
-	tr.Seq(4)
-	if tr.Work() != 7 || tr.Depth() != 7 {
-		t.Fatalf("work=%d depth=%d", tr.Work(), tr.Depth())
 	}
 }
 
@@ -36,32 +24,6 @@ func TestParForDepthIsPerItem(t *testing.T) {
 	}
 }
 
-func TestParReduceLogDepth(t *testing.T) {
-	tr := New()
-	tr.ParReduce(1024)
-	if tr.Work() != 1024 {
-		t.Fatalf("work=%d", tr.Work())
-	}
-	if tr.Depth() != 11 { // log2(1024)+1
-		t.Fatalf("depth=%d want 11", tr.Depth())
-	}
-}
-
-func TestMergeParallelTakesMaxDepth(t *testing.T) {
-	a, b, c := New(), New(), New()
-	a.ParFor(100, 5)
-	b.ParFor(200, 9)
-	c.ParFor(50, 2)
-	root := New()
-	MergeParallel(root, a, b, c)
-	if root.Work() != 350 {
-		t.Fatalf("work=%d", root.Work())
-	}
-	if root.Depth() != 9 {
-		t.Fatalf("depth=%d want max branch depth 9", root.Depth())
-	}
-}
-
 func TestConcurrentAccumulation(t *testing.T) {
 	tr := New()
 	var wg sync.WaitGroup
@@ -70,7 +32,7 @@ func TestConcurrentAccumulation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				tr.Seq(1)
+				tr.ParFor(1, 1)
 			}
 		}()
 	}
@@ -82,9 +44,7 @@ func TestConcurrentAccumulation(t *testing.T) {
 
 func TestNegativeCostsIgnored(t *testing.T) {
 	tr := New()
-	tr.Seq(-5)
 	tr.ParFor(-1, -1)
-	tr.ParReduce(-3)
 	if tr.Work() != 0 || tr.Depth() != 0 {
 		t.Fatalf("negative costs accumulated: work=%d depth=%d", tr.Work(), tr.Depth())
 	}
